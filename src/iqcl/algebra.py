@@ -10,11 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
-
-UnitValue = Fraction
-
-Rational = Union[Fraction, int]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)

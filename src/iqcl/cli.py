@@ -15,9 +15,20 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import calculus, nqubit_sim, qmix, semantics, translation
+from . import calculus, qmix, semantics, translation
 from .algebra import SConstant
 from .syntax import ParseError, parse, parse_theory_text, print_formula
+
+
+def __getattr__(name: str):
+    # nqubit_sim, and numpy with it, is imported on first use: only ``sim``
+    # needs it.  It is still a module attribute, so callers can replace it.
+    if name == "nqubit_sim":
+        from . import nqubit_sim
+
+        globals()[name] = nqubit_sim
+        return nqubit_sim
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _read(path: str) -> str:
@@ -144,6 +155,7 @@ def _random_ball_point(rng: random.Random) -> qmix.BlochQmix:
 
 
 def _cmd_sim(args) -> int:
+    nqubit_sim = sys.modules[__name__].nqubit_sim
     fmt = args.format
     if args.gate == "prop34":
         rng = random.Random(args.seed)

@@ -16,6 +16,7 @@ residual is essentially zero.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -59,6 +60,19 @@ _PAIR_OPS = {
     PRODUCT: pmv_product,
     MEET: mv_meet,
     JOIN: mv_join,
+}
+
+# _PAIR_OPS on columns of numerators over one denominator, in which
+# ``one`` is the numerator of 1.  The product alone takes its operands
+# over any two denominators; the numerator of its result is over their
+# product.
+_COLUMN_OPS = {
+    OPLUS: lambda a, b, one: [s if (s := x + y) < one else one for x, y in zip(a, b)],
+    ODOT: lambda a, b, one: [s if (s := x + y - one) > 0 else 0 for x, y in zip(a, b)],
+    IMPLIES: lambda a, b, one: [one - x + y if x > y else one for x, y in zip(a, b)],
+    PRODUCT: lambda a, b, one: [x * y for x, y in zip(a, b)],
+    MEET: lambda a, b, one: [x if x < y else y for x, y in zip(a, b)],
+    JOIN: lambda a, b, one: [x if x > y else y for x, y in zip(a, b)],
 }
 
 _GATE_OPS = {
@@ -216,8 +230,8 @@ class TautologyReport:
         return "counterexample"
 
 
-def _rational_disk_pool() -> list[tuple[Fraction, Fraction]]:
-    pool: list[tuple[Fraction, Fraction]] = []
+@functools.cache
+def _rational_disk_pool() -> tuple[tuple[Fraction, Fraction], ...]:
     specials = [
         (Fraction(1), Fraction(1, 2)),
         (Fraction(0), Fraction(1, 2)),
@@ -225,73 +239,145 @@ def _rational_disk_pool() -> list[tuple[Fraction, Fraction]]:
         (Fraction(1, 2), Fraction(0)),
         (Fraction(1, 2), Fraction(1)),
     ]
-    pool.extend(specials)
     step = Fraction(1, 8)
-    for i in range(9):
-        for j in range(9):
-            u, w = i * step, j * step
-            if _in_disk(u, w, Fraction(0)) and (u, w) not in pool:
-                pool.append((u, w))
+    grid = [
+        (i * step, j * step)
+        for i in range(9)
+        for j in range(9)
+        if _in_disk(i * step, j * step, Fraction(0))
+    ]
     # Rational points on the boundary circle via the tangent half-angle map.
+    boundary = []
     for t in (Fraction(0), 1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2),
               3, -3, Fraction(1, 3), Fraction(-1, 3), 4, -4):
         t = Fraction(t)
         c = (1 - t * t) / (1 + t * t)
         s = 2 * t / (1 + t * t)
         for r3, r2 in ((c, s), (s, c)):
-            u, w = (1 - r3) / 2, (1 - r2) / 2
-            if (u, w) not in pool:
-                pool.append((u, w))
-    return pool
+            boundary.append(((1 - r3) / 2, (1 - r2) / 2))
+    return tuple(dict.fromkeys(specials + grid + boundary))
+
+
+@functools.cache
+def _pool_numerators() -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """The pool over its common denominator: (denominator, u numerators, w numerators)."""
+    pool = _rational_disk_pool()
+    den = math.lcm(*(c.denominator for point in pool for c in point))
+    return den, tuple(int(u * den) for u, _ in pool), tuple(int(w * den) for _, w in pool)
+
+
+# Candidates screened per batch: the first batch is one pool sweep, so an
+# early counterexample costs little; later batches grow to _CHUNK.
+_CHUNK = 4096
+
+
+def _constant_denominators(f: Formula) -> set[int]:
+    if isinstance(f, Const):
+        return {f.value.value.denominator}
+    if isinstance(f, Atom):
+        return set()
+    if isinstance(f, (Neg, Sqrt)):
+        return _constant_denominators(f.arg)
+    return _constant_denominators(f.left) | _constant_denominators(f.right)
+
+
+def _screen(f: Formula, den: int, atom_column, m: int) -> tuple[list[int], int]:
+    """f's value over a batch of m candidates as (numerators, e): value = num / den**e.
+
+    ``atom_column(name, root)`` gives an atom's u (or, with root, w)
+    numerators over ``den``.  Only the requested component of each node is
+    computed: the root of a negation is the negated root, the value of a
+    square root is its argument's root, and a binary node's root is 1/2.
+    """
+    half = [den // 2] * m
+
+    def value(g: Formula, root: bool) -> tuple[list[int], int]:
+        if isinstance(g, Atom):
+            return atom_column(g.name, root), 1
+        if isinstance(g, Const):
+            return (half if root else [int(g.value.value * den)] * m), 1
+        if isinstance(g, Sqrt) and not root:
+            return value(g.arg, True)
+        if isinstance(g, (Neg, Sqrt)):
+            # 1 - u or 1 - w of a negation's argument; 1 - u is a square root's root.
+            v, e = value(g.arg, root and isinstance(g, Neg))
+            one = den**e
+            return [one - x for x in v], e
+        if root:
+            return half, 1
+        a, ea = value(g.left, False)
+        b, eb = value(g.right, False)
+        if g.op == PRODUCT:
+            e = ea + eb
+        else:
+            e = max(ea, eb)
+            if ea < e:
+                scale = den ** (e - ea)
+                a = [x * scale for x in a]
+            if eb < e:
+                scale = den ** (e - eb)
+                b = [x * scale for x in b]
+        return _COLUMN_OPS[g.op](a, b, den**e), e
+
+    return value(f, False)
 
 
 def check_tautology(f: Formula, budget: int = 100_000, seed: int = 0) -> TautologyReport:
     """Search the per-atom disk for a model giving f a value below 1.
 
-    Exact rational candidate points (grid, boundary, special states) are
-    swept first, then random combinations; a returned counterexample is
-    exact, a no-counterexample verdict is only as strong as the budget.
+    Candidates assign each atom a point of a fixed pool of 61 exact
+    rational disk points (grid, boundary, special states).  When the pool
+    product has at most ``budget`` points, or f has one atom, the product
+    is swept in order, first atom varying fastest; otherwise the diagonal
+    (every atom at the same point) comes first, then seeded random
+    combinations.  ``budget`` (at least 1) caps the candidates screened.
+
+    Candidates are screened in batches with exact integer arithmetic over
+    a common denominator of the pool and f's constants; only the first
+    failing candidate becomes a ``ReducedModel``.  A returned
+    counterexample is exact; a no-counterexample verdict is only as
+    strong as the budget.
     """
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
     names = sorted(formula_atoms(f))
     pool = _rational_disk_pool()
-    evaluations = 0
+    size = len(pool)
+    pool_den, pool_u, pool_w = _pool_numerators()
+    den = math.lcm(pool_den, *_constant_denominators(f))
+    lift = den // pool_den
+    # Indexed by ``root``: u numerators, then w numerators, over den.
+    lifted = (tuple(x * lift for x in pool_u), tuple(x * lift for x in pool_w))
+    exhaustive = len(names) <= 1 or size ** len(names) <= budget
+    total = min(budget, size ** len(names)) if exhaustive else budget
+    rng = random.Random(seed)
 
-    def trial(model: ReducedModel) -> ReducedModel | None:
-        u, _ = eval_prob(model, f)
-        return model if u < 1 else None
+    strides = [size**k for k in range(len(names))]
 
-    if not names:
-        model = ReducedModel({})
-        hit = trial(model)
-        return TautologyReport(hit, 1)
-
-    def candidates():
-        if len(names) == 1 or len(pool) ** len(names) <= budget:
-            indices = [0] * len(names)
-            while True:
-                yield {name: pool[indices[k]] for k, name in enumerate(names)}
-                for k in range(len(names)):
-                    indices[k] += 1
-                    if indices[k] < len(pool):
-                        break
-                    indices[k] = 0
-                else:
-                    return
+    start, batch = 0, size
+    while start < total:
+        stop = min(total, start + batch)
+        if exhaustive:
+            # Candidate i puts atom k at pool index (i // size**k) % size.
+            indices = [[(i // stride) % size for i in range(start, stop)] for stride in strides]
         else:
-            for point in pool:
-                yield {name: point for name in names}
-            rng = random.Random(seed)
-            while True:
-                yield {name: pool[rng.randrange(len(pool))] for name in names}
+            # The diagonal first, then one draw per atom per candidate.
+            diagonal = list(range(start, min(stop, size)))
+            draws = [rng.randrange(size) for _ in range((stop - start - len(diagonal)) * len(names))]
+            indices = [diagonal + draws[k :: len(names)] for k in range(len(names))]
+        column_of = dict(zip(names, indices))
 
-    for assignment in candidates():
-        if evaluations >= budget:
-            break
-        evaluations += 1
-        hit = trial(ReducedModel(assignment))
-        if hit is not None:
-            return TautologyReport(hit, evaluations)
-    return TautologyReport(None, evaluations)
+        def atom_column(name: str, root: bool) -> list[int]:
+            return list(map(lifted[root].__getitem__, column_of[name]))
+
+        values, e = _screen(f, den, atom_column, stop - start)
+        one = den**e
+        if min(values) < one:
+            hit = next(i for i, v in enumerate(values) if v < one)
+            model = ReducedModel({name: pool[column_of[name][hit]] for name in names})
+            return TautologyReport(model, start + hit + 1)
+        start, batch = stop, min(_CHUNK, 8 * batch)
+    return TautologyReport(None, total)
 
 
 def consequence(alpha: Formula, beta: Formula, budget: int = 100_000, seed: int = 0) -> TautologyReport:

@@ -313,15 +313,6 @@ def is_pmv_fragment(f: Formula) -> bool:
     return is_pmv_fragment(f.left) and is_pmv_fragment(f.right)
 
 
-def subformulas(f: Formula) -> Iterator[Formula]:
-    yield f
-    if isinstance(f, (Neg, Sqrt)):
-        yield from subformulas(f.arg)
-    elif isinstance(f, Bin):
-        yield from subformulas(f.left)
-        yield from subformulas(f.right)
-
-
 def parse_theory_text(text: str) -> list[Formula]:
     """Formulas from a theory file: one per line, '#' comments ignored."""
     result = []

@@ -42,6 +42,14 @@ def test_taut_exit_codes(capsys):
     assert "model.p.u=" in out2
 
 
+def test_taut_budget_below_one_exit_2(capsys):
+    for budget in ("0", "-3"):
+        code, out, err = run_cli(["taut", "p -> q", "--budget", budget, "--format", "machine"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "budget" in err
+
+
 def test_relevance(tmp_path, capsys):
     theory = tmp_path / "t.thy"
     theory.write_text("p\n")
@@ -149,3 +157,35 @@ def test_console_script_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout == "formula: top\n"
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy is only for the gate simulator; the other commands skip its import.
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, iqcl.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
+
+
+def test_sim_uses_the_module_attribute(monkeypatch, capsys):
+    # The simulator is looked up on iqcl.cli at call time, so a caller that
+    # replaces the attribute (a tracer, a test double) sees every call.
+    import types
+
+    import iqcl.cli
+    from iqcl import nqubit_sim
+
+    calls = []
+
+    def and_gate(*args):
+        calls.append(args)
+        return nqubit_sim.and_gate(*args)
+
+    monkeypatch.setattr(iqcl.cli, "nqubit_sim", types.SimpleNamespace(**{**vars(nqubit_sim), "and_gate": and_gate}))
+    code, out, _ = run_cli(["sim", "and", "rho(0.5)", "rho(0.5)", "--format", "machine"], capsys)
+    assert code == 0
+    assert "probability=" in out
+    assert len(calls) == 1

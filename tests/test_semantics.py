@@ -3,12 +3,18 @@ from fractions import Fraction
 
 import pytest
 
+from iqcl.algebra import SConstant
 from iqcl.qmix import BlochQmix, P1
 from iqcl.semantics import (
     RelevanceOptions,
     ReducedModel,
+    TautologyReport,
     Theory,
     UnassignedAtomError,
+    _CHUNK,
+    _pool_numerators,
+    _rational_disk_pool,
+    _screen,
     check_tautology,
     consequence,
     eval_bloch,
@@ -21,8 +27,8 @@ from iqcl.semantics import (
     relevance_degree,
     sample_models,
 )
-from iqcl.syntax import parse
-from util import random_formula, random_model
+from iqcl.syntax import IMPLIES, JOIN, OPLUS, PRODUCT, Bin, Neg, Sqrt, atoms, parse
+from util import _CONST_POOL, random_formula, random_model
 
 H = Fraction(1, 2)
 
@@ -94,6 +100,177 @@ def test_tautology_examples():
     assert not report.is_tautology
     assert report.counterexample == model(p=(0, H))
     assert check_tautology(parse("p -> p + p")).is_tautology
+
+
+def _reference_pool():
+    """The candidate pool, built by list scan in its defining order."""
+    pool = [(Fraction(1), H), (Fraction(0), H), (H, H), (H, Fraction(0)), (H, Fraction(1))]
+    step = Fraction(1, 8)
+    for i in range(9):
+        for j in range(9):
+            u, w = i * step, j * step
+            if (1 - 2 * u) ** 2 + (1 - 2 * w) ** 2 <= 1 and (u, w) not in pool:
+                pool.append((u, w))
+    for t in (0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), 3, -3, Fraction(1, 3), Fraction(-1, 3), 4, -4):
+        c = (1 - Fraction(t) ** 2) / (1 + Fraction(t) ** 2)
+        s = 2 * Fraction(t) / (1 + Fraction(t) ** 2)
+        for r3, r2 in ((c, s), (s, c)):
+            if ((1 - r3) / 2, (1 - r2) / 2) not in pool:
+                pool.append(((1 - r3) / 2, (1 - r2) / 2))
+    return pool
+
+
+def test_rational_disk_pool_order():
+    assert list(_rational_disk_pool()) == _reference_pool()
+    assert len(_reference_pool()) == 61
+
+
+def reference_check_tautology(f, budget=100_000, seed=0) -> TautologyReport:
+    """The per-candidate Fraction sweep that check_tautology batches.
+
+    Same candidates in the same order: the pool product with the first
+    atom varying fastest, or the diagonal followed by seeded random
+    combinations; each one is a ReducedModel evaluated by eval_prob.
+    """
+    names = sorted(atoms(f))
+    pool = _reference_pool()
+    if not names:
+        model = ReducedModel({})
+        return TautologyReport(model if eval_prob(model, f)[0] < 1 else None, 1)
+
+    def candidates():
+        if len(names) == 1 or len(pool) ** len(names) <= budget:
+            indices = [0] * len(names)
+            while True:
+                yield {name: pool[indices[k]] for k, name in enumerate(names)}
+                for k in range(len(names)):
+                    indices[k] += 1
+                    if indices[k] < len(pool):
+                        break
+                    indices[k] = 0
+                else:
+                    return
+        else:
+            for point in pool:
+                yield {name: point for name in names}
+            rng = random.Random(seed)
+            while True:
+                yield {name: pool[rng.randrange(len(pool))] for name in names}
+
+    evaluations = 0
+    for assignment in candidates():
+        if evaluations >= budget:
+            break
+        evaluations += 1
+        candidate = ReducedModel(assignment)
+        if eval_prob(candidate, f)[0] < 1:
+            return TautologyReport(candidate, evaluations)
+    return TautologyReport(None, evaluations)
+
+
+# 1/2**10 forces the screen's common denominator from 680 up to 680 * 2**7.
+_WIDE_CONSTANTS = _CONST_POOL + (SConstant(1, 10), SConstant(1023, 10))
+
+
+def _random_taut_candidate(rng, names, depth):
+    """A random formula, or one shaped to survive part or all of the sweep."""
+    g = random_formula(rng, names, depth, constants=_WIDE_CONSTANTS)
+    h = random_formula(rng, names, depth, constants=_WIDE_CONSTANTS)
+    shape = rng.randrange(4)
+    if shape == 0:
+        return g
+    if shape == 1:
+        return Bin(IMPLIES, g, Bin(JOIN, g, h))  # a tautology: the whole budget
+    if shape == 2:
+        return Bin(IMPLIES, Bin(PRODUCT, g, h), g)  # a tautology
+    return Bin(IMPLIES, g, h)
+
+
+def test_screen_matches_eval_prob():
+    # The integer kernel itself, candidate by candidate, for both components.
+    rng = random.Random(212)
+    pool = _rational_disk_pool()
+    pool_den, pool_u, pool_w = _pool_numerators()
+    for _ in range(150):
+        f = random_formula(rng, ("p", "q"), depth=5, constants=_WIDE_CONSTANTS)
+        picks = {name: [rng.randrange(len(pool)) for _ in range(20)] for name in ("p", "q")}
+        den = 680 * 2**7
+        lift = den // pool_den
+
+        def column(name, root):
+            return [(pool_w if root else pool_u)[k] * lift for k in picks[name]]
+
+        for g in (f, Sqrt(f)):
+            values, e = _screen(g, den, column, 20)
+            for i, value in enumerate(values):
+                m = ReducedModel({name: pool[picks[name][i]] for name in picks})
+                assert Fraction(value, den**e) == eval_prob(m, g)[0]
+
+
+def test_tautology_matches_reference_on_random_formulas():
+    rng = random.Random(210)
+    for _ in range(30):
+        f = _random_taut_candidate(rng, ("p", "q"), depth=3)
+        budget = rng.choice((200, 2000, 5000))
+        seed = rng.randrange(4)
+        assert check_tautology(f, budget, seed) == reference_check_tautology(f, budget, seed), f
+
+
+def test_tautology_matches_reference_beyond_64_bits():
+    # Nested products add exponents: value = num / den**e with den**e
+    # far past 2**63, where a fixed-width screen would wrap.
+    rng = random.Random(211)
+    for _ in range(4):
+        deep = random_formula(rng, ("p", "q"), depth=2, constants=_WIDE_CONSTANTS)
+        for _ in range(6):
+            deep = Bin(PRODUCT, random_formula(rng, ("p", "q"), depth=2, constants=_WIDE_CONSTANTS), deep)
+        _, e = _screen(deep, 680 * 2**7, lambda name, root: [1], 1)
+        assert (680 * 2**7) ** e > 2**63
+        factor = deep.left
+        for f in (Bin(IMPLIES, deep, factor), Bin(IMPLIES, factor, deep), Bin(OPLUS, deep, Neg(deep))):
+            assert check_tautology(f, 300, 1) == reference_check_tautology(f, 300, 1), f
+    # One full exhaustive sweep of big numerators.
+    f = Bin(IMPLIES, deep, factor)
+    assert check_tautology(f, 3721) == reference_check_tautology(f, 3721)
+
+
+@pytest.mark.parametrize("budget", [1, 60, 3720, 3721, 3722])
+def test_tautology_matches_reference_around_exhaustive_threshold(budget):
+    # 61**2 = 3721: at or above it two atoms sweep the product, below it
+    # they take the diagonal and then seeded draws.
+    formulas = [parse("p -> (q -> p)"), parse("p | q | ?p"), parse("(p -> q) -> (p . q)"),
+                parse("!?p + ?q + 1/2")]
+    for f in formulas:
+        for seed in (0, 1, 7):
+            assert check_tautology(f, budget, seed) == reference_check_tautology(f, budget, seed), f
+
+
+@pytest.mark.parametrize("budget", [1, 2, 17, 60])
+def test_tautology_one_atom_budget_below_pool(budget):
+    for f in (parse("p + !p"), parse("p | !p"), parse("?p | !?p | 3/4"), parse("3/8")):
+        report = check_tautology(f, budget)
+        assert report == reference_check_tautology(f, budget)
+        assert report.evaluations <= budget
+
+
+def test_tautology_counterexample_past_first_batch():
+    # Fails exactly where r is strictly inside (0, 1); p and q cannot help.
+    f = parse("(r | !r) | (p & !p) | (q & !q)")
+    pool = _rational_disk_pool()
+    first_r = next(k for k, (u, _) in enumerate(pool) if 0 < u < 1)
+    # Candidate i sets atom k (p, q, r in order) to pool index (i // 61**k) % 61.
+    expected = first_r * len(pool) ** 2 + 1
+    assert expected > _CHUNK
+    report = check_tautology(f, budget=len(pool) ** 3)
+    assert report.evaluations == expected
+    assert report.counterexample == ReducedModel({"p": pool[0], "q": pool[0], "r": pool[first_r]})
+    assert report == reference_check_tautology(f, budget=len(pool) ** 3)
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_tautology_rejects_budget_below_one(budget):
+    with pytest.raises(ValueError):
+        check_tautology(parse("p -> q"), budget)
 
 
 def test_constants_are_model_independent():

@@ -33,22 +33,22 @@ def random_formula(
     atom_names=("p", "q"),
     depth: int = 4,
     allow_sqrt: bool = True,
+    constants=_CONST_POOL,
 ) -> Formula:
+    def sub() -> Formula:
+        return random_formula(rng, atom_names, depth - 1, allow_sqrt, constants)
+
     if depth <= 0 or rng.random() < 0.25:
         if rng.random() < 0.75:
             return Atom(rng.choice(atom_names))
-        return Const(rng.choice(_CONST_POOL))
+        return Const(rng.choice(constants))
     roll = rng.random()
     if roll < 0.15:
-        return Neg(random_formula(rng, atom_names, depth - 1, allow_sqrt))
+        return Neg(sub())
     if allow_sqrt and roll < 0.3:
-        return Sqrt(random_formula(rng, atom_names, depth - 1, allow_sqrt))
+        return Sqrt(sub())
     op = rng.choice(BINARY_OPS)
-    return Bin(
-        op,
-        random_formula(rng, atom_names, depth - 1, allow_sqrt),
-        random_formula(rng, atom_names, depth - 1, allow_sqrt),
-    )
+    return Bin(op, sub(), sub())
 
 
 def random_model(rng: random.Random, atom_names, denominator: int = 64) -> ReducedModel:
