@@ -147,13 +147,6 @@ def _cmd_proof(args) -> int:
     return 0
 
 
-def _random_ball_point(rng: random.Random) -> qmix.BlochQmix:
-    while True:
-        r1, r2, r3 = (rng.uniform(-1, 1) for _ in range(3))
-        if r1 * r1 + r2 * r2 + r3 * r3 <= 1.0:
-            return qmix.BlochQmix(r1, r2, r3)
-
-
 def _cmd_sim(args) -> int:
     nqubit_sim = sys.modules[__name__].nqubit_sim
     fmt = args.format
@@ -161,7 +154,7 @@ def _cmd_sim(args) -> int:
         rng = random.Random(args.seed)
         worst = 0.0
         for _ in range(args.trials):
-            tau, nu = _random_ball_point(rng), _random_ball_point(rng)
+            tau, nu = qmix.random_ball_point(rng), qmix.random_ball_point(rng)
             product = nqubit_sim.and_gate(
                 nqubit_sim.bloch_embed(tau), nqubit_sim.bloch_embed(nu)
             )

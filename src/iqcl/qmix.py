@@ -13,6 +13,7 @@ general irrational); exact arithmetic lives in ``algebra``/``semantics``.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 BALL_TOL = 1e-12
@@ -54,6 +55,14 @@ Qmix = BlochQmix | DiagonalQmix
 P0 = BlochQmix(0.0, 0.0, 1.0)
 P1 = BlochQmix(0.0, 0.0, -1.0)
 RHO_HALF = BlochQmix(0.0, 0.0, 0.0)
+
+
+def random_ball_point(rng: random.Random) -> BlochQmix:
+    """A uniform point of the ball: three ``rng.uniform(-1, 1)`` draws per try, kept inside."""
+    while True:
+        r1, r2, r3 = (rng.uniform(-1, 1) for _ in range(3))
+        if r1 * r1 + r2 * r2 + r3 * r3 <= 1.0:
+            return BlochQmix(r1, r2, r3)
 
 
 def _coords(rho: Qmix) -> tuple[float, float, float]:

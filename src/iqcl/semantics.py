@@ -11,7 +11,9 @@ f's value over models giving every member of T value 1.  It is computed
 by multi-start penalised local search: seeds from a per-atom grid plus
 disk-boundary samples, refinement by coordinate descent, feasibility
 kept honest by only reporting values measured at points whose constraint
-residual is essentially zero.
+residual is essentially zero.  The searches evaluate in floats through
+one function generated per call, which computes the constraint residual
+and f's value together, bit-identical to the pair recursion in floats.
 """
 
 from __future__ import annotations
@@ -178,11 +180,7 @@ class Theory:
     members: tuple[Formula, ...]
 
     def __init__(self, members=()):
-        seen = []
-        for m in members:
-            if m not in seen:
-                seen.append(m)
-        object.__setattr__(self, "members", tuple(seen))
+        object.__setattr__(self, "members", tuple(dict.fromkeys(members)))
 
     @classmethod
     def from_text(cls, text: str) -> "Theory":
@@ -419,47 +417,67 @@ class _BudgetExhausted(Exception):
 _STRICT_RESIDUAL = 1e-13
 
 
-def _compile(f: Formula, pos: dict[str, int]):
-    """Closure computing the (u, w) pair of f over a flat float vector."""
-    if isinstance(f, Atom):
-        i = pos[f.name]
-        return lambda x: (x[i], x[i + 1])
-    if isinstance(f, Const):
-        v = float(f.value.value)
-        return lambda x: (v, 0.5)
-    if isinstance(f, Neg):
-        sub = _compile(f.arg, pos)
-
-        def neg(x):
-            u, w = sub(x)
-            return (1.0 - u, 1.0 - w)
-
-        return neg
-    if isinstance(f, Sqrt):
-        sub = _compile(f.arg, pos)
-
-        def root(x):
-            u, w = sub(x)
-            return (w, 1.0 - u)
-
-        return root
-    left = _compile(f.left, pos)
-    right = _compile(f.right, pos)
-    op = f.op
-    if op == OPLUS:
-        return lambda x: (min(1.0, left(x)[0] + right(x)[0]), 0.5)
-    if op == ODOT:
-        return lambda x: (max(0.0, left(x)[0] + right(x)[0] - 1.0), 0.5)
-    if op == IMPLIES:
-        return lambda x: (min(1.0, 1.0 - left(x)[0] + right(x)[0]), 0.5)
-    if op == PRODUCT:
-        return lambda x: (left(x)[0] * right(x)[0], 0.5)
-    if op == MEET:
-        return lambda x: (min(left(x)[0], right(x)[0]), 0.5)
-    return lambda x: (max(left(x)[0], right(x)[0]), 0.5)
+# Value of each connective over operand names a and b into temporary t,
+# as _float_evaluator emits it: min(1.0, s) is "s if s < 1.0 else 1.0",
+# max(a, b) is "b if b > a else a", the operand the builtins return.
+_FLOAT_TEMPLATES = {
+    OPLUS: "{t} = {a} + {b}; {t} = {t} if {t} < 1.0 else 1.0",
+    ODOT: "{t} = {a} + {b} - 1.0; {t} = {t} if {t} > 0.0 else 0.0",
+    IMPLIES: "{t} = 1.0 - {a} + {b}; {t} = {t} if {t} < 1.0 else 1.0",
+    PRODUCT: "{t} = {a} * {b}",
+    MEET: "{t} = {b} if {b} < {a} else {a}",
+    JOIN: "{t} = {b} if {b} > {a} else {a}",
+}
 
 
-def _float_pool(grid: Fraction) -> list[tuple[float, float]]:
+def _float_evaluator(objective: Formula | None, members, pos: dict[str, int]):
+    """One generated function x -> (residual, value of objective) over a flat float vector.
+
+    An atom's u and w are ``x[pos[name]]`` and ``x[pos[name] + 1]``.  The
+    residual is max(0.0, 1.0 - value of each member), folded in member
+    order; the value of a missing objective is None.  The function does
+    the float operations of the pair recursion in the same order, so its
+    results are bit-identical to it, and computes only the component each
+    node needs, as ``_screen`` does.  Its source holds indices into x,
+    float literals of the dyadic constants, temporaries and the fixed
+    templates above, never text from a formula.
+    """
+    lines: list[str] = []
+
+    def emit(g: Formula, root: bool) -> str:
+        """Emit the statements for g's value (or root value); return its operand."""
+        if isinstance(g, Atom):
+            return f"x{pos[g.name] + root}"
+        if isinstance(g, Const):
+            return "0.5" if root else repr(float(g.value.value))
+        if isinstance(g, Sqrt) and not root:
+            return emit(g.arg, True)
+        if isinstance(g, (Neg, Sqrt)):
+            a = emit(g.arg, root and isinstance(g, Neg))
+            t = f"t{len(lines)}"
+            lines.append(f"{t} = 1.0 - {a}")
+            return t
+        if root:
+            return "0.5"
+        a, b = emit(g.left, False), emit(g.right, False)
+        t = f"t{len(lines)}"
+        lines.append(_FLOAT_TEMPLATES[g.op].format(t=t, a=a, b=b))
+        return t
+
+    residual = "0.0"
+    for beta in members:
+        lines.append(f"d = 1.0 - {emit(beta, False)}; r = d if d > {residual} else {residual}")
+        residual = "r"
+    value = "None" if objective is None else emit(objective, False)
+    coords = "".join(f"x{i}, " for i in range(2 * len(pos)))
+    body = "".join(f"    {line}\n" for line in lines)
+    namespace: dict = {}
+    exec(f"def evaluate(x):\n    {coords}= x\n{body}    return {residual}, {value}\n", namespace)
+    return namespace["evaluate"]
+
+
+@functools.lru_cache(maxsize=4)
+def _float_pool(grid: Fraction) -> tuple[tuple[float, float], ...]:
     pool = [(1.0, 0.5), (0.0, 0.5), (0.5, 0.5), (0.5, 0.0), (0.5, 1.0)]
     steps = max(2, round(1 / float(grid)))
     g = 1.0 / steps
@@ -471,13 +489,7 @@ def _float_pool(grid: Fraction) -> list[tuple[float, float]]:
     for k in range(64):
         theta = 2.0 * math.pi * k / 64.0
         pool.append(((1.0 - math.cos(theta)) / 2.0, (1.0 - math.sin(theta)) / 2.0))
-    seen = set()
-    unique = []
-    for p in pool:
-        if p not in seen:
-            seen.add(p)
-            unique.append(p)
-    return unique
+    return tuple(dict.fromkeys(pool))
 
 
 def _disk_interval(partner: float) -> tuple[float, float]:
@@ -496,7 +508,8 @@ def relevance_degree(
     the constraint residual 1 - min over members.  Infeasibility (no seed
     reaches residual below tol) reports the ``infeasible`` status and the
     exact value 1; an exhausted budget reports ``tolerance-limited`` with
-    the best bound found.
+    the best bound found.  Every point is evaluated by one function that
+    ``_float_evaluator`` generates for this call.
     """
     opts = options or RelevanceOptions()
     names = sorted(formula_atoms(alpha) | theory.atoms())
@@ -509,27 +522,27 @@ def relevance_degree(
         return RelevanceResult(Fraction(1), "infeasible", None, len(theory) + 1)
 
     pos = {name: 2 * k for k, name in enumerate(names)}
-    objective_fn = _compile(alpha, pos)
-    constraint_fns = [_compile(beta, pos) for beta in theory]
+    values = _float_evaluator(alpha, theory.members, pos)
+    budget, tol = opts.budget, opts.tol
 
-    state = {"evals": 0}
-    best_strict: list = [None]  # (objective, x)
-    best_loose: list = [None]  # (residual, objective, x)
+    evals = 0
+    best_strict = None  # (objective, x)
+    best_loose = None  # (residual, objective, x), least by (residual, objective)
 
     def evaluate(x: list[float]) -> tuple[float, float]:
-        if state["evals"] >= opts.budget:
+        nonlocal evals, best_strict, best_loose
+        if evals >= budget:
             raise _BudgetExhausted
-        state["evals"] += 1
-        residual = 0.0
-        for fn in constraint_fns:
-            residual = max(residual, 1.0 - fn(x)[0])
-        obj = objective_fn(x)[0]
-        if residual <= _STRICT_RESIDUAL:
-            if best_strict[0] is None or obj < best_strict[0][0]:
-                best_strict[0] = (obj, list(x))
-        if residual < opts.tol:
-            if best_loose[0] is None or (residual, obj) < best_loose[0][:2]:
-                best_loose[0] = (residual, obj, list(x))
+        evals += 1
+        residual, obj = values(x)
+        if residual <= _STRICT_RESIDUAL and (best_strict is None or obj < best_strict[0]):
+            best_strict = (obj, list(x))
+        if residual < tol and (
+            best_loose is None
+            or residual < best_loose[0]
+            or (residual == best_loose[0] and obj < best_loose[1])
+        ):
+            best_loose = (residual, obj, list(x))
         return residual, obj
 
     def line_search(x: list[float], ci: int, phase_a: bool, guard: float):
@@ -565,15 +578,12 @@ def relevance_degree(
         score(best_v)
 
     def residual_of(x) -> float:
-        residual = 0.0
-        for fn in constraint_fns:
-            residual = max(residual, 1.0 - fn(x)[0])
-        return residual
+        return values(x)[0]
 
     def descend(x: list[float]):
         # Phase A: drive the constraint residual to (float) zero.
         for _ in range(12):
-            if not constraint_fns or residual_of(x) <= 1e-15:
+            if not theory.members or residual_of(x) <= 1e-15:
                 break
             before = residual_of(x)
             for ci in range(len(x)):
@@ -585,10 +595,10 @@ def relevance_degree(
             return
         # Phase B: improve the objective without leaving feasibility.
         for _ in range(12):
-            before = objective_fn(x)[0]
+            before = values(x)[1]
             for ci in range(len(x)):
                 line_search(x, ci, phase_a=False, guard=guard)
-            if before - objective_fn(x)[0] <= opts.tol / 10.0:
+            if before - values(x)[1] <= opts.tol / 10.0:
                 break
 
     pool = _float_pool(opts.grid)
@@ -630,17 +640,17 @@ def relevance_degree(
             {name: (Fraction(x[pos[name]]), Fraction(x[pos[name] + 1])) for name in names}
         )
 
-    if best_strict[0] is not None:
-        obj, x = best_strict[0]
+    if best_strict is not None:
+        obj, x = best_strict
         status = "tolerance-limited" if exhausted else "feasible"
-        return RelevanceResult(obj, status, to_model(x), state["evals"])
-    if best_loose[0] is not None:
-        _, obj, x = best_loose[0]
+        return RelevanceResult(obj, status, to_model(x), evals)
+    if best_loose is not None:
+        _, obj, x = best_loose
         status = "tolerance-limited" if exhausted else "feasible"
-        return RelevanceResult(obj, status, to_model(x), state["evals"])
+        return RelevanceResult(obj, status, to_model(x), evals)
     if exhausted:
-        return RelevanceResult(Fraction(1), "tolerance-limited", None, state["evals"])
-    return RelevanceResult(Fraction(1), "infeasible", None, state["evals"])
+        return RelevanceResult(Fraction(1), "tolerance-limited", None, evals)
+    return RelevanceResult(Fraction(1), "infeasible", None, evals)
 
 
 # ---------------------------------------------------------------------------
@@ -685,7 +695,7 @@ def sample_models(
         return [empty] * count
 
     pos = {name: 2 * k for k, name in enumerate(names)}
-    constraint_fns = [_compile(beta, pos) for beta in theory]
+    values = _float_evaluator(None, theory.members, pos)
     constrained = theory.atoms()
     moveable = [
         ci for name in names if name in constrained
@@ -693,10 +703,7 @@ def sample_models(
     ]
 
     def residual_of(x) -> float:
-        r = 0.0
-        for fn in constraint_fns:
-            r = max(r, 1.0 - fn(x)[0])
-        return r
+        return values(x)[0]
 
     def random_start() -> list[float]:
         # Dyadic points are exact as floats, so free atoms need no repair.

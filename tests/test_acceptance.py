@@ -33,7 +33,7 @@ from iqcl.calculus import (
     proof_degree,
 )
 from iqcl.cli import main as cli_main
-from iqcl.qmix import BlochQmix, DiagonalQmix, P0, P1
+from iqcl.qmix import BlochQmix, DiagonalQmix, P0, P1, random_ball_point
 from iqcl.semantics import (
     Theory,
     eval_bloch,
@@ -52,13 +52,6 @@ from util import random_formula
 def report(number: int, description: str, ok: bool):
     print(f"{'PASS' if ok else 'FAIL'} criterion {number}: {description}")
     assert ok, f"criterion {number}: {description}"
-
-
-def random_ball_point(rng):
-    while True:
-        r = [rng.uniform(-1, 1) for _ in range(3)]
-        if sum(c * c for c in r) <= 1.0:
-            return BlochQmix(*r)
 
 
 def test_criterion_01_gate_laws():

@@ -160,14 +160,16 @@ def test_console_script_entry_point():
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # numpy is only for the gate simulator; the other commands skip its import.
-    result = subprocess.run(
-        [sys.executable, "-c", "import sys, iqcl.cli; print('numpy' in sys.modules)"],
-        capture_output=True,
-        text=True,
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "False\n"
+    # numpy is only for the gate simulator; the other commands, and the
+    # semantics they call, skip its import.
+    for module in ("iqcl.semantics", "iqcl.cli"):
+        result = subprocess.run(
+            [sys.executable, "-c", f"import sys, {module}; print('numpy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "False\n", module
 
 
 def test_sim_uses_the_module_attribute(monkeypatch, capsys):

@@ -20,7 +20,7 @@ from iqcl.nqubit_sim import (
     sqrt_not_j,
     toffoli,
 )
-from iqcl.qmix import BlochQmix, iand
+from iqcl.qmix import BlochQmix, iand, random_ball_point
 
 
 def basis_state(bits):
@@ -29,13 +29,6 @@ def basis_state(bits):
     vec = np.zeros(1 << n, dtype=complex)
     vec[index] = 1.0
     return np.outer(vec, vec.conj())
-
-
-def random_ball_point(rng):
-    while True:
-        r = [rng.uniform(-1, 1) for _ in range(3)]
-        if sum(c * c for c in r) <= 1.0:
-            return BlochQmix(*r)
 
 
 def test_projector_and_prob():

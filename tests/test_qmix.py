@@ -20,15 +20,9 @@ from iqcl.qmix import (
     q_implies,
     q_join,
     q_meet,
+    random_ball_point,
     sqrt_prob,
 )
-
-
-def random_ball_point(rng):
-    while True:
-        r = [rng.uniform(-1, 1) for _ in range(3)]
-        if sum(c * c for c in r) <= 1.0:
-            return BlochQmix(*r)
 
 
 def test_ball_membership_enforced():

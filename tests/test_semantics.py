@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from iqcl import semantics
 from iqcl.algebra import SConstant
 from iqcl.qmix import BlochQmix, P1
 from iqcl.semantics import (
@@ -12,6 +14,7 @@ from iqcl.semantics import (
     Theory,
     UnassignedAtomError,
     _CHUNK,
+    _float_evaluator,
     _pool_numerators,
     _rational_disk_pool,
     _screen,
@@ -27,7 +30,21 @@ from iqcl.semantics import (
     relevance_degree,
     sample_models,
 )
-from iqcl.syntax import IMPLIES, JOIN, OPLUS, PRODUCT, Bin, Neg, Sqrt, atoms, parse
+from iqcl.syntax import (
+    IMPLIES,
+    JOIN,
+    MEET,
+    ODOT,
+    OPLUS,
+    PRODUCT,
+    Atom,
+    Bin,
+    Const,
+    Neg,
+    Sqrt,
+    atoms,
+    parse,
+)
 from util import _CONST_POOL, random_formula, random_model
 
 H = Fraction(1, 2)
@@ -90,6 +107,7 @@ def test_is_model_of():
 def test_theory_dedup_and_text():
     T = Theory([parse("p"), parse("p"), parse("q")])
     assert len(T) == 2
+    assert Theory([parse("q"), parse("p"), parse("q"), parse("p")]).members == (parse("q"), parse("p"))
     T2 = Theory.from_text("p\n# c\nq\n")
     assert T2.members == T.members
 
@@ -448,6 +466,135 @@ def test_relevance_empty_theory_matches_grid_oracle_two_atoms():
         r = relevance_degree(Theory(), f)
         assert float(r.value) <= float(grid_best) + 1e-9
         assert float(r.value) >= float(grid_best) - 2 * 2 / steps
+
+
+def _compile(f, pos):
+    """Closure computing the (u, w) pair of f over a flat float vector."""
+    if isinstance(f, Atom):
+        i = pos[f.name]
+        return lambda x: (x[i], x[i + 1])
+    if isinstance(f, Const):
+        v = float(f.value.value)
+        return lambda x: (v, 0.5)
+    if isinstance(f, Neg):
+        sub = _compile(f.arg, pos)
+
+        def neg(x):
+            u, w = sub(x)
+            return (1.0 - u, 1.0 - w)
+
+        return neg
+    if isinstance(f, Sqrt):
+        sub = _compile(f.arg, pos)
+
+        def root(x):
+            u, w = sub(x)
+            return (w, 1.0 - u)
+
+        return root
+    left = _compile(f.left, pos)
+    right = _compile(f.right, pos)
+    op = f.op
+    if op == OPLUS:
+        return lambda x: (min(1.0, left(x)[0] + right(x)[0]), 0.5)
+    if op == ODOT:
+        return lambda x: (max(0.0, left(x)[0] + right(x)[0] - 1.0), 0.5)
+    if op == IMPLIES:
+        return lambda x: (min(1.0, 1.0 - left(x)[0] + right(x)[0]), 0.5)
+    if op == PRODUCT:
+        return lambda x: (left(x)[0] * right(x)[0], 0.5)
+    if op == MEET:
+        return lambda x: (min(left(x)[0], right(x)[0]), 0.5)
+    return lambda x: (max(left(x)[0], right(x)[0]), 0.5)
+
+
+def reference_float_evaluator(objective, members, pos):
+    """The closure evaluation that _float_evaluator generates code for, behind the same factory."""
+    objective_fn = None if objective is None else _compile(objective, pos)
+    constraint_fns = [_compile(beta, pos) for beta in members]
+
+    def evaluate(x):
+        residual = 0.0
+        for fn in constraint_fns:
+            residual = max(residual, 1.0 - fn(x)[0])
+        return residual, None if objective_fn is None else objective_fn(x)[0]
+
+    return evaluate
+
+
+def _hex(value):
+    return None if value is None else float.hex(value)
+
+
+def test_float_evaluator_bit_identical_to_closures():
+    rng = random.Random(213)
+    # Signed zeros and the tie points of min and max, alone and mixed in.
+    special = (0.0, -0.0, 0.5, 1.0)
+    for _ in range(400):
+        names = ("p", "q", "r")[: rng.randint(1, 3)]
+        pos = {name: 2 * k for k, name in enumerate(names)}
+
+        def formula():
+            return random_formula(rng, names, depth=rng.randint(0, 5), constants=_WIDE_CONSTANTS)
+
+        objective = rng.choice((None, formula()))
+        members = [formula() for _ in range(rng.randint(0, 3))]
+        generated = _float_evaluator(objective, members, pos)
+        reference = reference_float_evaluator(objective, members, pos)
+        for _ in range(20):
+            x = []
+            for _ in names:
+                u = rng.random()
+                c = (1.0 - (1.0 - 2.0 * u) ** 2) ** 0.5
+                x += [u, (1.0 - c) / 2.0 + c * rng.random()]
+            x = [rng.choice(special) if rng.random() < 0.3 else c for c in x]
+            assert list(map(_hex, generated(x))) == list(map(_hex, reference(x))), (objective, members, x)
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    # The benchmark's closed-form relevance corpus.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    return workloads
+
+
+def _relevance_both_ways(monkeypatch, theory, alpha, options):
+    result = relevance_degree(theory, alpha, options)
+    with monkeypatch.context() as patch:
+        patch.setattr(semantics, "_float_evaluator", reference_float_evaluator)
+        expected = relevance_degree(theory, alpha, options)
+    return result, expected
+
+
+@pytest.mark.parametrize("grid", [Fraction(1, 32), Fraction(1, 64)])
+def test_relevance_matches_closure_reference(workloads, monkeypatch, grid):
+    rows = workloads.relevance_rows(random.Random(5))
+    assert len(rows) == 14
+    for theory, formula, _ in rows:
+        T = Theory([parse(line) for line in theory])
+        result, expected = _relevance_both_ways(monkeypatch, T, parse(formula), RelevanceOptions(grid=grid))
+        assert result == expected, (theory, formula)
+        assert repr(result.value) == repr(expected.value)
+
+
+def test_relevance_budget_limited_matches_closure_reference(monkeypatch):
+    T = Theory([parse("3/4 -> p"), parse("p -> q"), parse("q . r -> p")])
+    for budget in (500, 3000):
+        result, expected = _relevance_both_ways(monkeypatch, T, parse("?q + r"), RelevanceOptions(budget=budget))
+        assert result.status == "tolerance-limited"
+        assert result == expected
+
+
+def test_sample_models_matches_closure_reference(monkeypatch):
+    # The theories whose sampled models the acceptance suite checks proofs against.
+    for theory, extra in ((Theory(), {"p", "q"}), (Theory([parse("p"), parse("p -> q")]), {"r"}),
+                          (Theory([parse("3/4 -> p")]), set())):
+        models = sample_models(theory, 30, seed=12, extra_atoms=extra)
+        with monkeypatch.context() as patch:
+            patch.setattr(semantics, "_float_evaluator", reference_float_evaluator)
+            assert models == sample_models(theory, 30, seed=12, extra_atoms=extra)
 
 
 def test_sample_models_exact():
