@@ -19,12 +19,15 @@ def main():
     parser.add_argument("--budget", type=int, default=100_000)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    # s = k / steps must be dyadic, the only constants the formula language has.
+    if args.steps < 1 or args.steps & (args.steps - 1):
+        parser.error(f"--steps must be a positive power of two, got {args.steps}")
 
     options = RelevanceOptions(budget=args.budget, seed=args.seed)
 
     print("s        relevance({s -> p}, p)   status")
     for k in range(args.steps + 1):
-        s = Fraction(k, args.steps)  # --steps should be a power of two
+        s = Fraction(k, args.steps)
         theory = Theory([parse(f"{s} -> p")])
         result = relevance_degree(theory, parse("p"), options)
         print(f"{str(s):7}  {float(result.value):22.9f}   {result.status}")

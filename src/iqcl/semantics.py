@@ -11,9 +11,14 @@ f's value over models giving every member of T value 1.  It is computed
 by multi-start penalised local search: seeds from a per-atom grid plus
 disk-boundary samples, refinement by coordinate descent, feasibility
 kept honest by only reporting values measured at points whose constraint
-residual is essentially zero.  The searches evaluate in floats through
-one function generated per call, which computes the constraint residual
-and f's value together, bit-identical to the pair recursion in floats.
+residual is essentially zero.
+
+Both searches evaluate through one function generated per call from one
+template table of the connectives: in floats for the relevance search
+and the model sampler, computing the constraint residual and f's value
+together, bit-identical to the pair recursion in floats; in exact
+integers over a common denominator for the tautology screen.
+``eval_prob`` is the exact reference and ``eval_bloch`` the oracle.
 """
 
 from __future__ import annotations
@@ -62,19 +67,6 @@ _PAIR_OPS = {
     PRODUCT: pmv_product,
     MEET: mv_meet,
     JOIN: mv_join,
-}
-
-# _PAIR_OPS on columns of numerators over one denominator, in which
-# ``one`` is the numerator of 1.  The product alone takes its operands
-# over any two denominators; the numerator of its result is over their
-# product.
-_COLUMN_OPS = {
-    OPLUS: lambda a, b, one: [s if (s := x + y) < one else one for x, y in zip(a, b)],
-    ODOT: lambda a, b, one: [s if (s := x + y - one) > 0 else 0 for x, y in zip(a, b)],
-    IMPLIES: lambda a, b, one: [one - x + y if x > y else one for x, y in zip(a, b)],
-    PRODUCT: lambda a, b, one: [x * y for x, y in zip(a, b)],
-    MEET: lambda a, b, one: [x if x < y else y for x, y in zip(a, b)],
-    JOIN: lambda a, b, one: [x if x > y else y for x, y in zip(a, b)],
 }
 
 _GATE_OPS = {
@@ -209,6 +201,115 @@ def is_model_of(model: ReducedModel, theory: Theory, tol: Fraction = Fraction(0)
 
 
 # ---------------------------------------------------------------------------
+# Generated evaluators
+
+
+# Each connective over operands a and b into temporary t, as the generated
+# functions write it; {one} and {zero} are the literals of 1 and 0 at the
+# operands' scale.  min(1, s) is "s if s < one else one", max(a, b) is
+# "b if b > a else a", the operand the builtins return.
+_TEMPLATES = {
+    OPLUS: "{t} = {a} + {b}; {t} = {t} if {t} < {one} else {one}",
+    ODOT: "{t} = {a} + {b} - {one}; {t} = {t} if {t} > {zero} else {zero}",
+    IMPLIES: "{t} = {one} - {a} + {b}; {t} = {t} if {t} < {one} else {one}",
+    PRODUCT: "{t} = {a} * {b}",
+    MEET: "{t} = {b} if {b} < {a} else {a}",
+    JOIN: "{t} = {b} if {b} > {a} else {a}",
+}
+
+
+def _evaluator_source(
+    objective: Formula | None, members, pos: dict[str, int], den: int | None = None
+) -> str:
+    """The source of the function ``_float_evaluator`` compiles.
+
+    Atom k sits at ``pos[name] = 2k``; its u and w are the coordinates
+    ``x{2k}`` and ``x{2k + 1}``.  Only the component each node needs is
+    computed: the root of a negation is the negated root, the value of a
+    square root is its argument's root, and a binary node's root is 1/2.
+    The source holds coordinates, temporaries, number literals and the
+    fixed templates above, never text from a formula.
+
+    Without ``den``: ``evaluate(x)`` over a flat float vector returns
+    (residual, value of objective).  The residual is max(0.0, 1.0 - value
+    of each member), folded in member order; the value of a missing
+    objective is None.  It does the float operations of the pair
+    recursion in the same order, so its results are bit-identical to it.
+
+    With ``den`` (objective only): exact integers.  A value is
+    ``num / den**e``, with e tracked here per node: ``.`` adds exponents,
+    and the other connectives first bring both operands to the larger
+    one.  ``evaluate(m, pool, picks)`` screens m candidates, candidate i
+    putting atom k at pool index ``picks[k][i]``, whose u and w
+    numerators over den are ``pool[0]`` and ``pool[1]`` at that index.
+    It returns the first i at which the objective is below 1, or -1.
+    """
+    lines: list[str] = []
+    reads: set[int] = set()
+
+    def literal(value, e: int = 1) -> str:
+        return repr(float(value)) if den is None else str(int(value * den**e))
+
+    def assign(template: str, **operands) -> str:
+        t = f"t{len(lines)}"
+        lines.append(template.format(t=t, **operands))
+        return t
+
+    def emit(g: Formula, root: bool) -> tuple[str, int]:
+        """Emit the statements for g's value (or root value); return its operand and exponent."""
+        if isinstance(g, Atom):
+            reads.add(pos[g.name] + root)
+            return f"x{pos[g.name] + root}", 1
+        if isinstance(g, Const):
+            return literal(Fraction(1, 2) if root else g.value.value), 1
+        if isinstance(g, Sqrt) and not root:
+            return emit(g.arg, True)
+        if isinstance(g, (Neg, Sqrt)):
+            a, e = emit(g.arg, root and isinstance(g, Neg))
+            return assign("{t} = {one} - {a}", one=literal(1, e), a=a), e
+        if root:
+            return literal(Fraction(1, 2)), 1
+        (a, ea), (b, eb) = emit(g.left, False), emit(g.right, False)
+        e = ea + eb if g.op == PRODUCT else max(ea, eb)
+        if den is not None and g.op != PRODUCT:
+            if ea < e:
+                a = assign("{t} = {a} * {scale}", a=a, scale=den ** (e - ea))
+            if eb < e:
+                b = assign("{t} = {a} * {scale}", a=b, scale=den ** (e - eb))
+        return assign(_TEMPLATES[g.op], a=a, b=b, one=literal(1, e), zero=literal(0, e)), e
+
+    residual = "0.0"
+    for beta in members:
+        lines.append(f"d = 1.0 - {emit(beta, False)[0]}; r = d if d > {residual} else {residual}")
+        residual = "r"
+    value, e = ("None", 0) if objective is None else emit(objective, False)
+    if den is None:
+        coords = "".join(f"x{i}, " for i in range(2 * len(pos)))
+        body = "".join(f"    {line}\n" for line in lines)
+        return f"def evaluate(x):\n    {coords}= x\n{body}    return {residual}, {value}\n"
+    coords = "".join(f" x{c}," for c in sorted(reads))
+    columns = "".join(f", map(pool[{c % 2}].__getitem__, picks[{c // 2}])" for c in sorted(reads))
+    body = "".join(f"        {line}\n" for line in lines)
+    return (
+        f"def evaluate(m, pool, picks):\n    for i,{coords} in zip(range(m){columns}):\n{body}"
+        f"        if {value} < {den**e}:\n            return i\n    return -1\n"
+    )
+
+
+def _float_evaluator(
+    objective: Formula | None, members, pos: dict[str, int], den: int | None = None
+):
+    """The one generated evaluator behind the searches; see ``_evaluator_source``.
+
+    In floats (no ``den``) for the relevance search and the model
+    sampler, in exact integers over ``den`` for the tautology screen.
+    """
+    namespace: dict = {}
+    exec(_evaluator_source(objective, members, pos, den), namespace)
+    return namespace["evaluate"]
+
+
+# ---------------------------------------------------------------------------
 # Tautology search
 
 
@@ -279,47 +380,6 @@ def _constant_denominators(f: Formula) -> set[int]:
     return _constant_denominators(f.left) | _constant_denominators(f.right)
 
 
-def _screen(f: Formula, den: int, atom_column, m: int) -> tuple[list[int], int]:
-    """f's value over a batch of m candidates as (numerators, e): value = num / den**e.
-
-    ``atom_column(name, root)`` gives an atom's u (or, with root, w)
-    numerators over ``den``.  Only the requested component of each node is
-    computed: the root of a negation is the negated root, the value of a
-    square root is its argument's root, and a binary node's root is 1/2.
-    """
-    half = [den // 2] * m
-
-    def value(g: Formula, root: bool) -> tuple[list[int], int]:
-        if isinstance(g, Atom):
-            return atom_column(g.name, root), 1
-        if isinstance(g, Const):
-            return (half if root else [int(g.value.value * den)] * m), 1
-        if isinstance(g, Sqrt) and not root:
-            return value(g.arg, True)
-        if isinstance(g, (Neg, Sqrt)):
-            # 1 - u or 1 - w of a negation's argument; 1 - u is a square root's root.
-            v, e = value(g.arg, root and isinstance(g, Neg))
-            one = den**e
-            return [one - x for x in v], e
-        if root:
-            return half, 1
-        a, ea = value(g.left, False)
-        b, eb = value(g.right, False)
-        if g.op == PRODUCT:
-            e = ea + eb
-        else:
-            e = max(ea, eb)
-            if ea < e:
-                scale = den ** (e - ea)
-                a = [x * scale for x in a]
-            if eb < e:
-                scale = den ** (e - eb)
-                b = [x * scale for x in b]
-        return _COLUMN_OPS[g.op](a, b, den**e), e
-
-    return value(f, False)
-
-
 def check_tautology(f: Formula, budget: int = 100_000, seed: int = 0) -> TautologyReport:
     """Search the per-atom disk for a model giving f a value below 1.
 
@@ -330,11 +390,11 @@ def check_tautology(f: Formula, budget: int = 100_000, seed: int = 0) -> Tautolo
     (every atom at the same point) comes first, then seeded random
     combinations.  ``budget`` (at least 1) caps the candidates screened.
 
-    Candidates are screened in batches with exact integer arithmetic over
-    a common denominator of the pool and f's constants; only the first
-    failing candidate becomes a ``ReducedModel``.  A returned
-    counterexample is exact; a no-counterexample verdict is only as
-    strong as the budget.
+    Candidates are screened in batches by one function generated for this
+    call, in exact integer arithmetic over a common denominator of the
+    pool and f's constants; only the first failing candidate becomes a
+    ``ReducedModel``.  A returned counterexample is exact; a
+    no-counterexample verdict is only as strong as the budget.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
@@ -349,6 +409,7 @@ def check_tautology(f: Formula, budget: int = 100_000, seed: int = 0) -> Tautolo
     exhaustive = len(names) <= 1 or size ** len(names) <= budget
     total = min(budget, size ** len(names)) if exhaustive else budget
     rng = random.Random(seed)
+    screen = _float_evaluator(f, (), {name: 2 * k for k, name in enumerate(names)}, den)
 
     strides = [size**k for k in range(len(names))]
 
@@ -363,16 +424,9 @@ def check_tautology(f: Formula, budget: int = 100_000, seed: int = 0) -> Tautolo
             diagonal = list(range(start, min(stop, size)))
             draws = [rng.randrange(size) for _ in range((stop - start - len(diagonal)) * len(names))]
             indices = [diagonal + draws[k :: len(names)] for k in range(len(names))]
-        column_of = dict(zip(names, indices))
-
-        def atom_column(name: str, root: bool) -> list[int]:
-            return list(map(lifted[root].__getitem__, column_of[name]))
-
-        values, e = _screen(f, den, atom_column, stop - start)
-        one = den**e
-        if min(values) < one:
-            hit = next(i for i, v in enumerate(values) if v < one)
-            model = ReducedModel({name: pool[column_of[name][hit]] for name in names})
+        hit = screen(stop - start, lifted, indices)
+        if hit >= 0:
+            model = ReducedModel({name: pool[indices[k][hit]] for k, name in enumerate(names)})
             return TautologyReport(model, start + hit + 1)
         start, batch = stop, min(_CHUNK, 8 * batch)
     return TautologyReport(None, total)
@@ -402,10 +456,6 @@ class RelevanceResult:
     witness: ReducedModel | None
     evaluations: int
 
-    def bracket(self, tol: float = 1e-6) -> tuple[float, float]:
-        v = float(self.value)
-        return (v, v + tol)
-
 
 class _BudgetExhausted(Exception):
     pass
@@ -415,65 +465,6 @@ class _BudgetExhausted(Exception):
 # reported from such points, limiting constraint-slack undershoot to
 # sqrt(1e-13) ~ 3e-7 even where the disk couples the coordinates.
 _STRICT_RESIDUAL = 1e-13
-
-
-# Value of each connective over operand names a and b into temporary t,
-# as _float_evaluator emits it: min(1.0, s) is "s if s < 1.0 else 1.0",
-# max(a, b) is "b if b > a else a", the operand the builtins return.
-_FLOAT_TEMPLATES = {
-    OPLUS: "{t} = {a} + {b}; {t} = {t} if {t} < 1.0 else 1.0",
-    ODOT: "{t} = {a} + {b} - 1.0; {t} = {t} if {t} > 0.0 else 0.0",
-    IMPLIES: "{t} = 1.0 - {a} + {b}; {t} = {t} if {t} < 1.0 else 1.0",
-    PRODUCT: "{t} = {a} * {b}",
-    MEET: "{t} = {b} if {b} < {a} else {a}",
-    JOIN: "{t} = {b} if {b} > {a} else {a}",
-}
-
-
-def _float_evaluator(objective: Formula | None, members, pos: dict[str, int]):
-    """One generated function x -> (residual, value of objective) over a flat float vector.
-
-    An atom's u and w are ``x[pos[name]]`` and ``x[pos[name] + 1]``.  The
-    residual is max(0.0, 1.0 - value of each member), folded in member
-    order; the value of a missing objective is None.  The function does
-    the float operations of the pair recursion in the same order, so its
-    results are bit-identical to it, and computes only the component each
-    node needs, as ``_screen`` does.  Its source holds indices into x,
-    float literals of the dyadic constants, temporaries and the fixed
-    templates above, never text from a formula.
-    """
-    lines: list[str] = []
-
-    def emit(g: Formula, root: bool) -> str:
-        """Emit the statements for g's value (or root value); return its operand."""
-        if isinstance(g, Atom):
-            return f"x{pos[g.name] + root}"
-        if isinstance(g, Const):
-            return "0.5" if root else repr(float(g.value.value))
-        if isinstance(g, Sqrt) and not root:
-            return emit(g.arg, True)
-        if isinstance(g, (Neg, Sqrt)):
-            a = emit(g.arg, root and isinstance(g, Neg))
-            t = f"t{len(lines)}"
-            lines.append(f"{t} = 1.0 - {a}")
-            return t
-        if root:
-            return "0.5"
-        a, b = emit(g.left, False), emit(g.right, False)
-        t = f"t{len(lines)}"
-        lines.append(_FLOAT_TEMPLATES[g.op].format(t=t, a=a, b=b))
-        return t
-
-    residual = "0.0"
-    for beta in members:
-        lines.append(f"d = 1.0 - {emit(beta, False)}; r = d if d > {residual} else {residual}")
-        residual = "r"
-    value = "None" if objective is None else emit(objective, False)
-    coords = "".join(f"x{i}, " for i in range(2 * len(pos)))
-    body = "".join(f"    {line}\n" for line in lines)
-    namespace: dict = {}
-    exec(f"def evaluate(x):\n    {coords}= x\n{body}    return {residual}, {value}\n", namespace)
-    return namespace["evaluate"]
 
 
 @functools.lru_cache(maxsize=4)
@@ -583,9 +574,9 @@ def relevance_degree(
     def descend(x: list[float]):
         # Phase A: drive the constraint residual to (float) zero.
         for _ in range(12):
-            if not theory.members or residual_of(x) <= 1e-15:
-                break
             before = residual_of(x)
+            if before <= 1e-15:
+                break
             for ci in range(len(x)):
                 line_search(x, ci, phase_a=True, guard=0.0)
             if before - residual_of(x) <= 1e-16:

@@ -1,7 +1,11 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 from iqcl.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(argv, capsys):
@@ -191,3 +195,29 @@ def test_sim_uses_the_module_attribute(monkeypatch, capsys):
     assert code == 0
     assert "probability=" in out
     assert len(calls) == 1
+
+
+def test_relevance_sweep_rejects_steps_not_a_power_of_two():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for steps in ("3", "0"):
+        result = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "relevance_sweep.py"), "--steps", steps],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert result.returncode == 2, result.stderr
+        assert result.stdout == ""
+        assert "power of two" in result.stderr
+
+
+def test_benchmark_selftest_passes():
+    # The benchmark's answer checks run on this library; a change that
+    # breaks them fails here, not only when the benchmark runs.
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "selftest.py")],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+    )
+    assert result.returncode == 0, result.stderr

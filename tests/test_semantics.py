@@ -1,4 +1,6 @@
+import ast
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,10 +16,10 @@ from iqcl.semantics import (
     Theory,
     UnassignedAtomError,
     _CHUNK,
+    _evaluator_source,
     _float_evaluator,
     _pool_numerators,
     _rational_disk_pool,
-    _screen,
     check_tautology,
     consequence,
     eval_bloch,
@@ -204,25 +206,40 @@ def _random_taut_candidate(rng, names, depth):
     return Bin(IMPLIES, g, h)
 
 
+def _screen_values(g, pos, den, pool, picks):
+    """The values the generated integer screen compares with 1, one per candidate.
+
+    The screen returns only the first candidate below 1; rewriting its
+    final test into a yield exposes each value as (numerator, den**e).
+    """
+    source, count = re.subn(
+        r"if (\w+) < (\d+):\n +return i\n +return -1\n", r"yield \1, \2\n", _evaluator_source(g, (), pos, den)
+    )
+    assert count == 1
+    namespace = {}
+    exec(source, namespace)
+    return [Fraction(num, one) for num, one in namespace["evaluate"](len(picks[0]), pool, picks)]
+
+
 def test_screen_matches_eval_prob():
-    # The integer kernel itself, candidate by candidate, for both components.
+    # The generated integer screen, candidate by candidate, for both components.
     rng = random.Random(212)
     pool = _rational_disk_pool()
     pool_den, pool_u, pool_w = _pool_numerators()
+    den = 680 * 2**7
+    lift = den // pool_den
+    lifted = ([x * lift for x in pool_u], [x * lift for x in pool_w])
+    pos = {"p": 0, "q": 2}
     for _ in range(150):
         f = random_formula(rng, ("p", "q"), depth=5, constants=_WIDE_CONSTANTS)
-        picks = {name: [rng.randrange(len(pool)) for _ in range(20)] for name in ("p", "q")}
-        den = 680 * 2**7
-        lift = den // pool_den
-
-        def column(name, root):
-            return [(pool_w if root else pool_u)[k] * lift for k in picks[name]]
-
+        picks = [[rng.randrange(len(pool)) for _ in range(20)] for _ in pos]
+        models = [ReducedModel({"p": pool[picks[0][i]], "q": pool[picks[1][i]]}) for i in range(20)]
         for g in (f, Sqrt(f)):
-            values, e = _screen(g, den, column, 20)
-            for i, value in enumerate(values):
-                m = ReducedModel({name: pool[picks[name][i]] for name in picks})
-                assert Fraction(value, den**e) == eval_prob(m, g)[0]
+            exact = [eval_prob(m, g)[0] for m in models]
+            assert _screen_values(g, pos, den, lifted, picks) == exact
+            below = [v < 1 for v in exact]
+            first = below.index(True) if True in below else -1
+            assert _float_evaluator(g, (), pos, den)(20, lifted, picks) == first
 
 
 def test_tautology_matches_reference_on_random_formulas():
@@ -242,8 +259,9 @@ def test_tautology_matches_reference_beyond_64_bits():
         deep = random_formula(rng, ("p", "q"), depth=2, constants=_WIDE_CONSTANTS)
         for _ in range(6):
             deep = Bin(PRODUCT, random_formula(rng, ("p", "q"), depth=2, constants=_WIDE_CONSTANTS), deep)
-        _, e = _screen(deep, 680 * 2**7, lambda name, root: [1], 1)
-        assert (680 * 2**7) ** e > 2**63
+        source = _evaluator_source(deep, (), {"p": 0, "q": 2}, 680 * 2**7)
+        one = int(re.search(r" < (\d+):\n +return i\n", source).group(1))  # den**e
+        assert one > 2**63
         factor = deep.left
         for f in (Bin(IMPLIES, deep, factor), Bin(IMPLIES, factor, deep), Bin(OPLUS, deep, Neg(deep))):
             assert check_tautology(f, 300, 1) == reference_check_tautology(f, 300, 1), f
@@ -549,6 +567,28 @@ def test_float_evaluator_bit_identical_to_closures():
                 x += [u, (1.0 - c) / 2.0 + c * rng.random()]
             x = [rng.choice(special) if rng.random() < 0.3 else c for c in x]
             assert list(map(_hex, generated(x))) == list(map(_hex, reference(x))), (objective, members, x)
+
+
+def test_generated_source_holds_no_formula_text():
+    # Atom names that are Python names must not reach the source that is
+    # exec'd: only coordinates, temporaries, fixed locals and builtins, and
+    # number literals (None for a missing objective).
+    fixed = {"x", "d", "r", "i", "m", "pool", "picks", "zip", "range", "map"}
+    rng = random.Random(214)
+    names = ("exec", "open", "os")
+    pos = {name: 2 * k for k, name in enumerate(names)}
+    for _ in range(100):
+        objective = random_formula(rng, names, depth=5, constants=_WIDE_CONSTANTS)
+        members = [random_formula(rng, names, depth=4) for _ in range(rng.randint(0, 3))]
+        for source in (_evaluator_source(rng.choice((None, objective)), members, pos),
+                       _evaluator_source(objective, (), pos, 680 * 2**7)):
+            for node in ast.walk(ast.parse(source)):
+                if isinstance(node, ast.Name):
+                    assert re.fullmatch(r"[xt]\d+", node.id) or node.id in fixed, (node.id, source)
+                elif isinstance(node, ast.Constant):
+                    assert node.value is None or type(node.value) in (int, float), (node.value, source)
+                elif isinstance(node, ast.Attribute):
+                    assert node.attr == "__getitem__", source
 
 
 @pytest.fixture
