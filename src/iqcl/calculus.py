@@ -25,12 +25,12 @@ from typing import Union
 
 from .algebra import SConstant, mv_implies, mv_odot, pmv_product, s_above_q5_bound
 from .semantics import (
+    PoolSearch,
     RelevanceOptions,
     RelevanceResult,
     ReducedModel,
     Theory,
     eval_prob,
-    is_model_of,
     relevance_degree,
     sample_models,
 )
@@ -797,16 +797,12 @@ class ProbeResult:
 
 
 def consistency_probe(theory: Theory, budget: int = 100_000, seed: int = 0) -> ProbeResult:
-    """Search for a reduced model of the theory; finding one certifies
-    consistency, failing to is inconclusive at the given budget."""
-    if not theory.atoms():
-        empty = ReducedModel({})
-        return ProbeResult(empty if is_model_of(empty, theory) else None)
-    try:
-        models = sample_models(theory, 1, seed=seed, max_attempts_per_model=40)
-        return ProbeResult(models[0])
-    except RuntimeError:
-        return ProbeResult(None)
+    """The first exact model of the theory among the first ``budget``
+    candidates of a ``PoolSearch``; finding one certifies consistency,
+    failing to is inconclusive at the given budget."""
+    search = PoolSearch(None, theory.members)
+    hit = next(search.hits(budget, seed), None)
+    return ProbeResult(None if hit is None else ReducedModel(search.pairs(hit[1])))
 
 
 @dataclass

@@ -1,10 +1,15 @@
-"""Reduced-model semantics: exact evaluation, tautology search, relevance.
+"""Reduced-model semantics: exact evaluation, tautology and model search, relevance.
 
 A reduced model assigns each atom a pair (u, w) of rationals — the
 probability value of the atom and of its square root — subject to the
 disk constraint (1-2u)^2 + (1-2w)^2 <= 1 (the Bloch ball with r1 = 0).
 Evaluation of a formula produces the pair (value of f, value of sqrt f)
 by structural recursion and is exact whenever the model is rational.
+
+Tautology search, model sampling and the consistency probe are one
+exact search over a pool of rational disk points per atom: a candidate
+is a model of a theory when every member is exactly 1, and a
+counterexample when the objective is below 1.
 
 The relevance degree of a theory T over a formula f is the infimum of
 f's value over models giving every member of T value 1.  It is computed
@@ -14,11 +19,11 @@ kept honest by only reporting values measured at points whose constraint
 residual is essentially zero.
 
 Both searches evaluate through one function generated per call from one
-template table of the connectives: in floats for the relevance search
-and the model sampler, computing the constraint residual and f's value
-together, bit-identical to the pair recursion in floats; in exact
-integers over a common denominator for the tautology screen.
-``eval_prob`` is the exact reference and ``eval_bloch`` the oracle.
+template table of the connectives: in floats for the relevance search,
+computing the constraint residual and f's value together, bit-identical
+to the pair recursion in floats; in exact integers over a common
+denominator for the pool search.  ``eval_prob`` is the exact reference
+and ``eval_bloch`` the oracle.
 """
 
 from __future__ import annotations
@@ -236,13 +241,15 @@ def _evaluator_source(
     objective is None.  It does the float operations of the pair
     recursion in the same order, so its results are bit-identical to it.
 
-    With ``den`` (objective only): exact integers.  A value is
-    ``num / den**e``, with e tracked here per node: ``.`` adds exponents,
-    and the other connectives first bring both operands to the larger
-    one.  ``evaluate(m, pool, picks)`` screens m candidates, candidate i
+    With ``den``: exact integers.  A value is ``num / den**e``, with e
+    tracked here per node: ``.`` adds exponents, and the other
+    connectives first bring both operands to the larger one.  Atom-free
+    subterms are folded here to one literal at their exponent.
+    ``evaluate(m, pool, picks)`` screens m candidates, candidate i
     putting atom k at pool index ``picks[k][i]``, whose u and w
     numerators over den are ``pool[0]`` and ``pool[1]`` at that index.
-    It returns the first i at which the objective is below 1, or -1.
+    It is a generator of the indices i at which every member, in order,
+    is exactly 1 and the objective, if any, is below 1.
     """
     lines: list[str] = []
     reads: set[int] = set()
@@ -250,50 +257,65 @@ def _evaluator_source(
     def literal(value, e: int = 1) -> str:
         return repr(float(value)) if den is None else str(int(value * den**e))
 
+    def operand(a, e: int) -> str:
+        # In integer mode an atom-free operand is its exact value until written.
+        return literal(a, e) if isinstance(a, Fraction) else a
+
     def assign(template: str, **operands) -> str:
         t = f"t{len(lines)}"
         lines.append(template.format(t=t, **operands))
         return t
 
-    def emit(g: Formula, root: bool) -> tuple[str, int]:
+    def emit(g: Formula, root: bool) -> tuple[str | Fraction, int]:
         """Emit the statements for g's value (or root value); return its operand and exponent."""
         if isinstance(g, Atom):
             reads.add(pos[g.name] + root)
             return f"x{pos[g.name] + root}", 1
-        if isinstance(g, Const):
-            return literal(Fraction(1, 2) if root else g.value.value), 1
+        if isinstance(g, Const) or (root and isinstance(g, Bin)):
+            value = Fraction(1, 2) if root else g.value.value
+            return (literal(value) if den is None else value), 1
         if isinstance(g, Sqrt) and not root:
             return emit(g.arg, True)
         if isinstance(g, (Neg, Sqrt)):
             a, e = emit(g.arg, root and isinstance(g, Neg))
+            if isinstance(a, Fraction):
+                return 1 - a, e
             return assign("{t} = {one} - {a}", one=literal(1, e), a=a), e
-        if root:
-            return literal(Fraction(1, 2)), 1
         (a, ea), (b, eb) = emit(g.left, False), emit(g.right, False)
         e = ea + eb if g.op == PRODUCT else max(ea, eb)
+        if isinstance(a, Fraction) and isinstance(b, Fraction):
+            return _PAIR_OPS[g.op](a, b), e
         if den is not None and g.op != PRODUCT:
-            if ea < e:
+            if isinstance(a, str) and ea < e:
                 a = assign("{t} = {a} * {scale}", a=a, scale=den ** (e - ea))
-            if eb < e:
+            if isinstance(b, str) and eb < e:
                 b = assign("{t} = {a} * {scale}", a=b, scale=den ** (e - eb))
-        return assign(_TEMPLATES[g.op], a=a, b=b, one=literal(1, e), zero=literal(0, e)), e
+            ea = eb = e
+        return assign(
+            _TEMPLATES[g.op], a=operand(a, ea), b=operand(b, eb), one=literal(1, e), zero=literal(0, e)
+        ), e
 
     residual = "0.0"
     for beta in members:
-        lines.append(f"d = 1.0 - {emit(beta, False)[0]}; r = d if d > {residual} else {residual}")
-        residual = "r"
+        value, e = emit(beta, False)
+        if den is None:
+            lines.append(f"d = 1.0 - {value}; r = d if d > {residual} else {residual}")
+            residual = "r"
+        else:
+            lines.append(f"if {operand(value, e)} != {den**e}: continue")
     value, e = ("None", 0) if objective is None else emit(objective, False)
     if den is None:
         coords = "".join(f"x{i}, " for i in range(2 * len(pos)))
         body = "".join(f"    {line}\n" for line in lines)
         return f"def evaluate(x):\n    {coords}= x\n{body}    return {residual}, {value}\n"
+    if objective is not None:
+        lines.append(f"if {operand(value, e)} < {den**e}: yield i")
+    else:
+        lines.append("yield i")
     coords = "".join(f" x{c}," for c in sorted(reads))
     columns = "".join(f", map(pool[{c % 2}].__getitem__, picks[{c // 2}])" for c in sorted(reads))
     body = "".join(f"        {line}\n" for line in lines)
-    return (
-        f"def evaluate(m, pool, picks):\n    for i,{coords} in zip(range(m){columns}):\n{body}"
-        f"        if {value} < {den**e}:\n            return i\n    return -1\n"
-    )
+    return f"def evaluate(m, pool, picks):\n    for i,{coords} in zip(range(m){columns}):\n{body}"
 
 
 def _float_evaluator(
@@ -301,8 +323,8 @@ def _float_evaluator(
 ):
     """The one generated evaluator behind the searches; see ``_evaluator_source``.
 
-    In floats (no ``den``) for the relevance search and the model
-    sampler, in exact integers over ``den`` for the tautology screen.
+    In floats (no ``den``) for the relevance search, in exact integers
+    over ``den`` for the pool search behind tautology and model search.
     """
     namespace: dict = {}
     exec(_evaluator_source(objective, members, pos, den), namespace)
@@ -310,7 +332,7 @@ def _float_evaluator(
 
 
 # ---------------------------------------------------------------------------
-# Tautology search
+# Exact pool search: tautology, models
 
 
 @dataclass(frozen=True)
@@ -357,79 +379,125 @@ def _rational_disk_pool() -> tuple[tuple[Fraction, Fraction], ...]:
     return tuple(dict.fromkeys(specials + grid + boundary))
 
 
-@functools.cache
-def _pool_numerators() -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """The pool over its common denominator: (denominator, u numerators, w numerators)."""
-    pool = _rational_disk_pool()
+def _numerators(pool) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """A pool over its common denominator: (denominator, u numerators, w numerators)."""
     den = math.lcm(*(c.denominator for point in pool for c in point))
     return den, tuple(int(u * den) for u, _ in pool), tuple(int(w * den) for _, w in pool)
 
 
+@functools.cache
+def _pool_numerators() -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    return _numerators(_rational_disk_pool())
+
+
 # Candidates screened per batch: the first batch is one pool sweep, so an
-# early counterexample costs little; later batches grow to _CHUNK.
+# early hit costs little; later batches grow to _CHUNK.
 _CHUNK = 4096
 
 
-def _constant_denominators(f: Formula) -> set[int]:
+def _constants(f: Formula) -> set[Fraction]:
     if isinstance(f, Const):
-        return {f.value.value.denominator}
+        return {f.value.value}
     if isinstance(f, Atom):
         return set()
     if isinstance(f, (Neg, Sqrt)):
-        return _constant_denominators(f.arg)
-    return _constant_denominators(f.left) | _constant_denominators(f.right)
+        return _constants(f.arg)
+    return _constants(f.left) | _constants(f.right)
+
+
+class PoolSearch:
+    """Exact search for candidate models of ``members`` at which the
+    objective, if any, is below 1.
+
+    A candidate gives each atom of the formulas, in sorted order, a point
+    of a pool of exact rational disk points: the fixed 61 of
+    ``_rational_disk_pool``, then, for the members' constants c, the disk
+    points with coordinates among c, 1 - c and 1/2.  Candidates are
+    screened in batches by one function generated per run, in exact
+    integers over a common denominator of the pool and the constants.
+    """
+
+    def __init__(self, objective: Formula | None, members=()):
+        self.objective, self.members = objective, tuple(members)
+        formulas = (*self.members, *(() if objective is None else (objective,)))
+        self.names = sorted(set().union(*map(formula_atoms, formulas)))
+        self.pool = _rational_disk_pool()
+        pool_den, pool_u, pool_w = _pool_numerators()
+        coords = sorted({x for c in set().union(*map(_constants, self.members)) for x in (c, 1 - c, Fraction(1, 2))})
+        if coords:
+            points = [(u, w) for u in coords for w in coords if _in_disk(u, w, Fraction(0))]
+            self.pool = tuple(dict.fromkeys(self.pool + tuple(points)))
+            pool_den, pool_u, pool_w = _numerators(self.pool)
+        self.den = math.lcm(pool_den, *(c.denominator for f in formulas for c in _constants(f)))
+        lift = self.den // pool_den
+        # Indexed by ``root``: u numerators, then w numerators, over den.
+        self.lifted = (tuple(x * lift for x in pool_u), tuple(x * lift for x in pool_w))
+
+    def hits(self, budget: int, seed: int = 0):
+        """Yield ``(i, picks)``, picks holding each atom's pool index, for
+        each passing candidate i among the first ``budget`` (at least 1).
+
+        With two or more atoms, each is first narrowed to the points where
+        its single-atom members are exactly 1.  A product of at most
+        ``budget`` points, or of one atom, is swept in order, first atom
+        varying fastest; a larger one is searched by the diagonal (every
+        atom at its j-th point), then seeded random combinations.
+        ``screened`` counts the candidates of the batches run in full.
+        """
+        if budget < 1:
+            raise ValueError(f"budget must be at least 1, got {budget}")
+        size, n = len(self.pool), len(self.names)
+        allowed = [range(size)] * n
+        for k, name in enumerate(self.names if n > 1 else ()):
+            own = [beta for beta in self.members if formula_atoms(beta) == {name}]
+            if own:
+                narrow = _float_evaluator(None, own, {name: 0}, self.den)
+                allowed[k] = tuple(narrow(size, self.lifted, [range(size)]))
+        sizes = [len(points) for points in allowed]
+        exhaustive = n <= 1 or math.prod(sizes) <= budget
+        total = min(budget, math.prod(sizes))
+        strides = [math.prod(sizes[:k]) for k in range(n)]
+        rng = random.Random(seed)
+        pos = {name: 2 * k for k, name in enumerate(self.names)}
+        screen = _float_evaluator(self.objective, self.members, pos, self.den)
+
+        self.screened = 0
+        start, batch = 0, size
+        while start < total:
+            stop = min(total, start + batch)
+            if exhaustive:
+                # Candidate i puts atom k at its point (i // stride_k) % size_k.
+                indices = [[(i // stride) % s for i in range(start, stop)] for stride, s in zip(strides, sizes)]
+            else:
+                # The diagonal first, then one draw per atom per candidate.
+                head = list(range(start, min(stop, *sizes)))
+                draws = [rng.randrange(s) for _ in range(stop - start - len(head)) for s in sizes]
+                indices = [head + draws[k::n] for k in range(n)]
+            if sizes != [size] * n:
+                indices = [[points[j] for j in column] for points, column in zip(allowed, indices)]
+            for hit in screen(stop - start, self.lifted, indices):
+                yield start + hit, tuple([column[hit] for column in indices])
+            start, batch = stop, min(_CHUNK, 8 * batch)
+            self.screened = start
+
+    def pairs(self, picks) -> dict[str, tuple[Fraction, Fraction]]:
+        """Each atom's disk point at a candidate's picks."""
+        return {name: self.pool[j] for name, j in zip(self.names, picks)}
 
 
 def check_tautology(f: Formula, budget: int = 100_000, seed: int = 0) -> TautologyReport:
     """Search the per-atom disk for a model giving f a value below 1.
 
-    Candidates assign each atom a point of a fixed pool of 61 exact
-    rational disk points (grid, boundary, special states).  When the pool
-    product has at most ``budget`` points, or f has one atom, the product
-    is swept in order, first atom varying fastest; otherwise the diagonal
-    (every atom at the same point) comes first, then seeded random
-    combinations.  ``budget`` (at least 1) caps the candidates screened.
-
-    Candidates are screened in batches by one function generated for this
-    call, in exact integer arithmetic over a common denominator of the
-    pool and f's constants; only the first failing candidate becomes a
+    The candidates are those of a ``PoolSearch`` with no members, so
+    the pool is the fixed 61 points; ``budget`` (at least 1) caps the
+    candidates screened.  Only the first failing candidate becomes a
     ``ReducedModel``.  A returned counterexample is exact; a
     no-counterexample verdict is only as strong as the budget.
     """
-    if budget < 1:
-        raise ValueError(f"budget must be at least 1, got {budget}")
-    names = sorted(formula_atoms(f))
-    pool = _rational_disk_pool()
-    size = len(pool)
-    pool_den, pool_u, pool_w = _pool_numerators()
-    den = math.lcm(pool_den, *_constant_denominators(f))
-    lift = den // pool_den
-    # Indexed by ``root``: u numerators, then w numerators, over den.
-    lifted = (tuple(x * lift for x in pool_u), tuple(x * lift for x in pool_w))
-    exhaustive = len(names) <= 1 or size ** len(names) <= budget
-    total = min(budget, size ** len(names)) if exhaustive else budget
-    rng = random.Random(seed)
-    screen = _float_evaluator(f, (), {name: 2 * k for k, name in enumerate(names)}, den)
-
-    strides = [size**k for k in range(len(names))]
-
-    start, batch = 0, size
-    while start < total:
-        stop = min(total, start + batch)
-        if exhaustive:
-            # Candidate i puts atom k at pool index (i // size**k) % size.
-            indices = [[(i // stride) % size for i in range(start, stop)] for stride in strides]
-        else:
-            # The diagonal first, then one draw per atom per candidate.
-            diagonal = list(range(start, min(stop, size)))
-            draws = [rng.randrange(size) for _ in range((stop - start - len(diagonal)) * len(names))]
-            indices = [diagonal + draws[k :: len(names)] for k in range(len(names))]
-        hit = screen(stop - start, lifted, indices)
-        if hit >= 0:
-            model = ReducedModel({name: pool[indices[k][hit]] for k, name in enumerate(names)})
-            return TautologyReport(model, start + hit + 1)
-        start, batch = stop, min(_CHUNK, 8 * batch)
-    return TautologyReport(None, total)
+    search = PoolSearch(f)
+    for i, picks in search.hits(budget, seed):
+        return TautologyReport(ReducedModel(search.pairs(picks)), i + 1)
+    return TautologyReport(None, search.screened)
 
 
 def consequence(alpha: Formula, beta: Formula, budget: int = 100_000, seed: int = 0) -> TautologyReport:
@@ -663,136 +731,27 @@ def random_rational_model(
     return ReducedModel(pairs)
 
 
-def sample_models(
-    theory: Theory,
-    count: int,
-    seed: int = 0,
-    extra_atoms=(),
-    max_attempts_per_model: int = 60,
-) -> list[ReducedModel]:
-    """Exact models of the theory, found by seeded search plus snapping.
-
-    Every returned model satisfies the theory exactly (value 1 under
-    rational arithmetic); the sampler raises if the theory resists the
-    search, so callers should supply desk-scale theories.
+def sample_models(theory: Theory, count: int, seed: int = 0, extra_atoms=()) -> list[ReducedModel]:
+    """``count`` exact models of the theory: seeded choices, with repeats,
+    among the models a ``PoolSearch`` finds in its first size**3
+    candidates, size being the theory's pool; that sweeps the product of
+    three atoms, or of more once single-atom members narrow them.  Atoms
+    of ``extra_atoms`` outside the theory get seeded fixed-pool points.
+    Raises ``RuntimeError`` if the search finds no model, also for an
+    atom-free theory with a member below 1.
     """
-    names = sorted(theory.atoms() | set(extra_atoms))
+    search = PoolSearch(None, theory.members)
+    found = [picks for _, picks in search.hits(len(search.pool) ** 3, seed)]
+    if not found:
+        raise RuntimeError("the pool search found no exact model of the theory")
+    pool = _rational_disk_pool()
+    free = sorted(set(extra_atoms) - theory.atoms())
     rng = random.Random(seed)
-    models: list[ReducedModel] = []
-    if not names:
-        empty = ReducedModel({})
-        if not is_model_of(empty, theory):
-            raise ValueError("theory has no (atom-free) model")
-        return [empty] * count
-
-    pos = {name: 2 * k for k, name in enumerate(names)}
-    values = _float_evaluator(None, theory.members, pos)
-    constrained = theory.atoms()
-    moveable = [
-        ci for name in names if name in constrained
-        for ci in (pos[name], pos[name] + 1)
-    ]
-
-    def residual_of(x) -> float:
-        return values(x)[0]
-
-    def random_start() -> list[float]:
-        # Dyadic points are exact as floats, so free atoms need no repair.
-        x = []
-        for _ in names:
-            while True:
-                u = Fraction(rng.randint(0, 1024), 1024)
-                w = Fraction(rng.randint(0, 1024), 1024)
-                if _in_disk(u, w, Fraction(0)):
-                    x.extend([float(u), float(w)])
-                    break
-        return x
-
-    def snap(value: float) -> list[Fraction]:
-        candidates = [Fraction(round(value * (1 << 12)), 1 << 12),
-                      Fraction(round(value * (1 << 20)), 1 << 20),
-                      Fraction(value)]
-        for special in (Fraction(0), Fraction(1), Fraction(1, 2)):
-            if abs(value - float(special)) < 1e-9:
-                candidates.insert(0, special)
-        return candidates
-
-    # Canonical settings of the constrained atoms; most desk theories are
-    # satisfied outright by one of them, sparing the descent the zigzag
-    # that coupled max-residuals cause coordinate methods.
-    overrides: list[tuple[float, float] | None] = [None, (1.0, 0.5), (0.5, 0.5), (0.0, 0.5)]
-
-    while len(models) < count:
-        found = None
-        for attempt in range(max_attempts_per_model):
-            x = random_start()
-            override = overrides[attempt % len(overrides)]
-            if override is not None:
-                for name in names:
-                    if name in constrained:
-                        x[pos[name]], x[pos[name] + 1] = override
-            for _ in range(12):
-                if residual_of(x) <= 1e-15:
-                    break
-                for ci in moveable:
-                    partner = x[ci + 1] if ci % 2 == 0 else x[ci - 1]
-                    lo, hi = _disk_interval(partner)
-                    best_v = x[ci]
-                    best_s = (residual_of(x), abs(best_v - 0.5))
-                    width = hi - lo
-                    while width > 1e-12:
-                        step = width / 8.0
-                        for k in range(9):
-                            v = lo + k * step
-                            x[ci] = v
-                            s = (residual_of(x), abs(v - 0.5))
-                            if s < best_s:
-                                best_s, best_v = s, v
-                        lo = max(lo, best_v - step)
-                        hi = min(hi, best_v + step)
-                        width = hi - lo
-                    x[ci] = best_v
-            if residual_of(x) > 1e-12:
-                continue
-            pairs = {}
-            ok = True
-            for name in names:
-                u_opts = snap(x[pos[name]])
-                w_opts = snap(x[pos[name] + 1])
-                chosen = None
-                for u in u_opts:
-                    for w in w_opts:
-                        if 0 <= u <= 1 and 0 <= w <= 1 and _in_disk(u, w, Fraction(0)):
-                            trial_pairs = dict(pairs)
-                            trial_pairs[name] = (u, w)
-                            rest = {
-                                n: (Fraction(x[pos[n]]), Fraction(x[pos[n] + 1]))
-                                for n in names
-                                if n not in trial_pairs
-                            }
-                            probe = {**trial_pairs, **rest}
-                            try:
-                                model = ReducedModel(probe)
-                            except ValueError:
-                                continue
-                            if is_model_of(model, theory):
-                                chosen = (u, w)
-                                break
-                    if chosen:
-                        break
-                if chosen is None:
-                    ok = False
-                    break
-                pairs[name] = chosen
-            if ok:
-                found = ReducedModel(pairs)
-                break
-        if found is None:
-            raise RuntimeError(
-                f"could not sample an exact model of the theory after "
-                f"{max_attempts_per_model} attempts"
-            )
-        models.append(found)
+    models = []
+    for _ in range(count):
+        pairs = search.pairs(rng.choice(found))
+        pairs.update((name, rng.choice(pool)) for name in free)
+        models.append(ReducedModel(pairs))
     return models
 
 

@@ -25,7 +25,9 @@ from iqcl.calculus import (
     self_implication_proof,
 )
 from iqcl.semantics import (
+    ReducedModel,
     Theory,
+    _rational_disk_pool,
     check_tautology,
     eval_prob,
     is_model_of,
@@ -384,6 +386,27 @@ def test_consistency_probe_examples():
 
     const = consistency_probe(Theory([parse("3/8")]))
     assert const.verdict == "no-model-at-budget"
+
+
+def test_consistency_probe_finds_a_sparse_model():
+    # p = q = r = 0, s = 1 is one point of a 61**4 product; the members !p,
+    # !q and !r narrow it to 61 candidates.
+    sparse = Theory.from_text("p + q + r + s\n!p\n!q\n!r")
+    found = consistency_probe(sparse)
+    assert found.verdict == "model-found"
+    assert is_model_of(found.model, sparse, Fraction(0))
+
+
+def test_consistency_probe_honours_budget():
+    # Candidate 0 puts p at pool point (1, 1/2), where !p is 0; candidate 1
+    # puts it at (0, 1/2), the first model.
+    T = Theory([parse("!p")])
+    assert consistency_probe(T, budget=1).verdict == "no-model-at-budget"
+    found = consistency_probe(T, budget=2)
+    assert found.verdict == "model-found"
+    assert found.model == ReducedModel({"p": _rational_disk_pool()[1]})
+    with pytest.raises(ValueError):
+        consistency_probe(T, budget=0)
 
 
 def test_proof_degree_examples():

@@ -158,6 +158,7 @@ def test_console_script_entry_point():
         [sys.executable, "-m", "iqcl.cli", "fmt", "top"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
     assert result.returncode == 0
     assert result.stdout == "formula: top\n"
@@ -171,6 +172,7 @@ def test_cli_import_leaves_numpy_unloaded():
             [sys.executable, "-c", f"import sys, {module}; print('numpy' in sys.modules)"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout == "False\n", module

@@ -10,6 +10,7 @@ from iqcl import semantics
 from iqcl.algebra import SConstant
 from iqcl.qmix import BlochQmix, P1
 from iqcl.semantics import (
+    PoolSearch,
     RelevanceOptions,
     ReducedModel,
     TautologyReport,
@@ -18,6 +19,7 @@ from iqcl.semantics import (
     _CHUNK,
     _evaluator_source,
     _float_evaluator,
+    _in_disk,
     _pool_numerators,
     _rational_disk_pool,
     check_tautology,
@@ -209,26 +211,28 @@ def _random_taut_candidate(rng, names, depth):
 def _screen_values(g, pos, den, pool, picks):
     """The values the generated integer screen compares with 1, one per candidate.
 
-    The screen returns only the first candidate below 1; rewriting its
-    final test into a yield exposes each value as (numerator, den**e).
+    The screen yields only the candidates below 1; rewriting its final
+    test into a plain yield exposes each value as (numerator, den**e).
     """
-    source, count = re.subn(
-        r"if (\w+) < (\d+):\n +return i\n +return -1\n", r"yield \1, \2\n", _evaluator_source(g, (), pos, den)
-    )
+    source, count = re.subn(r"if (\w+) < (\d+): yield i\n", r"yield \1, \2\n", _evaluator_source(g, (), pos, den))
     assert count == 1
     namespace = {}
     exec(source, namespace)
     return [Fraction(num, one) for num, one in namespace["evaluate"](len(picks[0]), pool, picks)]
 
 
+def _lifted_pool(den):
+    pool_den, pool_u, pool_w = _pool_numerators()
+    lift = den // pool_den
+    return [x * lift for x in pool_u], [x * lift for x in pool_w]
+
+
 def test_screen_matches_eval_prob():
     # The generated integer screen, candidate by candidate, for both components.
     rng = random.Random(212)
     pool = _rational_disk_pool()
-    pool_den, pool_u, pool_w = _pool_numerators()
     den = 680 * 2**7
-    lift = den // pool_den
-    lifted = ([x * lift for x in pool_u], [x * lift for x in pool_w])
+    lifted = _lifted_pool(den)
     pos = {"p": 0, "q": 2}
     for _ in range(150):
         f = random_formula(rng, ("p", "q"), depth=5, constants=_WIDE_CONSTANTS)
@@ -237,9 +241,52 @@ def test_screen_matches_eval_prob():
         for g in (f, Sqrt(f)):
             exact = [eval_prob(m, g)[0] for m in models]
             assert _screen_values(g, pos, den, lifted, picks) == exact
-            below = [v < 1 for v in exact]
-            first = below.index(True) if True in below else -1
-            assert _float_evaluator(g, (), pos, den)(20, lifted, picks) == first
+            below = [i for i, v in enumerate(exact) if v < 1]
+            assert list(_float_evaluator(g, (), pos, den)(20, lifted, picks)) == below
+
+
+def test_screen_with_members_matches_is_model_of():
+    # Member mode over a full sweep of the two-atom pool product: an index
+    # is yielded exactly when every member is exactly 1 (and the objective,
+    # if any, is below 1) by eval_prob.
+    rng = random.Random(215)
+    pool = _rational_disk_pool()
+    den = 680 * 2**7
+    lifted = _lifted_pool(den)
+    pos = {"p": 0, "q": 2}
+    picks = [[i % len(pool) for i in range(len(pool) ** 2)], [i // len(pool) for i in range(len(pool) ** 2)]]
+    models = [ReducedModel({"p": pool[i], "q": pool[j]}) for i, j in zip(*picks)]
+    yielded = 0
+    for _ in range(12):
+
+        def formula():
+            return random_formula(rng, ("p", "q"), depth=rng.randint(0, 3), constants=_WIDE_CONSTANTS)
+
+        members = [rng.choice((formula(), Bin(IMPLIES, formula(), formula()), Bin(OPLUS, formula(), formula())))
+                   for _ in range(rng.randint(1, 3))]
+        objective = rng.choice((None, formula()))
+        theory = Theory(members)
+        expected = [
+            i for i, m in enumerate(models)
+            if is_model_of(m, theory) and (objective is None or eval_prob(m, objective)[0] < 1)
+        ]
+        screen = _float_evaluator(objective, theory.members, pos, den)
+        assert list(screen(len(models), lifted, picks)) == expected, (objective, members)
+        yielded += len(expected)
+    assert 0 < yielded < 12 * len(models)
+
+
+def test_integer_mode_folds_constants():
+    # Atom-free subterms become one literal at their exponent, never a
+    # product of two literals computed again at every candidate.
+    rng = random.Random(216)
+    pos = {"p": 0, "q": 2}
+    for _ in range(200):
+        objective = random_formula(rng, ("p", "q"), depth=5, constants=_WIDE_CONSTANTS)
+        members = [random_formula(rng, ("p", "q"), depth=4, constants=_WIDE_CONSTANTS) for _ in range(rng.randint(0, 2))]
+        source = _evaluator_source(rng.choice((None, objective)), members, pos, 680 * 2**7)
+        assert not re.search(r"= \d+ \* \d+", source), source
+    assert "173400" in _evaluator_source(parse("(p . ?q -> 3/8) | !?p"), (), pos, 680)  # 3/8 at exponent 2: 255 * 680
 
 
 def test_tautology_matches_reference_on_random_formulas():
@@ -260,7 +307,7 @@ def test_tautology_matches_reference_beyond_64_bits():
         for _ in range(6):
             deep = Bin(PRODUCT, random_formula(rng, ("p", "q"), depth=2, constants=_WIDE_CONSTANTS), deep)
         source = _evaluator_source(deep, (), {"p": 0, "q": 2}, 680 * 2**7)
-        one = int(re.search(r" < (\d+):\n +return i\n", source).group(1))  # den**e
+        one = int(re.search(r" < (\d+): yield i\n", source).group(1))  # den**e
         assert one > 2**63
         factor = deep.left
         for f in (Bin(IMPLIES, deep, factor), Bin(IMPLIES, factor, deep), Bin(OPLUS, deep, Neg(deep))):
@@ -581,7 +628,7 @@ def test_generated_source_holds_no_formula_text():
         objective = random_formula(rng, names, depth=5, constants=_WIDE_CONSTANTS)
         members = [random_formula(rng, names, depth=4) for _ in range(rng.randint(0, 3))]
         for source in (_evaluator_source(rng.choice((None, objective)), members, pos),
-                       _evaluator_source(objective, (), pos, 680 * 2**7)):
+                       _evaluator_source(rng.choice((None, objective)), members, pos, 680 * 2**7)):
             for node in ast.walk(ast.parse(source)):
                 if isinstance(node, ast.Name):
                     assert re.fullmatch(r"[xt]\d+", node.id) or node.id in fixed, (node.id, source)
@@ -627,16 +674,6 @@ def test_relevance_budget_limited_matches_closure_reference(monkeypatch):
         assert result == expected
 
 
-def test_sample_models_matches_closure_reference(monkeypatch):
-    # The theories whose sampled models the acceptance suite checks proofs against.
-    for theory, extra in ((Theory(), {"p", "q"}), (Theory([parse("p"), parse("p -> q")]), {"r"}),
-                          (Theory([parse("3/4 -> p")]), set())):
-        models = sample_models(theory, 30, seed=12, extra_atoms=extra)
-        with monkeypatch.context() as patch:
-            patch.setattr(semantics, "_float_evaluator", reference_float_evaluator)
-            assert models == sample_models(theory, 30, seed=12, extra_atoms=extra)
-
-
 def test_sample_models_exact():
     T = Theory([parse("p"), parse("p -> q")])
     models = sample_models(T, 10, seed=3, extra_atoms={"r"})
@@ -644,6 +681,54 @@ def test_sample_models_exact():
     for m in models:
         assert is_model_of(m, T)
         assert "r" in m.assignment
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p -> 3/16\n3/16 -> p",
+        "!p -> 3/16\n3/16 -> !p",
+        "p -> 5/1024\n5/1024 -> p",
+        "p + q + r\n!p\n!q",
+        "p -> 3/16\n3/16 -> p\nq\nr",
+        "p -> 3/16\n3/16 -> p\nq\nr\ns",
+        "p + q + r + s\n!p\n!q\n!r",
+    ],
+)
+def test_sample_models_pinned_and_sparse_theories(text):
+    # A member pinning an atom (or its negation) to a constant needs the
+    # constant's points in the pool; p = q = 0, r = 1 is one point of a
+    # 61**3 product.  With three or four atoms, the single-atom members
+    # narrow the product to a few candidates, swept in full.
+    T = Theory.from_text(text)
+    models = sample_models(T, 20, seed=5, extra_atoms={"s"})
+    assert len(models) == 20
+    for m in models:
+        assert is_model_of(m, T, Fraction(0))
+        assert all(_in_disk(u, w, Fraction(0)) for u, w in m.assignment.values())
+        assert m.atoms() == T.atoms() | {"s"}
+
+
+def test_pool_search_narrowing_keeps_every_model():
+    # Narrowing q by its single-atom members must neither lose nor add a
+    # model: the hits are exactly the models in the theory's pool product.
+    T = Theory.from_text("q -> 3/16\n3/16 -> q\np -> q")
+    search = PoolSearch(None, T.members)
+    pool = search.pool
+    found = [search.pairs(picks) for _, picks in search.hits(len(pool) ** 2)]
+    assert search.screened < len(pool) ** 2
+    expected = [
+        {"p": a, "q": b}
+        for b in pool for a in pool
+        if is_model_of(ReducedModel({"p": a, "q": b}), T, Fraction(0))
+    ]
+    assert len(expected) > 1
+    assert found == expected
+
+
+def test_sample_models_raises_without_a_model():
+    with pytest.raises(RuntimeError):
+        sample_models(Theory([parse("p"), parse("!p")]), 3)
 
 
 def test_model_file_round_trip():
