@@ -50,6 +50,7 @@ from .syntax import (
     Sqrt,
     atoms as formula_atoms,
     parse,
+    parse_span,
     print_formula,
 )
 
@@ -308,24 +309,24 @@ def format_proof(proof: Proof) -> str:
     return "\n".join(lines) + "\n"
 
 
-_STEP_RE = re.compile(r"^(\d+):\s*(.*?)\s*\[([^\]]*)\]\s*$")
+_STEP_RE = re.compile(r"\s*(\d+):\s*(.*?)\s*\[([^\]]*)\]\s*$")
 
 
 def parse_proof(text: str) -> Proof:
     steps: list[ProofStep] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.split("#", 1)[0]
+        if not line.strip():
             continue
         m = _STEP_RE.match(line)
         if m is None:
             raise ProofError(None, f"line {lineno}: not a proof step: {raw!r}")
-        number, formula_text, just_text = m.groups()
+        number, _, just_text = m.groups()
         if int(number) != len(steps) + 1:
             raise ProofError(
                 None, f"line {lineno}: step number {number}, expected {len(steps) + 1}"
             )
-        formula = parse(formula_text)
+        formula = parse_span(raw, m.start(2), m.end(2), lineno)
         tokens = just_text.split()
         if not tokens:
             raise ProofError(None, f"line {lineno}: empty justification")

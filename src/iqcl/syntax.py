@@ -6,7 +6,8 @@ Concrete syntax (tightest to loosest):
     binary  .  (product)    *  (strong conjunction)   +  (strong disjunction)
             &  (meet)       |  (join)
             -> (implication, right associative)
-            <->  sugar for  (a -> b) * (b -> a), expanded at parse time
+            <-> (equivalence, loosest, left associative): sugar for
+                (a -> b) * (b -> a), expanded at parse time
 
 All binary connectives except ``->`` associate to the left.  Constants are
 dyadic fractions such as ``3/8``; ``bot``, ``top`` and ``half`` name 0, 1
@@ -22,7 +23,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from itertools import islice
+from typing import Union
 
 from .algebra import SConstant
 
@@ -73,7 +75,7 @@ BOT = Const(SConstant(0, 0))
 TOP = Const(SConstant(1, 0))
 CHALF = Const(SConstant(1, 1))
 
-_ALIASES = {"bot": BOT.value, "top": TOP.value, "half": CHALF.value}
+_ALIASES = {"bot": BOT, "top": TOP, "half": CHALF}
 
 
 class ParseError(ValueError):
@@ -83,166 +85,109 @@ class ParseError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'op', 'name', 'number', 'lparen', 'rparen', 'eof'
-    text: str
-    line: int
-    column: int
+# Binding power of each binary connective, loosest first; the parser and
+# the printer both read it.  ``<->`` is parse-time sugar and never reaches
+# the printer, and ``->`` is the one right-associative level.
+_LEVEL = {"<->": 0, IMPLIES: 1, JOIN: 2, MEET: 3, OPLUS: 4, ODOT: 5, PRODUCT: 6}
+_UNARY_LEVEL = 7
+_UNARY = {"!": Neg, "?": Sqrt}
+# The parser's view of the table: a token's level and the module's own
+# string for the connective, which every Bin then shares.
+_BINARY = {op: (level, op) for op, level in _LEVEL.items()}
+_NOT_BINARY = (-1, None)
 
-
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<op><->|->|[!?.*+&|])"
-    r"|(?P<lparen>\()"
-    r"|(?P<rparen>\))"
-    r"|(?P<number>\d+(?:/\d+)?)"
-    r"|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
-)
-
-
-def _tokenize(text: str) -> Iterator[_Token]:
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        chunk = m.group()
-        if kind != "ws":
-            yield _Token(kind, chunk, line, col)
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        pos = m.end()
-    yield _Token("eof", "", line, col)
+# One match per token, and an empty one at the end of the input.  findall
+# skips whatever no token matches, so ``_Parser`` checks by length that it
+# skipped only whitespace.
+_TOKEN_RE = re.compile(r"<->|->|[!?.*+&|()]|\d+(?:/\d+)?|[A-Za-z][A-Za-z0-9_]*|\Z")
 
 
 class _Parser:
-    def __init__(self, text: str):
-        self.tokens = list(_tokenize(text))
-        self.index = 0
+    """Precedence climbing over the tokens of ``text[start:end]``.
 
-    @property
-    def current(self) -> _Token:
-        return self.tokens[self.index]
+    Tokens are plain strings.  Offsets, lines and columns are worked out
+    only when a ``ParseError`` is raised.
+    """
 
-    def advance(self) -> _Token:
-        tok = self.current
-        self.index += 1
-        return tok
+    def __init__(self, text: str, start: int, end: int, line: int):
+        self.text, self.start, self.end, self.line = text, start, end, line
+        self.tokens = _TOKEN_RE.findall(text, start, end)
+        self.pos = 0
+        if len("".join(self.tokens)) != len("".join(text[start:end].split())):
+            at = start
+            for m in _TOKEN_RE.finditer(text, start, end):
+                stray = text[at:m.start()].lstrip()
+                if stray:
+                    self.fail(f"unexpected character {stray[0]!r}", m.start() - len(stray))
+                at = m.end()
 
-    def error(self, message: str):
-        tok = self.current
-        raise ParseError(message, tok.line, tok.column)
+    def fail(self, message: str, at: int):
+        """Raise at offset ``at`` of the text."""
+        text = self.text
+        raise ParseError(
+            message, self.line + text.count("\n", 0, at), at - text.rfind("\n", 0, at)
+        )
 
-    def accept_op(self, *ops: str) -> str | None:
-        tok = self.current
-        if tok.kind == "op" and tok.text in ops:
-            self.advance()
-            return tok.text
-        return None
+    def fail_at_token(self, message: str, index: int):
+        matches = _TOKEN_RE.finditer(self.text, self.start, self.end)
+        self.fail(message, next(islice(matches, index, None)).start())
 
-    def parse_formula(self) -> Formula:
-        f = self.parse_iff()
-        if self.current.kind != "eof":
-            self.error(f"unexpected trailing input {self.current.text!r}")
-        return f
-
-    def parse_iff(self) -> Formula:
-        left = self.parse_implies()
-        while self.accept_op("<->"):
-            right = self.parse_implies()
-            left = Bin(
-                ODOT, Bin(IMPLIES, left, right), Bin(IMPLIES, right, left)
-            )
-        return left
-
-    def parse_implies(self) -> Formula:
-        left = self.parse_join()
-        if self.accept_op("->"):
-            return Bin(IMPLIES, left, self.parse_implies())
-        return left
-
-    def parse_join(self) -> Formula:
-        left = self.parse_meet()
-        while self.accept_op("|"):
-            left = Bin(JOIN, left, self.parse_meet())
-        return left
-
-    def parse_meet(self) -> Formula:
-        left = self.parse_oplus()
-        while self.accept_op("&"):
-            left = Bin(MEET, left, self.parse_oplus())
-        return left
-
-    def parse_oplus(self) -> Formula:
-        left = self.parse_odot()
-        while self.accept_op("+"):
-            left = Bin(OPLUS, left, self.parse_odot())
-        return left
-
-    def parse_odot(self) -> Formula:
-        left = self.parse_product()
-        while self.accept_op("*"):
-            left = Bin(ODOT, left, self.parse_product())
-        return left
-
-    def parse_product(self) -> Formula:
-        left = self.parse_unary()
-        while self.accept_op("."):
-            left = Bin(PRODUCT, left, self.parse_unary())
-        return left
-
-    def parse_unary(self) -> Formula:
-        if self.accept_op("!"):
-            return Neg(self.parse_unary())
-        if self.accept_op("?"):
-            return Sqrt(self.parse_unary())
-        return self.parse_atomic()
-
-    def parse_atomic(self) -> Formula:
-        tok = self.current
-        if tok.kind == "lparen":
-            self.advance()
-            inner = self.parse_iff()
-            if self.current.kind != "rparen":
-                self.error("expected ')'")
-            self.advance()
-            return inner
-        if tok.kind == "name":
-            self.advance()
-            alias = _ALIASES.get(tok.text)
-            if alias is not None:
-                return Const(alias)
-            return Atom(tok.text)
-        if tok.kind == "number":
-            self.advance()
-            if "/" in tok.text:
-                num, den = tok.text.split("/")
-                value = Fraction(int(num), int(den))
-            else:
-                value = Fraction(int(tok.text))
+    def expr(self, min_level: int) -> Formula:
+        """One operand, then every connective that binds at ``min_level`` or tighter."""
+        tokens = self.tokens
+        tok = tokens[self.pos]
+        self.pos += 1
+        if tok.isidentifier():
+            left = _ALIASES.get(tok) or Atom(tok)
+        elif tok == "(":
+            left = self.expr(0)
+            if tokens[self.pos] != ")":
+                self.fail_at_token("expected ')'", self.pos)
+            self.pos += 1
+        elif tok in _UNARY:
+            left = _UNARY[tok](self.expr(_UNARY_LEVEL))
+        elif tok[:1].isdigit():
+            num, _, den = tok.partition("/")
             try:
-                return Const(SConstant.from_fraction(value))
+                left = Const(SConstant.from_fraction(Fraction(int(num), int(den or 1))))
             except ValueError as exc:
-                raise ParseError(str(exc), tok.line, tok.column) from None
-        self.error(f"expected a formula, found {tok.text or 'end of input'!r}")
+                self.fail_at_token(str(exc), self.pos - 1)
+            except ZeroDivisionError:
+                self.fail_at_token(f"zero denominator: {tok}", self.pos - 1)
+        else:
+            self.fail_at_token(f"expected a formula, found {tok or 'end of input'!r}", self.pos - 1)
+        while True:
+            level, op = _BINARY.get(tokens[self.pos], _NOT_BINARY)
+            if level < min_level:
+                return left
+            self.pos += 1
+            right = self.expr(level if op == IMPLIES else level + 1)
+            if level:
+                left = Bin(op, left, right)
+            else:
+                left = Bin(ODOT, Bin(IMPLIES, left, right), Bin(IMPLIES, right, left))
+
+
+def parse_span(text: str, start: int, end: int, line: int) -> Formula:
+    """Parse ``text[start:end]``, whose text begins on line ``line``.
+
+    A ``ParseError`` gives the line and the column in ``text``, so a file
+    reader passes a raw line and the span of its formula.
+    """
+    parser = _Parser(text, start, end, line)
+    try:
+        f = parser.expr(0)
+    except RecursionError:
+        parser.fail_at_token("formula nested too deeply", parser.pos - 1)
+    tok = parser.tokens[parser.pos]
+    if tok:  # not the empty end-of-input token
+        parser.fail_at_token(f"unexpected trailing input {tok!r}", parser.pos)
+    return f
 
 
 def parse(text: str) -> Formula:
     """Parse concrete syntax into a Formula tree."""
-    return _Parser(text).parse_formula()
-
-
-# Precedence levels used by the printer; higher binds tighter.
-_LEVEL = {IMPLIES: 1, JOIN: 2, MEET: 3, OPLUS: 4, ODOT: 5, PRODUCT: 6}
-_UNARY_LEVEL = 7
-_ATOM_LEVEL = 8
+    return parse_span(text, 0, len(text), 1)
 
 
 def _const_text(c: SConstant) -> str:
@@ -317,13 +262,7 @@ def parse_theory_text(text: str) -> list[Formula]:
     """Formulas from a theory file: one per line, '#' comments ignored."""
     result = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            result.append(parse(line))
-        except ParseError as exc:
-            raise ParseError(
-                f"theory line {lineno}: {exc}", lineno, getattr(exc, "column", 1)
-            ) from None
+        end = len(raw.split("#", 1)[0].rstrip())
+        if end:
+            result.append(parse_span(raw, 0, end, lineno))
     return result

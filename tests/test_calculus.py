@@ -33,7 +33,18 @@ from iqcl.semantics import (
     is_model_of,
     random_rational_model,
 )
-from iqcl.syntax import Atom, Bin, Const, Formula, IMPLIES, Neg, Sqrt, parse, print_formula
+from iqcl.syntax import (
+    IMPLIES,
+    Atom,
+    Bin,
+    Const,
+    Formula,
+    Neg,
+    ParseError,
+    Sqrt,
+    parse,
+    print_formula,
+)
 from util import random_formula
 
 
@@ -218,6 +229,17 @@ def test_parse_proof_errors():
         parse_proof("1: p\n")  # no justification
     with pytest.raises(ProofError):
         parse_proof("")
+
+
+def test_parse_proof_formula_error_points_at_the_file():
+    text = "1: p [hyp]\n# comment\n  3: p -> $ [hyp]\n"
+    with pytest.raises(ParseError) as err:
+        parse_proof(text.replace("3:", "2:"))
+    assert str(err.value) == "line 3, column 11: unexpected character '$'"
+    assert (err.value.line, err.value.column) == (3, 11)
+    with pytest.raises(ParseError) as err:
+        parse_proof("1: p [hyp]\n2: q [hyp]\n3: (p . q [mp 1 2]\n")
+    assert (err.value.line, err.value.column) == (3, 10)
 
 
 def test_lemma_library_checks():

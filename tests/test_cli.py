@@ -26,6 +26,12 @@ def test_fmt_parse_error_exit_2(capsys):
     assert "column" in err
 
 
+def test_fmt_deep_nesting_exit_2(capsys):
+    code, _, err = run_cli(["fmt", "(" * 5000 + "p" + ")" * 5000], capsys)
+    assert code == 2
+    assert "column" in err and "nested too deeply" in err
+
+
 def test_eval(tmp_path, capsys):
     model = tmp_path / "m.model"
     model.write_text("p 1 1/2\n")
@@ -111,6 +117,17 @@ def test_proof_check(tmp_path, capsys):
         ["proof", "check", str(theory), str(garbled), "q"], capsys
     )
     assert code3 == 2
+
+
+def test_proof_check_formula_error_gives_file_position(tmp_path, capsys):
+    theory = tmp_path / "t.thy"
+    theory.write_text("p\np -> q\n")
+    proof = tmp_path / "typo.proof"
+    proof.write_text("1: p [hyp]\n2: p -> q [hyp]\n3: q $ [mp 1 2]\n")
+    code, out, err = run_cli(["proof", "check", str(theory), str(proof), "q"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "line 3, column 6: unexpected character '$'" in err
 
 
 def test_sim_prop34(capsys):

@@ -55,6 +55,14 @@ def test_precedence():
     assert parse("a + b + c") == Bin(OPLUS, Bin(OPLUS, Atom("a"), Atom("b")), Atom("c"))
     assert parse("!a + b") == Bin(OPLUS, Neg(Atom("a")), Atom("b"))
     assert parse("?a . b") == Bin(".", Sqrt(Atom("a")), Atom("b"))
+    # <-> binds loosest and associates to the left
+    a, b, c = Atom("a"), Atom("b"), Atom("c")
+    assert parse("a -> b <-> c") == parse("(a -> b) <-> c")
+    assert parse("a -> b <-> c") == Bin(
+        ODOT, Bin(IMPLIES, Bin(IMPLIES, a, b), c), Bin(IMPLIES, c, Bin(IMPLIES, a, b))
+    )
+    assert parse("a <-> b <-> c") == parse("(a <-> b) <-> c")
+    assert parse("a <-> b <-> c") != parse("a <-> (b <-> c)")
 
 
 def test_parse_errors_carry_position():
@@ -70,6 +78,49 @@ def test_parse_errors_carry_position():
     assert err2.value.column == 5
     with pytest.raises(ParseError):
         parse("5/4")  # above one
+
+
+# (input, str(error), line, column): the parser's error contract.
+PARSE_ERRORS = [
+    ("p q", "line 1, column 3: unexpected trailing input 'q'", 1, 3),
+    ("(p))", "line 1, column 4: unexpected trailing input ')'", 1, 4),
+    ("p +\n q )", "line 2, column 4: unexpected trailing input ')'", 2, 4),
+    ("(p", "line 1, column 3: expected ')'", 1, 3),
+    ("p -> (q", "line 1, column 8: expected ')'", 1, 8),
+    ("p +\n  $", "line 2, column 3: unexpected character '$'", 2, 3),
+    ("p $ q", "line 1, column 3: unexpected character '$'", 1, 3),
+    ("3/8/2", "line 1, column 4: unexpected character '/'", 1, 4),
+    ("p + 1/3", "line 1, column 5: not a dyadic rational: 1/3", 1, 5),
+    ("5/4", "line 1, column 1: unit-interval value out of range: 5/4", 1, 1),
+    ("x_1 + 2", "line 1, column 7: unit-interval value out of range: 2", 1, 7),
+    ("?", "line 1, column 2: expected a formula, found 'end of input'", 1, 2),
+    ("p ! q", "line 1, column 3: unexpected trailing input '!'", 1, 3),
+    ("-> q", "line 1, column 1: expected a formula, found '->'", 1, 1),
+    ("p . . q", "line 1, column 5: expected a formula, found '.'", 1, 5),
+    ("()", "line 1, column 2: expected a formula, found ')'", 1, 2),
+    ("p <->", "line 1, column 6: expected a formula, found 'end of input'", 1, 6),
+    ("p\n\n  -> ", "line 3, column 6: expected a formula, found 'end of input'", 3, 6),
+    ("   ", "line 1, column 4: expected a formula, found 'end of input'", 1, 4),
+    ("\n\n", "line 3, column 1: expected a formula, found 'end of input'", 3, 1),
+    ("", "line 1, column 1: expected a formula, found 'end of input'", 1, 1),
+]
+
+
+@pytest.mark.parametrize("text, message, line, column", PARSE_ERRORS)
+def test_parse_error_contract(text, message, line, column):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (str(err.value), err.value.line, err.value.column) == (message, line, column)
+
+
+def test_malformed_input_is_a_parse_error_not_a_crash():
+    assert parse("(" * 300 + "p" + ")" * 300) == Atom("p")
+    with pytest.raises(ParseError, match="nested too deeply") as err:
+        parse("(" * 5000 + "p" + ")" * 5000)
+    assert err.value.line == 1 and 1 <= err.value.column <= 5000
+    with pytest.raises(ParseError) as err:
+        parse("p + 1/0")
+    assert (str(err.value), err.value.column) == ("line 1, column 5: zero denominator: 1/0", 5)
 
 
 def test_print_examples():
@@ -131,3 +182,11 @@ def test_theory_text():
     assert formulas == [parse("p -> q"), parse("3/8")]
     with pytest.raises(ParseError):
         parse_theory_text("p ->")
+    # the position is stated once, with the column in the raw line
+    with pytest.raises(ParseError) as err:
+        parse_theory_text("p\n  q -> $\n")
+    assert str(err.value) == "line 2, column 8: unexpected character '$'"
+    assert (err.value.line, err.value.column) == (2, 8)
+    with pytest.raises(ParseError) as err:
+        parse_theory_text("# head\n\n  (p -> q  # open\n")
+    assert (err.value.line, err.value.column) == (3, 10)
