@@ -24,6 +24,10 @@ def main():
         parser.error(f"--steps must be a positive power of two, got {args.steps}")
 
     options = RelevanceOptions(budget=args.budget, seed=args.seed)
+    try:
+        options.validate()
+    except ValueError as exc:
+        parser.error(str(exc))
 
     print("s        relevance({s -> p}, p)   status")
     for k in range(args.steps + 1):

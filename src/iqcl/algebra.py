@@ -16,6 +16,18 @@ ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 
+def fraction(text: str) -> Fraction:
+    """An exact rational read from text such as ``3/8``, ``0.25`` or ``1``.
+
+    Every malformed text is a ``ValueError``, a zero denominator too,
+    where ``Fraction`` itself raises ``ZeroDivisionError``.
+    """
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {text}") from None
+
+
 def unit(value) -> Fraction:
     """Coerce to an exact rational in [0, 1], rejecting anything outside."""
     v = Fraction(value)

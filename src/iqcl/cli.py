@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import calculus, qmix, semantics, translation
-from .algebra import SConstant
+from .algebra import SConstant, fraction
 from .syntax import ParseError, parse, parse_theory_text, print_formula
 
 
@@ -56,7 +56,7 @@ def _model_fields(model: semantics.ReducedModel) -> list[tuple[str, object]]:
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--format", choices=("plain", "machine"), default="plain")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--grid", type=Fraction, default=Fraction(1, 32))
+    parser.add_argument("--grid", type=fraction, default=Fraction(1, 32))
     parser.add_argument("--tol", type=float, default=1e-6)
     parser.add_argument("--budget", type=int, default=100_000)
 
@@ -115,7 +115,7 @@ def _cmd_translate(args) -> int:
 
 
 def _parse_s(text: str) -> SConstant:
-    return SConstant.from_fraction(Fraction(text))
+    return SConstant.from_fraction(fraction(text))
 
 
 def _cmd_tq5(args) -> int:

@@ -18,12 +18,15 @@ disk-boundary samples, refinement by coordinate descent, feasibility
 kept honest by only reporting values measured at points whose constraint
 residual is essentially zero.
 
-Both searches evaluate through one function generated per call from one
+Both searches evaluate through functions generated per call from one
 template table of the connectives: in floats for the relevance search,
 computing the constraint residual and f's value together, bit-identical
 to the pair recursion in floats; in exact integers over a common
-denominator for the pool search.  ``eval_prob`` is the exact reference
-and ``eval_bloch`` the oracle.
+denominator for the pool search.  In floats the seed screen and each
+line search of the descent, with the evaluation budget and the records
+of the best points, run inside the generated functions; the descent and
+its choice of starts stay in Python.  ``eval_prob`` is the exact
+reference and ``eval_bloch`` the oracle.
 """
 
 from __future__ import annotations
@@ -31,10 +34,12 @@ from __future__ import annotations
 import functools
 import math
 import random
+import types
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
+    fraction,
     mv_implies,
     mv_join,
     mv_meet,
@@ -223,10 +228,79 @@ _TEMPLATES = {
 }
 
 
+# The relevance search's two inner loops, written around the float body of
+# _evaluator_source: one line search of coordinate ci, and the seed
+# screen.  Each evaluation of the point x runs _POINT: it stops when the
+# budget ``left`` is spent, then keeps the least objective among points of
+# residual at most _STRICT_RESIDUAL, (sobj, sx), and the least (residual,
+# objective) among points of residual below tol, (lres, lobj, lx), each
+# with a copy of x.  {at2} and {at3} are evaluations at that depth.
+_POINT = """\
+if used == left: return used, True, (sobj, sx, lres, lobj, lx)
+used += 1
+{coords}= x
+{body}
+if r <= {strict!r} and (sx is None or o < sobj): sobj, sx = o, x.copy()
+if r < tol and (lx is None or r < lres or r == lres and o < lobj): lres, lobj, lx = r, o, x.copy()"""
+
+# A line search scores the point x[ci] = v lexicographically.  In phase A
+# the centring tie-break moves toward 1/2 where the residual is flat, so
+# the disk leaves the partner coordinate full room; in phase B a point
+# above the guard residual loses to every point within it.
+_SCORE = """\
+if phase_a: s0, s1, s2 = r, o, abs(v - 0.5)
+elif r <= guard: s0, s1, s2 = 0.0, o, abs(v - 0.5)
+else: s0, s1, s2 = 1.0, r, 0.0"""
+
+# The line search runs in stages: the first point, the clamped x[ci]; each
+# round, nine evenly spaced points of [lo, hi] and best_v rounded to 1/64,
+# then [lo, hi] narrowed to best_v +- step; the last point, best_v again.
+# A point replaces best_v only when its score is strictly less.
+_LINE_SEARCH = """\
+def line_search(x, ci, lo, hi, phase_a, guard, left, tol, records):
+    sobj, sx, lres, lobj, lx = records
+    used = stage = 0
+    width = hi - lo
+    candidates = [min(max(x[ci], lo), hi)]
+    while True:
+        for v in candidates:
+            {at3}
+            if used == 1 or s0 < b0 or s0 == b0 and (s1 < b1 or s1 == b1 and s2 < b2):
+                b0, b1, b2, best_v = s0, s1, s2, v
+        if stage == 2:
+            return used, False, (sobj, sx, lres, lobj, lx)
+        if stage == 1:
+            lo = max(lo, best_v - step)
+            hi = min(hi, best_v + step)
+            width = hi - lo
+        if width > tol / 4.0:
+            stage, step = 1, width / 8.0
+            candidates = [lo + k * step for k in range(9)]
+            candidates.append(min(max(round(best_v * 64.0) / 64.0, lo), hi))
+        else:
+            stage, candidates = 2, [best_v]
+"""
+
+_SCREEN = """\
+def screen(seeds, scored, left, tol, records):
+    sobj, sx, lres, lobj, lx = records
+    used = 0
+    for x in seeds:
+        {at2}
+        scored.append((r, o, used - 1))
+    return used, False, (sobj, sx, lres, lobj, lx)
+"""
+
+
+def _at(lines, depth: int) -> str:
+    """Statements joined for a template slot ``depth`` levels deep."""
+    return ("\n" + "    " * depth).join(lines)
+
+
 def _evaluator_source(
     objective: Formula | None, members, pos: dict[str, int], den: int | None = None
 ) -> str:
-    """The source of the function ``_float_evaluator`` compiles.
+    """The source of the functions ``_evaluators`` compiles.
 
     Atom k sits at ``pos[name] = 2k``; its u and w are the coordinates
     ``x{2k}`` and ``x{2k + 1}``.  Only the component each node needs is
@@ -235,11 +309,23 @@ def _evaluator_source(
     The source holds coordinates, temporaries, number literals and the
     fixed templates above, never text from a formula.
 
-    Without ``den``: ``evaluate(x)`` over a flat float vector returns
-    (residual, value of objective).  The residual is max(0.0, 1.0 - value
-    of each member), folded in member order; the value of a missing
-    objective is None.  It does the float operations of the pair
+    Without ``den``: floats, in a body that leaves the residual in ``r``
+    and the objective's value in ``o``.  The residual is max(0.0, 1.0 -
+    value of each member), folded in member order; the value of a missing
+    objective is None.  The body does the float operations of the pair
     recursion in the same order, so its results are bit-identical to it.
+    It is written into three functions:
+
+    - ``evaluate(x)`` over a flat float vector returns (r, o);
+    - ``line_search(x, ci, lo, hi, phase_a, guard, left, tol, records)``
+      narrows coordinate ci within [lo, hi], leaving the best point in
+      ``x[ci]``;
+    - ``screen(seeds, scored, left, tol, records)`` appends (r, o, index)
+      to ``scored`` for each seed in order.
+
+    Both of the last two evaluate at most ``left`` points, keep the
+    records ``(sobj, sx, lres, lobj, lx)`` of ``_POINT``, and return
+    (evaluations, budget exhausted, records).
 
     With ``den``: exact integers.  A value is ``num / den**e``, with e
     tracked here per node: ``.`` adds exponents, and the other
@@ -251,7 +337,7 @@ def _evaluator_source(
     It is a generator of the indices i at which every member, in order,
     is exactly 1 and the objective, if any, is below 1.
     """
-    lines: list[str] = []
+    lines: list[str] = ["r = 0.0"] if den is None else []
     reads: set[int] = set()
 
     def literal(value, e: int = 1) -> str:
@@ -295,19 +381,24 @@ def _evaluator_source(
             _TEMPLATES[g.op], a=operand(a, ea), b=operand(b, eb), one=literal(1, e), zero=literal(0, e)
         ), e
 
-    residual = "0.0"
     for beta in members:
         value, e = emit(beta, False)
         if den is None:
-            lines.append(f"d = 1.0 - {value}; r = d if d > {residual} else {residual}")
-            residual = "r"
+            lines.append(f"d = 1.0 - {value}; r = d if d > r else r")
         else:
             lines.append(f"if {operand(value, e)} != {den**e}: continue")
     value, e = ("None", 0) if objective is None else emit(objective, False)
     if den is None:
+        lines.append(f"o = {value}")
         coords = "".join(f"x{i}, " for i in range(2 * len(pos)))
-        body = "".join(f"    {line}\n" for line in lines)
-        return f"def evaluate(x):\n    {coords}= x\n{body}    return {residual}, {value}\n"
+        point = _POINT.format(coords=coords, body="\n".join(lines), strict=_STRICT_RESIDUAL).split("\n")
+        scored = ["x[ci] = v", *point, *_SCORE.split("\n")]
+        evaluate = f"def evaluate(x):\n    {_at([f'{coords}= x', *lines, 'return r, o'], 1)}\n"
+        return "".join((
+            evaluate,
+            _LINE_SEARCH.format(at3=_at(scored, 3)),
+            _SCREEN.format(at2=_at(point, 2)),
+        ))
     if objective is not None:
         lines.append(f"if {operand(value, e)} < {den**e}: yield i")
     else:
@@ -318,17 +409,19 @@ def _evaluator_source(
     return f"def evaluate(m, pool, picks):\n    for i,{coords} in zip(range(m){columns}):\n{body}"
 
 
-def _float_evaluator(
+def _evaluators(
     objective: Formula | None, members, pos: dict[str, int], den: int | None = None
-):
-    """The one generated evaluator behind the searches; see ``_evaluator_source``.
+) -> types.SimpleNamespace:
+    """The functions generated for one search; see ``_evaluator_source``.
 
-    In floats (no ``den``) for the relevance search, in exact integers
-    over ``den`` for the pool search behind tautology and model search.
+    In floats (no ``den``) for the relevance search: ``evaluate``,
+    ``line_search`` and ``screen``.  In exact integers over ``den`` for
+    the pool search behind tautology and model search: ``evaluate``.
     """
     namespace: dict = {}
     exec(_evaluator_source(objective, members, pos, den), namespace)
-    return namespace["evaluate"]
+    del namespace["__builtins__"]
+    return types.SimpleNamespace(**namespace)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +544,7 @@ class PoolSearch:
         for k, name in enumerate(self.names if n > 1 else ()):
             own = [beta for beta in self.members if formula_atoms(beta) == {name}]
             if own:
-                narrow = _float_evaluator(None, own, {name: 0}, self.den)
+                narrow = _evaluators(None, own, {name: 0}, self.den).evaluate
                 allowed[k] = tuple(narrow(size, self.lifted, [range(size)]))
         sizes = [len(points) for points in allowed]
         exhaustive = n <= 1 or math.prod(sizes) <= budget
@@ -459,7 +552,7 @@ class PoolSearch:
         strides = [math.prod(sizes[:k]) for k in range(n)]
         rng = random.Random(seed)
         pos = {name: 2 * k for k, name in enumerate(self.names)}
-        screen = _float_evaluator(self.objective, self.members, pos, self.den)
+        screen = _evaluators(self.objective, self.members, pos, self.den).evaluate
 
         self.screened = 0
         start, batch = 0, size
@@ -516,6 +609,15 @@ class RelevanceOptions:
     budget: int = 100_000
     seed: int = 0
 
+    def validate(self) -> None:
+        """Raise ``ValueError`` unless budget >= 1, 0 < grid <= 1 and tol is finite and positive."""
+        if self.budget < 1:
+            raise ValueError(f"budget must be at least 1, got {self.budget}")
+        if not 0 < self.grid <= 1:
+            raise ValueError(f"grid must be in (0, 1], got {self.grid}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
+
 
 @dataclass
 class RelevanceResult:
@@ -567,10 +669,13 @@ def relevance_degree(
     the constraint residual 1 - min over members.  Infeasibility (no seed
     reaches residual below tol) reports the ``infeasible`` status and the
     exact value 1; an exhausted budget reports ``tolerance-limited`` with
-    the best bound found.  Every point is evaluated by one function that
-    ``_float_evaluator`` generates for this call.
+    the best bound found.  The seed screen, each line search of the
+    descent and every evaluation run in the functions ``_evaluators``
+    generates for this call; the descent and the choice of its starts are
+    here.  Raises ``ValueError`` for options that ``validate`` rejects.
     """
     opts = options or RelevanceOptions()
+    opts.validate()
     names = sorted(formula_atoms(alpha) | theory.atoms())
 
     if not names:
@@ -581,89 +686,44 @@ def relevance_degree(
         return RelevanceResult(Fraction(1), "infeasible", None, len(theory) + 1)
 
     pos = {name: 2 * k for k, name in enumerate(names)}
-    values = _float_evaluator(alpha, theory.members, pos)
+    search = _evaluators(alpha, theory.members, pos)
+    evaluate = search.evaluate
     budget, tol = opts.budget, opts.tol
+    # The best strictly feasible (objective, point) and the best loosely
+    # feasible (residual, objective, point), as the generated loops keep them.
+    records = (None, None, None, None, None)
 
-    evals = 0
-    best_strict = None  # (objective, x)
-    best_loose = None  # (residual, objective, x), least by (residual, objective)
-
-    def evaluate(x: list[float]) -> tuple[float, float]:
-        nonlocal evals, best_strict, best_loose
-        if evals >= budget:
-            raise _BudgetExhausted
-        evals += 1
-        residual, obj = values(x)
-        if residual <= _STRICT_RESIDUAL and (best_strict is None or obj < best_strict[0]):
-            best_strict = (obj, list(x))
-        if residual < tol and (
-            best_loose is None
-            or residual < best_loose[0]
-            or (residual == best_loose[0] and obj < best_loose[1])
-        ):
-            best_loose = (residual, obj, list(x))
-        return residual, obj
-
-    def line_search(x: list[float], ci: int, phase_a: bool, guard: float):
-        partner = x[ci + 1] if ci % 2 == 0 else x[ci - 1]
-        lo, hi = _disk_interval(partner)
-        width = hi - lo
-
-        def score(v: float):
-            x[ci] = v
-            residual, obj = evaluate(x)
-            if phase_a:
-                # Centring tie-break: where the residual is flat, move
-                # toward 1/2 so the disk leaves the partner full room.
-                return (residual, obj, abs(v - 0.5))
-            if residual <= guard:
-                return (0.0, obj, abs(v - 0.5))
-            return (1.0, residual, 0.0)
-
-        best_v = min(max(x[ci], lo), hi)
-        best_s = score(best_v)
-        while width > opts.tol / 4.0:
-            step = width / 8.0
-            candidates = [lo + k * step for k in range(9)]
-            candidates.append(min(max(round(best_v * 64.0) / 64.0, lo), hi))
-            for v in candidates:
-                s = score(v)
-                if s < best_s:
-                    best_s, best_v = s, v
-            lo = max(lo, best_v - step)
-            hi = min(hi, best_v + step)
-            width = hi - lo
-        x[ci] = best_v
-        score(best_v)
-
-    def residual_of(x) -> float:
-        return values(x)[0]
+    def sweep(x: list[float], phase_a: bool, guard: float):
+        # One line search per coordinate, within the disk its partner allows.
+        nonlocal evals, records
+        for ci in range(len(x)):
+            lo, hi = _disk_interval(x[ci ^ 1])
+            used, exhausted, records = search.line_search(x, ci, lo, hi, phase_a, guard, budget - evals, tol, records)
+            evals += used
+            if exhausted:
+                raise _BudgetExhausted
 
     def descend(x: list[float]):
         # Phase A: drive the constraint residual to (float) zero.
         for _ in range(12):
-            before = residual_of(x)
+            before = evaluate(x)[0]
             if before <= 1e-15:
                 break
-            for ci in range(len(x)):
-                line_search(x, ci, phase_a=True, guard=0.0)
-            if before - residual_of(x) <= 1e-16:
+            sweep(x, True, 0.0)
+            if before - evaluate(x)[0] <= 1e-16:
                 break
-        guard = max(_STRICT_RESIDUAL, residual_of(x))
-        if guard >= opts.tol:
+        guard = max(_STRICT_RESIDUAL, evaluate(x)[0])
+        if guard >= tol:
             return
         # Phase B: improve the objective without leaving feasibility.
         for _ in range(12):
-            before = values(x)[1]
-            for ci in range(len(x)):
-                line_search(x, ci, phase_a=False, guard=guard)
-            if before - values(x)[1] <= opts.tol / 10.0:
+            before = evaluate(x)[1]
+            sweep(x, False, guard)
+            if before - evaluate(x)[1] <= tol / 10.0:
                 break
 
     pool = _float_pool(opts.grid)
-    seeds: list[list[float]] = []
-    for point in pool:
-        seeds.append([c for _ in names for c in point])
+    seeds = [list(point) * len(names) for point in pool]
     if len(names) > 1:
         rng = random.Random(opts.seed)
         for _ in range(128):
@@ -672,12 +732,9 @@ def relevance_degree(
                 seed_x.extend(pool[rng.randrange(len(pool))])
             seeds.append(seed_x)
 
-    exhausted = False
-    try:
-        scored = []
-        for idx, x in enumerate(seeds):
-            residual, obj = evaluate(x)
-            scored.append((residual, obj, idx))
+    scored: list[tuple[float, float, int]] = []
+    evals, exhausted, records = search.screen(seeds, scored, budget, tol, records)
+    if not exhausted:
         by_residual = sorted(scored)[:12]
         by_objective = sorted(
             ((obj, residual, idx) for residual, obj, idx in scored if residual <= 0.5)
@@ -689,24 +746,23 @@ def relevance_degree(
         for _, _, idx in by_objective:
             if idx not in start_ids:
                 start_ids.append(idx)
-        for idx in start_ids:
-            descend(list(seeds[idx]))
-    except _BudgetExhausted:
-        exhausted = True
+        try:
+            for idx in start_ids:
+                descend(list(seeds[idx]))
+        except _BudgetExhausted:
+            exhausted = True
 
     def to_model(x: list[float]) -> ReducedModel:
         return ReducedModel(
             {name: (Fraction(x[pos[name]]), Fraction(x[pos[name] + 1])) for name in names}
         )
 
-    if best_strict is not None:
-        obj, x = best_strict
-        status = "tolerance-limited" if exhausted else "feasible"
-        return RelevanceResult(obj, status, to_model(x), evals)
-    if best_loose is not None:
-        _, obj, x = best_loose
-        status = "tolerance-limited" if exhausted else "feasible"
-        return RelevanceResult(obj, status, to_model(x), evals)
+    strict_obj, strict_x, _, loose_obj, loose_x = records
+    status = "tolerance-limited" if exhausted else "feasible"
+    if strict_x is not None:
+        return RelevanceResult(strict_obj, status, to_model(strict_x), evals)
+    if loose_x is not None:
+        return RelevanceResult(loose_obj, status, to_model(loose_x), evals)
     if exhausted:
         return RelevanceResult(Fraction(1), "tolerance-limited", None, evals)
     return RelevanceResult(Fraction(1), "infeasible", None, evals)
@@ -766,7 +822,7 @@ def parse_model_text(text: str) -> ReducedModel:
         if len(parts) != 3:
             raise ValueError(f"model line {lineno}: expected 'atom u w'")
         name, u_text, w_text = parts
-        pairs[name] = (Fraction(u_text), Fraction(w_text))
+        pairs[name] = (fraction(u_text), fraction(w_text))
     return ReducedModel(pairs)
 
 

@@ -1,24 +1,27 @@
 import ast
+import math
 import random
 import re
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-from iqcl import semantics
 from iqcl.algebra import SConstant
 from iqcl.qmix import BlochQmix, P1
 from iqcl.semantics import (
     PoolSearch,
     RelevanceOptions,
+    RelevanceResult,
     ReducedModel,
     TautologyReport,
     Theory,
     UnassignedAtomError,
     _CHUNK,
+    _STRICT_RESIDUAL,
+    _disk_interval,
     _evaluator_source,
-    _float_evaluator,
+    _evaluators,
+    _float_pool,
     _in_disk,
     _pool_numerators,
     _rational_disk_pool,
@@ -242,7 +245,7 @@ def test_screen_matches_eval_prob():
             exact = [eval_prob(m, g)[0] for m in models]
             assert _screen_values(g, pos, den, lifted, picks) == exact
             below = [i for i, v in enumerate(exact) if v < 1]
-            assert list(_float_evaluator(g, (), pos, den)(20, lifted, picks)) == below
+            assert list(_evaluators(g, (), pos, den).evaluate(20, lifted, picks)) == below
 
 
 def test_screen_with_members_matches_is_model_of():
@@ -270,7 +273,7 @@ def test_screen_with_members_matches_is_model_of():
             i for i, m in enumerate(models)
             if is_model_of(m, theory) and (objective is None or eval_prob(m, objective)[0] < 1)
         ]
-        screen = _float_evaluator(objective, theory.members, pos, den)
+        screen = _evaluators(objective, theory.members, pos, den).evaluate
         assert list(screen(len(models), lifted, picks)) == expected, (objective, members)
         yielded += len(expected)
     assert 0 < yielded < 12 * len(models)
@@ -574,7 +577,7 @@ def _compile(f, pos):
 
 
 def reference_float_evaluator(objective, members, pos):
-    """The closure evaluation that _float_evaluator generates code for, behind the same factory."""
+    """The closure evaluation that _evaluators generates code for, as ``evaluate(x) -> (residual, objective)``."""
     objective_fn = None if objective is None else _compile(objective, pos)
     constraint_fns = [_compile(beta, pos) for beta in members]
 
@@ -604,7 +607,7 @@ def test_float_evaluator_bit_identical_to_closures():
 
         objective = rng.choice((None, formula()))
         members = [formula() for _ in range(rng.randint(0, 3))]
-        generated = _float_evaluator(objective, members, pos)
+        generated = _evaluators(objective, members, pos).evaluate
         reference = reference_float_evaluator(objective, members, pos)
         for _ in range(20):
             x = []
@@ -618,9 +621,18 @@ def test_float_evaluator_bit_identical_to_closures():
 
 def test_generated_source_holds_no_formula_text():
     # Atom names that are Python names must not reach the source that is
-    # exec'd: only coordinates, temporaries, fixed locals and builtins, and
-    # number literals (None for a missing objective).
-    fixed = {"x", "d", "r", "i", "m", "pool", "picks", "zip", "range", "map"}
+    # exec'd: only the three fixed functions, coordinates, temporaries,
+    # fixed locals and builtins, the list methods copy and append, and
+    # number literals (None for a missing objective, True and False for
+    # the budget flag).
+    functions = {"evaluate", "line_search", "screen"}
+    fixed = {
+        "x", "d", "r", "o", "i", "m", "pool", "picks", "zip", "range", "map",
+        "ci", "lo", "hi", "phase_a", "guard", "left", "tol", "records", "seeds", "scored",
+        "used", "stage", "width", "step", "candidates", "k", "v", "best_v",
+        "sobj", "sx", "lres", "lobj", "lx", "s0", "s1", "s2", "b0", "b1", "b2",
+        "min", "max", "abs", "round",
+    }
     rng = random.Random(214)
     names = ("exec", "open", "os")
     pos = {name: 2 * k for k, name in enumerate(names)}
@@ -630,48 +642,247 @@ def test_generated_source_holds_no_formula_text():
         for source in (_evaluator_source(rng.choice((None, objective)), members, pos),
                        _evaluator_source(rng.choice((None, objective)), members, pos, 680 * 2**7)):
             for node in ast.walk(ast.parse(source)):
-                if isinstance(node, ast.Name):
+                if isinstance(node, ast.FunctionDef):
+                    assert node.name in functions, source
+                elif isinstance(node, ast.arg):
+                    assert node.arg in fixed, (node.arg, source)
+                elif isinstance(node, ast.Name):
                     assert re.fullmatch(r"[xt]\d+", node.id) or node.id in fixed, (node.id, source)
                 elif isinstance(node, ast.Constant):
-                    assert node.value is None or type(node.value) in (int, float), (node.value, source)
+                    assert node.value is None or type(node.value) in (bool, int, float), (node.value, source)
                 elif isinstance(node, ast.Attribute):
-                    assert node.attr == "__getitem__", source
+                    assert node.attr in ("__getitem__", "copy", "append"), source
 
 
-@pytest.fixture
-def workloads(monkeypatch):
-    # The benchmark's closed-form relevance corpus.
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    import workloads
-
-    return workloads
+class _BudgetExhausted(Exception):
+    pass
 
 
-def _relevance_both_ways(monkeypatch, theory, alpha, options):
+def reference_relevance_degree(theory, alpha, options=None) -> RelevanceResult:
+    """The relevance search as Python closures over ``reference_float_evaluator``.
+
+    One Python call per evaluation, per score and per line search, as the
+    search was written before its loops moved into the generated
+    functions; ``relevance_degree`` must agree with it in every bit.
+    """
+    opts = options or RelevanceOptions()
+    names = sorted(atoms(alpha) | theory.atoms())
+
+    if not names:
+        empty = ReducedModel({})
+        feasible = all(eval_prob(empty, beta)[0] == 1 for beta in theory)
+        if feasible:
+            return RelevanceResult(eval_prob(empty, alpha)[0], "feasible", empty, len(theory) + 1)
+        return RelevanceResult(Fraction(1), "infeasible", None, len(theory) + 1)
+
+    pos = {name: 2 * k for k, name in enumerate(names)}
+    values = reference_float_evaluator(alpha, theory.members, pos)
+    budget, tol = opts.budget, opts.tol
+
+    evals = 0
+    best_strict = None  # (objective, x)
+    best_loose = None  # (residual, objective, x), least by (residual, objective)
+
+    def evaluate(x):
+        nonlocal evals, best_strict, best_loose
+        if evals >= budget:
+            raise _BudgetExhausted
+        evals += 1
+        residual, obj = values(x)
+        if residual <= _STRICT_RESIDUAL and (best_strict is None or obj < best_strict[0]):
+            best_strict = (obj, list(x))
+        if residual < tol and (
+            best_loose is None
+            or residual < best_loose[0]
+            or (residual == best_loose[0] and obj < best_loose[1])
+        ):
+            best_loose = (residual, obj, list(x))
+        return residual, obj
+
+    def line_search(x, ci, phase_a, guard):
+        partner = x[ci + 1] if ci % 2 == 0 else x[ci - 1]
+        lo, hi = _disk_interval(partner)
+        width = hi - lo
+
+        def score(v):
+            x[ci] = v
+            residual, obj = evaluate(x)
+            if phase_a:
+                return (residual, obj, abs(v - 0.5))
+            if residual <= guard:
+                return (0.0, obj, abs(v - 0.5))
+            return (1.0, residual, 0.0)
+
+        best_v = min(max(x[ci], lo), hi)
+        best_s = score(best_v)
+        while width > opts.tol / 4.0:
+            step = width / 8.0
+            candidates = [lo + k * step for k in range(9)]
+            candidates.append(min(max(round(best_v * 64.0) / 64.0, lo), hi))
+            for v in candidates:
+                s = score(v)
+                if s < best_s:
+                    best_s, best_v = s, v
+            lo = max(lo, best_v - step)
+            hi = min(hi, best_v + step)
+            width = hi - lo
+        x[ci] = best_v
+        score(best_v)
+
+    def residual_of(x):
+        return values(x)[0]
+
+    def descend(x):
+        for _ in range(12):
+            before = residual_of(x)
+            if before <= 1e-15:
+                break
+            for ci in range(len(x)):
+                line_search(x, ci, phase_a=True, guard=0.0)
+            if before - residual_of(x) <= 1e-16:
+                break
+        guard = max(_STRICT_RESIDUAL, residual_of(x))
+        if guard >= opts.tol:
+            return
+        for _ in range(12):
+            before = values(x)[1]
+            for ci in range(len(x)):
+                line_search(x, ci, phase_a=False, guard=guard)
+            if before - values(x)[1] <= opts.tol / 10.0:
+                break
+
+    pool = _float_pool(opts.grid)
+    seeds = []
+    for point in pool:
+        seeds.append([c for _ in names for c in point])
+    if len(names) > 1:
+        rng = random.Random(opts.seed)
+        for _ in range(128):
+            seed_x = []
+            for _ in names:
+                seed_x.extend(pool[rng.randrange(len(pool))])
+            seeds.append(seed_x)
+
+    exhausted = False
+    try:
+        scored = []
+        for idx, x in enumerate(seeds):
+            residual, obj = evaluate(x)
+            scored.append((residual, obj, idx))
+        by_residual = sorted(scored)[:12]
+        by_objective = sorted(
+            ((obj, residual, idx) for residual, obj, idx in scored if residual <= 0.5)
+        )[:12]
+        start_ids = []
+        for _, _, idx in by_residual:
+            if idx not in start_ids:
+                start_ids.append(idx)
+        for _, _, idx in by_objective:
+            if idx not in start_ids:
+                start_ids.append(idx)
+        for idx in start_ids:
+            descend(list(seeds[idx]))
+    except _BudgetExhausted:
+        exhausted = True
+
+    def to_model(x):
+        return ReducedModel(
+            {name: (Fraction(x[pos[name]]), Fraction(x[pos[name] + 1])) for name in names}
+        )
+
+    if best_strict is not None:
+        obj, x = best_strict
+        status = "tolerance-limited" if exhausted else "feasible"
+        return RelevanceResult(obj, status, to_model(x), evals)
+    if best_loose is not None:
+        _, obj, x = best_loose
+        status = "tolerance-limited" if exhausted else "feasible"
+        return RelevanceResult(obj, status, to_model(x), evals)
+    if exhausted:
+        return RelevanceResult(Fraction(1), "tolerance-limited", None, evals)
+    return RelevanceResult(Fraction(1), "infeasible", None, evals)
+
+
+def _assert_matches_reference(theory, alpha, options):
     result = relevance_degree(theory, alpha, options)
-    with monkeypatch.context() as patch:
-        patch.setattr(semantics, "_float_evaluator", reference_float_evaluator)
-        expected = relevance_degree(theory, alpha, options)
-    return result, expected
+    expected = reference_relevance_degree(theory, alpha, options)
+    assert result == expected, (theory, alpha, options)
+    assert repr(result.value) == repr(expected.value)
+    return result
 
 
 @pytest.mark.parametrize("grid", [Fraction(1, 32), Fraction(1, 64)])
-def test_relevance_matches_closure_reference(workloads, monkeypatch, grid):
+def test_relevance_matches_closure_reference(workloads, grid):
     rows = workloads.relevance_rows(random.Random(5))
     assert len(rows) == 14
     for theory, formula, _ in rows:
-        T = Theory([parse(line) for line in theory])
-        result, expected = _relevance_both_ways(monkeypatch, T, parse(formula), RelevanceOptions(grid=grid))
-        assert result == expected, (theory, formula)
-        assert repr(result.value) == repr(expected.value)
+        _assert_matches_reference(Theory([parse(line) for line in theory]), parse(formula), RelevanceOptions(grid=grid))
 
 
-def test_relevance_budget_limited_matches_closure_reference(monkeypatch):
-    T = Theory([parse("3/4 -> p"), parse("p -> q"), parse("q . r -> p")])
-    for budget in (500, 3000):
-        result, expected = _relevance_both_ways(monkeypatch, T, parse("?q + r"), RelevanceOptions(budget=budget))
-        assert result.status == "tolerance-limited"
-        assert result == expected
+def test_relevance_random_theories_match_closure_reference():
+    # A coarse tol stops the descent at a residual above _STRICT_RESIDUAL,
+    # so phase B starts at its guard and only loose records are kept.
+    rng = random.Random(217)
+    statuses = set()
+    for _ in range(40):
+        names = ("p", "q", "r")[: rng.randint(1, 3)]
+        members = [random_formula(rng, names, depth=rng.randint(0, 3)) for _ in range(rng.randint(0, 3))]
+        alpha = random_formula(rng, names, depth=rng.randint(1, 4))
+        options = RelevanceOptions(grid=Fraction(1, 16), tol=rng.choice((1e-6, 1e-2, 1e-1)), seed=rng.randrange(4))
+        statuses.add(_assert_matches_reference(Theory(members), alpha, options).status)
+    assert statuses == {"feasible", "infeasible"}
+
+
+def test_relevance_loose_records_match_closure_reference():
+    # With p . q pinned to 1/2 no point reaches a residual of
+    # _STRICT_RESIDUAL, so the answer is the loose record, and at grid
+    # 1/8 points tie on its (residual, objective).
+    theory = Theory([parse("p . q -> 1/2"), parse("1/2 -> p . q")])
+    for grid in (Fraction(1, 8), Fraction(1, 32)):
+        _assert_matches_reference(theory, parse("p"), RelevanceOptions(grid=grid))
+
+
+def test_relevance_budget_limited_matches_closure_reference():
+    # Budgets that run out at the first seed, at the last seed, one past
+    # the seeds, at each point of the first line search and into its
+    # second round, and deep in the descent.
+    grid = Fraction(1, 32)
+    rows = [
+        (Theory([parse("3/4 -> p"), parse("p -> q"), parse("q . r -> p")]), parse("?q + r")),
+        (Theory([parse("half -> p . q")]), parse("p")),
+        (Theory([parse("p")]), parse("?p")),
+    ]
+    for theory, alpha in rows:
+        full = relevance_degree(theory, alpha, RelevanceOptions(grid=grid)).evaluations
+        seeds = len(_float_pool(grid)) + (128 if len(atoms(alpha) | theory.atoms()) > 1 else 0)
+        for budget in (1, seeds, *range(seeds + 1, seeds + 14), 3000, full - 1, full):
+            result = _assert_matches_reference(theory, alpha, RelevanceOptions(grid=grid, budget=budget))
+            assert result.evaluations == budget
+            assert result.status == ("tolerance-limited" if budget < full else "feasible")
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        RelevanceOptions(budget=0),
+        RelevanceOptions(budget=-3),
+        RelevanceOptions(grid=Fraction(0)),
+        RelevanceOptions(grid=Fraction(-1, 2)),
+        RelevanceOptions(grid=Fraction(3)),
+        RelevanceOptions(tol=0.0),
+        RelevanceOptions(tol=-1.0),
+        RelevanceOptions(tol=math.inf),
+        RelevanceOptions(tol=math.nan),
+    ],
+)
+def test_relevance_rejects_options_that_cannot_work(options):
+    for theory, alpha in ((Theory([parse("p")]), parse("?p")), (Theory([parse("top")]), parse("3/8"))):
+        with pytest.raises(ValueError):
+            relevance_degree(theory, alpha, options)
+
+
+def test_relevance_accepts_grid_one():
+    assert relevance_degree(Theory([parse("p")]), parse("?p"), RelevanceOptions(grid=Fraction(1))).status == "feasible"
 
 
 def test_sample_models_exact():
