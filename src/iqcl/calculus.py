@@ -10,7 +10,9 @@ along equations that change the square-root component of the value pair
 are refused underneath a square root.
 
 Proof steps are justified by an axiom schema, theory membership, or
-modus ponens referring to two earlier steps.  ``ProofBuilder`` carries a
+modus ponens referring to two earlier steps.  An axiom step is matched
+against the schema it names and no other; a membership step that gives
+an index must carry that member of the theory.  ``ProofBuilder`` carries a
 small schematic lemma library (self-implication, exchange, double
 negation, contraposition, residuation) from which ``deduction_transform``
 assembles fully checkable proofs.
@@ -129,15 +131,26 @@ _S_FAMILY = (("S1", ODOT, mv_odot), ("S2", IMPLIES, mv_implies), ("S3", PRODUCT,
 _QUARTER = Const(SConstant(1, 2))
 
 
-def _relate(x: Formula, y: Formula) -> list[tuple[str, dict[str, Formula], bool]]:
-    """Schema instances relating x to y as equation sides (either way)."""
+# The schemata that ``_relate`` recognises.
+_RELATED = frozenset(sid for sid, *_ in _EQUATIONS) | {sid for sid, *_ in _S_FAMILY} | {"Q3", "Q4"}
+
+
+def _relate(
+    x: Formula, y: Formula, schema: str | None
+) -> list[tuple[str, dict[str, Formula], bool]]:
+    """Schema instances relating x to y as equation sides (either way);
+    with ``schema``, only the instances of that one schema."""
     found = []
     for sid, lhs, rhs, pair_exact in _EQUATIONS:
+        if schema not in (None, sid):
+            continue
         for s1, s2 in ((x, y), (y, x)):
             binding: dict[str, Formula] = {}
             if _match(lhs, s1, binding) and _match(rhs, s2, binding):
                 found.append((sid, binding, pair_exact))
     for sid, op, fn in _S_FAMILY:
+        if schema not in (None, sid):
+            continue
         for s1, s2 in ((x, y), (y, x)):
             if (
                 isinstance(s1, Bin)
@@ -151,11 +164,11 @@ def _relate(x: Formula, y: Formula) -> list[tuple[str, dict[str, Formula], bool]
                     found.append((sid, {"r": s1.left, "t": s1.right}, True))
     for s1, s2 in ((x, y), (y, x)):
         if isinstance(s1, Sqrt) and s2 == CHALF:
-            if isinstance(s1.arg, Bin):
+            if isinstance(s1.arg, Bin) and schema in (None, "Q3"):
                 found.append(
                     ("Q3", {"a": s1.arg.left, "b": s1.arg.right}, False)
                 )
-            if isinstance(s1.arg, Const):
+            if isinstance(s1.arg, Const) and schema in (None, "Q4"):
                 found.append(("Q4", {"s": s1.arg}, False))
     return found
 
@@ -204,8 +217,14 @@ def _match_q5(f: Formula) -> dict[str, Formula] | None:
     return {"a": left.right, "s": f.right}
 
 
-def match_axiom(f: Formula) -> list[tuple[str, dict[str, Formula]]]:
-    """All axiom schemata (with substitutions) of which f is an instance."""
+def match_axiom(
+    f: Formula, schema: str | None = None
+) -> list[tuple[str, dict[str, Formula]]]:
+    """All axiom schemata (with substitutions) of which f is an instance.
+
+    With ``schema``, only the matchers of that one schema run, so the
+    result is the full result's entries for that schema.
+    """
     matches: list[tuple[str, dict[str, Formula]]] = []
 
     def add(sid: str, binding: dict[str, Formula]):
@@ -215,11 +234,14 @@ def match_axiom(f: Formula) -> list[tuple[str, dict[str, Formula]]]:
 
     for sid, pattern in _PLAIN_SCHEMATA:
         binding: dict[str, Formula] = {}
-        if _match(pattern, f, binding):
+        if schema in (None, sid) and _match(pattern, f, binding):
             add(sid, binding)
-    q5 = _match_q5(f)
-    if q5 is not None:
-        add("Q5", q5)
+    if schema in (None, "Q5"):
+        q5 = _match_q5(f)
+        if q5 is not None:
+            add("Q5", q5)
+    if schema is not None and schema not in _RELATED:
+        return matches
     if (
         isinstance(f, Bin)
         and f.op == ODOT
@@ -230,13 +252,13 @@ def match_axiom(f: Formula) -> list[tuple[str, dict[str, Formula]]]:
         and f.left.left == f.right.right
         and f.left.right == f.right.left
     ):
-        for sid, binding, _ in _relate(f.left.left, f.left.right):
+        for sid, binding, _ in _relate(f.left.left, f.left.right, schema):
             add(sid, binding)
     if isinstance(f, Bin) and f.op == IMPLIES:
         d = _diff(f.left, f.right)
         if d is not None:
             sub_x, sub_y, under_sqrt = d
-            for sid, binding, pair_exact in _relate(sub_x, sub_y):
+            for sid, binding, pair_exact in _relate(sub_x, sub_y, schema):
                 if under_sqrt and not pair_exact:
                     continue
                 add(sid, binding)
@@ -301,10 +323,10 @@ def format_justification(j: Justification) -> str:
 
 
 def format_proof(proof: Proof) -> str:
-    lines = []
+    lines, memo = [], {}  # one memo for the proof: see syntax.print_formula
     for n, step in enumerate(proof.steps, start=1):
         lines.append(
-            f"{n}: {print_formula(step.formula)} [{format_justification(step.justification)}]"
+            f"{n}: {print_formula(step.formula, memo)} [{format_justification(step.justification)}]"
         )
     return "\n".join(lines) + "\n"
 
@@ -314,6 +336,7 @@ _STEP_RE = re.compile(r"\s*(\d+):\s*(.*?)\s*\[([^\]]*)\]\s*$")
 
 def parse_proof(text: str) -> Proof:
     steps: list[ProofStep] = []
+    memo: dict = {}  # one node table for the file: see syntax.parse_span
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         if not line.strip():
@@ -326,7 +349,7 @@ def parse_proof(text: str) -> Proof:
             raise ProofError(
                 None, f"line {lineno}: step number {number}, expected {len(steps) + 1}"
             )
-        formula = parse_span(raw, m.start(2), m.end(2), lineno)
+        formula = parse_span(raw, m.start(2), m.end(2), lineno, memo)
         tokens = just_text.split()
         if not tokens:
             raise ProofError(None, f"line {lineno}: empty justification")
@@ -362,12 +385,16 @@ def check_proof(
         if isinstance(j, AxiomRef):
             if j.schema not in AXIOM_IDS:
                 raise ProofError(n, f"unknown axiom schema {j.schema!r}")
-            if j.schema not in {sid for sid, _ in match_axiom(f)}:
+            if not match_axiom(f, j.schema):
                 raise ProofError(
                     n, f"{print_formula(f)} is not an instance of {j.schema}"
                 )
         elif isinstance(j, MemberRef):
-            if f not in theory:
+            if j.index is not None:
+                i = j.index
+                if not (1 <= i <= len(theory.members) and theory.members[i - 1] == f):
+                    raise ProofError(n, f"{print_formula(f)} is not member {i} of the theory")
+            elif f not in theory:
                 raise ProofError(n, f"{print_formula(f)} is not a member of the theory")
         elif isinstance(j, MpRef):
             if not (1 <= j.minor < n and 1 <= j.major < n):

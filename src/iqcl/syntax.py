@@ -16,12 +16,19 @@ nodes; only ``<->`` is surface sugar.
 
 Theory files are newline-separated formulas; ``#`` starts a comment and
 blank lines are ignored.
+
+Formulas are immutable values, equal and hashed by structure; each
+compound node stores its hash.  Nodes are shared within one parse: one
+call of ``parse`` or ``parse_theory_text`` (and of
+``calculus.parse_proof``) returns equal subterms as one object, however
+many lines they occur on.  The table that does this lives only for the
+call.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from typing import Union
@@ -38,35 +45,68 @@ JOIN = "|"
 BINARY_OPS = (PRODUCT, ODOT, OPLUS, MEET, JOIN, IMPLIES)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const:
     value: SConstant
 
 
-@dataclass(frozen=True)
-class Neg:
+class _Compound:
+    """Base of the compound nodes.
+
+    Each works out its structural hash once, from its children's stored
+    hashes, so hashing a formula never walks it.  Pickling rebuilds a node
+    from its fields, so a process that loads one works the hash out anew.
+    """
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
+@dataclass(frozen=True, slots=True)
+class Neg(_Compound):
     arg: "Formula"
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((Neg, self.arg)))
+
+    def __hash__(self):
+        return self._hash
 
 
-@dataclass(frozen=True)
-class Sqrt:
+@dataclass(frozen=True, slots=True)
+class Sqrt(_Compound):
     arg: "Formula"
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((Sqrt, self.arg)))
+
+    def __hash__(self):
+        return self._hash
 
 
-@dataclass(frozen=True)
-class Bin:
+@dataclass(frozen=True, slots=True)
+class Bin(_Compound):
     op: str
     left: "Formula"
     right: "Formula"
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.op not in BINARY_OPS:
             raise ValueError(f"unknown binary connective: {self.op!r}")
+        object.__setattr__(self, "_hash", hash((self.op, self.left, self.right)))
+
+    def __hash__(self):
+        return self._hash
 
 
 Formula = Union[Atom, Const, Neg, Sqrt, Bin]
@@ -107,10 +147,17 @@ class _Parser:
 
     Tokens are plain strings.  Offsets, lines and columns are worked out
     only when a ``ParseError`` is raised.
+
+    Every node comes from ``memo``, so equal subterms come back as one
+    object.  A leaf is keyed by its token, a compound node by its
+    connective and the ids of its children.  An id is safe as a key
+    because each keyed child is itself a node in the memo, and so stays
+    alive for as long as the memo does.
     """
 
-    def __init__(self, text: str, start: int, end: int, line: int):
+    def __init__(self, text: str, start: int, end: int, line: int, memo: dict):
         self.text, self.start, self.end, self.line = text, start, end, line
+        self.memo = memo
         self.tokens = _TOKEN_RE.findall(text, start, end)
         self.pos = 0
         if len("".join(self.tokens)) != len("".join(text[start:end].split())):
@@ -132,20 +179,29 @@ class _Parser:
         matches = _TOKEN_RE.finditer(self.text, self.start, self.end)
         self.fail(message, next(islice(matches, index, None)).start())
 
+    def bin(self, op: str, left: Formula, right: Formula) -> Formula:
+        key = (op, id(left), id(right))
+        return self.memo.get(key) or self.memo.setdefault(key, Bin(op, left, right))
+
     def expr(self, min_level: int) -> Formula:
         """One operand, then every connective that binds at ``min_level`` or tighter."""
-        tokens = self.tokens
+        tokens, memo = self.tokens, self.memo
         tok = tokens[self.pos]
         self.pos += 1
-        if tok.isidentifier():
-            left = _ALIASES.get(tok) or Atom(tok)
+        left = memo.get(tok)
+        if left is not None:
+            pass
+        elif tok.isidentifier():
+            left = memo[tok] = _ALIASES.get(tok) or Atom(tok)
         elif tok == "(":
             left = self.expr(0)
             if tokens[self.pos] != ")":
                 self.fail_at_token("expected ')'", self.pos)
             self.pos += 1
         elif tok in _UNARY:
-            left = _UNARY[tok](self.expr(_UNARY_LEVEL))
+            arg = self.expr(_UNARY_LEVEL)
+            key = (tok, id(arg))
+            left = memo.get(key) or memo.setdefault(key, _UNARY[tok](arg))
         elif tok[:1].isdigit():
             num, _, den = tok.partition("/")
             try:
@@ -154,6 +210,7 @@ class _Parser:
                 self.fail_at_token(str(exc), self.pos - 1)
             except ZeroDivisionError:
                 self.fail_at_token(f"zero denominator: {tok}", self.pos - 1)
+            memo[tok] = left
         else:
             self.fail_at_token(f"expected a formula, found {tok or 'end of input'!r}", self.pos - 1)
         while True:
@@ -163,18 +220,20 @@ class _Parser:
             self.pos += 1
             right = self.expr(level if op == IMPLIES else level + 1)
             if level:
-                left = Bin(op, left, right)
+                left = self.bin(op, left, right)
             else:
-                left = Bin(ODOT, Bin(IMPLIES, left, right), Bin(IMPLIES, right, left))
+                left = self.bin(ODOT, self.bin(IMPLIES, left, right), self.bin(IMPLIES, right, left))
 
 
-def parse_span(text: str, start: int, end: int, line: int) -> Formula:
+def parse_span(text: str, start: int, end: int, line: int, memo: dict) -> Formula:
     """Parse ``text[start:end]``, whose text begins on line ``line``.
 
     A ``ParseError`` gives the line and the column in ``text``, so a file
-    reader passes a raw line and the span of its formula.
+    reader passes a raw line and the span of its formula.  ``memo`` is the
+    node table of the whole input: a reader passes one dict for all of
+    its lines, so a subterm shared between lines is one object.
     """
-    parser = _Parser(text, start, end, line)
+    parser = _Parser(text, start, end, line, memo)
     try:
         f = parser.expr(0)
     except RecursionError:
@@ -187,7 +246,7 @@ def parse_span(text: str, start: int, end: int, line: int) -> Formula:
 
 def parse(text: str) -> Formula:
     """Parse concrete syntax into a Formula tree."""
-    return parse_span(text, 0, len(text), 1)
+    return parse_span(text, 0, len(text), 1, {})
 
 
 def _const_text(c: SConstant) -> str:
@@ -200,32 +259,45 @@ def _const_text(c: SConstant) -> str:
     return str(c)
 
 
-def _render(f: Formula, min_level: int) -> str:
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Const):
-        return _const_text(f.value)
-    if isinstance(f, Neg):
-        text, level = "!" + _render(f.arg, _UNARY_LEVEL), _UNARY_LEVEL
-    elif isinstance(f, Sqrt):
-        text, level = "?" + _render(f.arg, _UNARY_LEVEL), _UNARY_LEVEL
-    else:
-        level = _LEVEL[f.op]
-        if f.op == IMPLIES:
-            left = _render(f.left, level + 1)
-            right = _render(f.right, level)
+def _render(f: Formula, min_level: int, memo: dict) -> str:
+    """``f``'s text, in parentheses if it binds looser than ``min_level``.
+
+    ``memo`` maps each subterm rendered so far to its bare text and level,
+    so a subterm that recurs is rendered once.
+    """
+    found = memo.get(f)
+    if found is None:
+        if isinstance(f, Atom):
+            found = f.name, _UNARY_LEVEL
+        elif isinstance(f, Const):
+            found = _const_text(f.value), _UNARY_LEVEL
+        elif isinstance(f, Neg):
+            found = "!" + _render(f.arg, _UNARY_LEVEL, memo), _UNARY_LEVEL
+        elif isinstance(f, Sqrt):
+            found = "?" + _render(f.arg, _UNARY_LEVEL, memo), _UNARY_LEVEL
         else:
-            left = _render(f.left, level)
-            right = _render(f.right, level + 1)
-        text = f"{left} {f.op} {right}"
+            level = _LEVEL[f.op]
+            if f.op == IMPLIES:
+                left = _render(f.left, level + 1, memo)
+                right = _render(f.right, level, memo)
+            else:
+                left = _render(f.left, level, memo)
+                right = _render(f.right, level + 1, memo)
+            found = f"{left} {f.op} {right}", level
+        memo[f] = found
+    text, level = found
     if level < min_level:
         return f"({text})"
     return text
 
 
-def print_formula(f: Formula) -> str:
-    """Minimal-parenthesis rendering; parse(print_formula(f)) == f."""
-    return _render(f, 0)
+def print_formula(f: Formula, memo: dict | None = None) -> str:
+    """Minimal-parenthesis rendering; parse(print_formula(f)) == f.
+
+    A caller that prints many formulas with shared subterms may pass one
+    ``memo`` dict for all of them.
+    """
+    return _render(f, 0, {} if memo is None else memo)
 
 
 def complexity(f: Formula) -> int:
@@ -260,9 +332,9 @@ def is_pmv_fragment(f: Formula) -> bool:
 
 def parse_theory_text(text: str) -> list[Formula]:
     """Formulas from a theory file: one per line, '#' comments ignored."""
-    result = []
+    result, memo = [], {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         end = len(raw.split("#", 1)[0].rstrip())
         if end:
-            result.append(parse_span(raw, 0, end, lineno))
+            result.append(parse_span(raw, 0, end, lineno, memo))
     return result

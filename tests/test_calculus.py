@@ -34,6 +34,7 @@ from iqcl.semantics import (
     random_rational_model,
 )
 from iqcl.syntax import (
+    BINARY_OPS,
     IMPLIES,
     Atom,
     Bin,
@@ -45,7 +46,7 @@ from iqcl.syntax import (
     parse,
     print_formula,
 )
-from util import random_formula
+from util import node_ids, random_formula
 
 
 def subst(f: Formula, mapping):
@@ -482,3 +483,92 @@ def test_finite_support():
 
     axiom_only = Proof((ProofStep(parse("p1 -> (p2 -> p1)"), AxiomRef("W1")),))
     assert finite_support(T, axiom_only).members == ()
+
+
+def built_proofs(workloads):
+    """The proofs that the benchmark builds: hypothesis used 1-4 times."""
+    alpha, beta = Atom("p"), Atom("q")
+    for uses in workloads.HYPOTHESIS_USES:
+        theory, proof = workloads._input_proof(alpha, beta, uses)
+        yield theory, deduction_transform(theory, alpha, proof)[1]
+
+
+def mutate(rng, f: Formula) -> Formula:
+    """``f`` with one subterm changed: a connective, a root for a negation
+    or the other way round, or a small random formula."""
+    if isinstance(f, Bin) and rng.random() < 0.7:
+        if rng.random() < 0.5:
+            return Bin(f.op, mutate(rng, f.left), f.right)
+        return Bin(f.op, f.left, mutate(rng, f.right))
+    if isinstance(f, (Neg, Sqrt)) and rng.random() < 0.7:
+        return type(f)(mutate(rng, f.arg))
+    if rng.random() < 0.5:
+        if isinstance(f, Bin):
+            return Bin(rng.choice([op for op in BINARY_OPS if op != f.op]), f.left, f.right)
+        if isinstance(f, (Neg, Sqrt)):
+            return (Sqrt if isinstance(f, Neg) else Neg)(f.arg)
+    return random_formula(rng, ("p", "q"), depth=1)
+
+
+def test_claimed_schema_match_is_the_full_match_filtered(workloads):
+    rng = random.Random(410)
+    formulas = [
+        step.formula
+        for _, proof in built_proofs(workloads)
+        for step in proof.steps
+        if isinstance(step.justification, AxiomRef)
+    ]
+    formulas += [random_instance(rng, sid) for sid in AXIOM_IDS for _ in range(8)]
+    formulas += [random_formula(rng, ("p", "q"), depth=4) for _ in range(200)]
+    formulas = list(dict.fromkeys(formulas))
+    formulas += [mutate(rng, f) for f in formulas for _ in range(2)]
+    claimed = 0
+    for f in dict.fromkeys(formulas):
+        full = match_axiom(f)
+        for sid in AXIOM_IDS:
+            only = match_axiom(f, sid)
+            assert only == [m for m in full if m[0] == sid], (sid, print_formula(f))
+            claimed += bool(only)
+    assert claimed > 900  # 976 schema matches among 2 928 distinct formulas
+
+
+def test_wrong_schema_label_is_rejected(workloads):
+    rng = random.Random(411)
+    theory, proof = next(built_proofs(workloads))
+    for n, step in enumerate(proof.steps, start=1):
+        if not isinstance(step.justification, AxiomRef):
+            continue
+        matched = {sid for sid, _ in match_axiom(step.formula)}
+        wrong = rng.choice([sid for sid in AXIOM_IDS if sid not in matched])
+        steps = list(proof.steps)
+        steps[n - 1] = ProofStep(step.formula, AxiomRef(wrong))
+        with pytest.raises(ProofError) as err:
+            check_proof(theory, Proof(tuple(steps)))
+        assert err.value.step == n
+        assert err.value.reason == f"{print_formula(step.formula)} is not an instance of {wrong}"
+
+
+def test_parse_proof_shares_nodes_across_lines(workloads):
+    theory, built = list(built_proofs(workloads))[-1]
+    assert len(built) == 1097
+    parsed = parse_proof(format_proof(built))
+    assert parsed == built
+    assert len(node_ids(*(step.formula for step in parsed.steps))) <= 2000
+    check_proof(theory, parsed, built.conclusion)
+
+
+@pytest.mark.parametrize("index", [1, 7, 0, -2])
+def test_hyp_index_must_name_the_member(index):
+    theory = Theory.from_text("p\nq\n")
+    with pytest.raises(ProofError) as err:
+        check_proof(theory, parse_proof(f"1: q [hyp {index}]\n"))
+    assert err.value.step == 1
+    assert err.value.reason == f"q is not member {index} of the theory"
+
+
+def test_hyp_index_counts_members_without_duplicates():
+    theory = Theory.from_text("p\np\nq\n")
+    check_proof(theory, parse_proof("1: q [hyp 2]\n2: p [hyp 1]\n3: q [hyp]\n"))
+    with pytest.raises(ProofError) as err:
+        check_proof(theory, parse_proof("1: q [hyp 3]\n"))
+    assert err.value.reason == "q is not member 3 of the theory"

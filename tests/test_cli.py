@@ -187,6 +187,19 @@ def test_proof_check(tmp_path, capsys):
     assert code3 == 2
 
 
+@pytest.mark.parametrize("index", ["1", "7", "0", "-2"])
+def test_proof_check_rejects_a_wrong_hyp_index(tmp_path, capsys, index):
+    theory = tmp_path / "t.thy"
+    theory.write_text("p\nq\n")
+    proof = tmp_path / "hyp.proof"
+    proof.write_text(f"1: q [hyp {index}]\n")
+    code, out, _ = run_cli(["proof", "check", str(theory), str(proof), "q", "--format", "machine"], capsys)
+    assert code == 1
+    assert out == f"verdict=rejected\nreason=step 1: q is not member {index} of the theory\n"
+    proof.write_text("1: q [hyp 2]\n")
+    assert run_cli(["proof", "check", str(theory), str(proof), "q"], capsys)[0] == 0
+
+
 def test_proof_check_formula_error_gives_file_position(tmp_path, capsys):
     theory = tmp_path / "t.thy"
     theory.write_text("p\np -> q\n")

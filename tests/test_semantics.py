@@ -117,6 +117,10 @@ def test_theory_dedup_and_text():
     assert Theory([parse("q"), parse("p"), parse("q"), parse("p")]).members == (parse("q"), parse("p"))
     T2 = Theory.from_text("p\n# c\nq\n")
     assert T2.members == T.members
+    # one parse shares equal members as one object; hand-built ones are equal too
+    T3 = Theory.from_text("p -> q\nq\np -> q\n(p -> q)\n")
+    assert T3.members == (parse("p -> q"), parse("q"))
+    assert len(Theory([parse("p . q"), Bin(".", Atom("p"), Atom("q"))])) == 1
 
 
 def test_tautology_examples():

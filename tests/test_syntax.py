@@ -1,4 +1,10 @@
+import dataclasses
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -21,7 +27,7 @@ from iqcl.syntax import (
     parse_theory_text,
     print_formula,
 )
-from util import formulas, random_formula
+from util import formulas, node_ids, random_formula
 
 
 def test_parse_examples():
@@ -190,3 +196,72 @@ def test_theory_text():
     with pytest.raises(ParseError) as err:
         parse_theory_text("# head\n\n  (p -> q  # open\n")
     assert (err.value.line, err.value.column) == (3, 10)
+
+
+def test_ast_value_semantics():
+    built = Bin(IMPLIES, Neg(Atom("p")), Bin(ODOT, Sqrt(Atom("q")), Const(SConstant(3, 3))))
+    parsed = parse("!p -> ?q * 3/8")
+    assert parsed == built and hash(parsed) == hash(built)
+    assert parsed != parse("!p -> ?q * 1/8") and parsed != parse("!p -> ?q + 3/8")
+    assert parse("p <-> q") == Bin(ODOT, parse("p -> q"), parse("q -> p"))
+    assert hash(parse("p <-> q")) == hash(Bin(ODOT, parse("p -> q"), parse("q -> p")))
+    rng = random.Random(7)
+    for _ in range(200):
+        f = random_formula(rng, ("p", "q", "r"), depth=5)
+        again = parse(print_formula(f))
+        assert again == f and hash(again) == hash(f)
+
+
+def test_ast_nodes_are_immutable():
+    f = parse("!(p . q)")
+    for node, name, value in ((f, "arg", Atom("p")), (f.arg, "op", "*"), (f.arg.left, "name", "r"),
+                              (Const(SConstant(1, 1)), "value", SConstant(0, 0))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, name, value)
+    with pytest.raises(ValueError, match="unknown binary connective"):
+        Bin("=>", Atom("p"), Atom("q"))
+
+
+def test_ast_repr_shows_only_the_fields():
+    assert repr(parse("!p -> ?q")) == (
+        "Bin(op='->', left=Neg(arg=Atom(name='p')), right=Sqrt(arg=Atom(name='q')))"
+    )
+
+
+def test_parse_shares_equal_subterms():
+    f = parse("(p -> !q) . (p -> !q) + (p <-> !q)")
+    (left, right), iff = (f.left.left, f.left.right), f.right
+    assert left is right
+    assert iff.left is left and iff.right.right is left.left and iff.right.left is left.right
+    # p, q, !q, p -> !q, !q -> p, the product, the iff's conjunction and the sum
+    assert len(node_ids(f)) == 8
+    # one table for a whole theory file, a new one for each call
+    members = parse_theory_text("p -> (q . r)\n(q . r) + p\n")
+    assert members[0].right is members[1].left
+    assert parse("q . r") is not members[0].right
+
+
+def test_printing_shares_one_memo():
+    memo = {}
+    texts = [print_formula(parse(t), memo) for t in ("(p -> q) . r", "!(p -> q)", "p -> q -> r")]
+    assert texts == ["(p -> q) . r", "!(p -> q)", "p -> q -> r"]
+    assert texts == [print_formula(parse(t)) for t in texts]
+
+
+def test_unpickled_formula_hashes_like_a_parsed_one(tmp_path):
+    # Each process has its own string hashes, so a node loaded from a
+    # pickle must work its hash out anew, not keep the one it was saved with.
+    text = "!p -> ?(q . r) + half"
+    path = tmp_path / "formula.pickle"
+    path.write_bytes(pickle.dumps(parse(text)))
+    load = (
+        "import pickle, sys; from iqcl.syntax import parse; "
+        "f = pickle.loads(open(sys.argv[1], 'rb').read()); "
+        "assert f == parse(sys.argv[2]) and f in {parse(sys.argv[2])}"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+        result = subprocess.run([sys.executable, "-c", load, str(path), text], env=env,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr

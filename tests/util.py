@@ -77,3 +77,18 @@ def formulas(atom_names=("p", "q"), max_leaves: int = 24) -> st.SearchStrategy:
         ),
         max_leaves=max_leaves,
     )
+
+
+def node_ids(*roots) -> set[int]:
+    """The ids of the distinct node objects reachable from ``roots``."""
+    seen, stack = {}, list(roots)
+    while stack:
+        f = stack.pop()
+        if id(f) in seen:
+            continue
+        seen[id(f)] = f
+        if isinstance(f, (Neg, Sqrt)):
+            stack.append(f.arg)
+        elif isinstance(f, Bin):
+            stack += (f.left, f.right)
+    return set(seen)
