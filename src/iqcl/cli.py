@@ -2,9 +2,15 @@
 proof checking and the gate simulator.
 
 Exit codes: 0 success, 1 semantic rejection (counterexample found, proof
-rejected, oracle deviation), 2 usage or parse error.  With
-``--format machine`` every command emits deterministic ``key=value``
-lines, byte-identical for identical configuration and seed.
+rejected, oracle deviation), 2 usage or parse error.  Each command takes
+only the options its handler reads; any other option is a usage error.
+
+``--format machine`` applies to ``fmt``, ``eval``, ``taut``,
+``relevance``, ``translate FORMULA``, ``proof check`` and ``sim``: they
+emit deterministic ``key=value`` lines, byte-identical for identical
+configuration and seed.  ``tq5`` and ``translate --theory`` print
+theory-file lines instead, one formula per line, which is what
+``relevance`` and ``proof check`` read back.
 """
 
 from __future__ import annotations
@@ -53,12 +59,17 @@ def _model_fields(model: semantics.ReducedModel) -> list[tuple[str, object]]:
     return fields
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--format", choices=("plain", "machine"), default="plain")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--grid", type=fraction, default=Fraction(1, 32))
-    parser.add_argument("--tol", type=float, default=1e-6)
-    parser.add_argument("--budget", type=int, default=100_000)
+# The options that more than one command reads, each declared once.
+_SHARED_OPTIONS = {
+    "--format": {"choices": ("plain", "machine"), "default": "plain"},
+    "--seed": {"type": int, "default": 0},
+    "--budget": {"type": int, "default": 100_000},
+}
+
+
+def _add_options(parser: argparse.ArgumentParser, *flags: str):
+    for flag in flags:
+        parser.add_argument(flag, **_SHARED_OPTIONS[flag])
 
 
 def _cmd_fmt(args) -> int:
@@ -69,7 +80,10 @@ def _cmd_fmt(args) -> int:
 def _cmd_eval(args) -> int:
     f = parse(args.formula)
     model = semantics.parse_model_text(_read(args.model))
-    u, w = semantics.eval_prob(model, f)
+    try:
+        u, w = semantics.eval_prob(model, f)
+    except semantics.UnassignedAtomError as exc:
+        raise ValueError(f"the model assigns no value to atom {exc.args[0]}") from None
     _emit([("value", u), ("root_value", w)], args.format)
     return 0
 
@@ -103,13 +117,13 @@ def _cmd_relevance(args) -> int:
 
 
 def _cmd_translate(args) -> int:
-    if args.theory:
+    if (args.formula is None) == (args.theory is None):
+        raise ValueError("provide either a formula or --theory")
+    if args.theory is not None:
         theory = semantics.Theory(parse_theory_text(_read(args.theory)))
         for member in translation.translate_theory(theory):
             print(print_formula(member))
         return 0
-    if args.formula is None:
-        raise ValueError("provide a formula or --theory")
     _emit([("formula", print_formula(translation.pmv_translate(parse(args.formula))))], args.format)
     return 0
 
@@ -151,6 +165,10 @@ def _cmd_sim(args) -> int:
     nqubit_sim = sys.modules[__name__].nqubit_sim
     fmt = args.format
     if args.gate == "prop34":
+        if args.operands:
+            raise ValueError("gate prop34 takes no operands")
+        if args.trials < 1:
+            raise ValueError(f"trials must be at least 1, got {args.trials}")
         rng = random.Random(args.seed)
         worst = 0.0
         for _ in range(args.trials):
@@ -221,30 +239,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fmt = sub.add_parser("fmt", help="parse and reprint a formula")
     p_fmt.add_argument("formula")
-    _add_common(p_fmt)
+    _add_options(p_fmt, "--format")
     p_fmt.set_defaults(run=_cmd_fmt)
 
     p_eval = sub.add_parser("eval", help="evaluate a formula under a model file")
     p_eval.add_argument("formula")
     p_eval.add_argument("--model", required=True)
-    _add_common(p_eval)
+    _add_options(p_eval, "--format")
     p_eval.set_defaults(run=_cmd_eval)
 
     p_taut = sub.add_parser("taut", help="search for a countermodel")
     p_taut.add_argument("formula")
-    _add_common(p_taut)
+    _add_options(p_taut, "--format", "--seed", "--budget")
     p_taut.set_defaults(run=_cmd_taut)
 
     p_rel = sub.add_parser("relevance", help="relevance degree of a theory over a formula")
     p_rel.add_argument("theory")
     p_rel.add_argument("formula")
-    _add_common(p_rel)
+    p_rel.add_argument("--grid", type=fraction, default=Fraction(1, 32))
+    p_rel.add_argument("--tol", type=float, default=1e-6)
+    _add_options(p_rel, "--format", "--seed", "--budget")
     p_rel.set_defaults(run=_cmd_relevance)
 
     p_tr = sub.add_parser("translate", help="PMV-translate a formula or theory")
     p_tr.add_argument("formula", nargs="?")
     p_tr.add_argument("--theory")
-    _add_common(p_tr)
+    _add_options(p_tr, "--format")
     p_tr.set_defaults(run=_cmd_translate)
 
     p_tq5 = sub.add_parser("tq5", help="emit a finite bridging theory")
@@ -252,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tq5.add_argument("--s", default="")
     p_tq5.add_argument("--t5", action="append", default=[])
     p_tq5.add_argument("--t5-s", dest="t5_s", default="")
-    _add_common(p_tq5)
     p_tq5.set_defaults(run=_cmd_tq5)
 
     p_proof = sub.add_parser("proof", help="proof utilities")
@@ -261,14 +280,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("theory")
     p_check.add_argument("proof")
     p_check.add_argument("goal")
-    _add_common(p_check)
+    _add_options(p_check, "--format")
     p_check.set_defaults(run=_cmd_proof)
 
     p_sim = sub.add_parser("sim", help="dense-matrix gate simulator")
     p_sim.add_argument("gate", help="prop34, not, sqrt_not, and, iand, oplus")
     p_sim.add_argument("operands", nargs="*")
     p_sim.add_argument("--trials", type=int, default=100)
-    _add_common(p_sim)
+    _add_options(p_sim, "--format", "--seed")
     p_sim.set_defaults(run=_cmd_sim)
 
     return parser

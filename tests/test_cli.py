@@ -1,15 +1,19 @@
+import argparse
 import contextlib
 import io
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from iqcl.cli import main
+from iqcl.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
 RELEVANCE_FIXTURE = ROOT / "tests" / "fixtures" / "relevance_machine.txt"
@@ -47,6 +51,15 @@ def test_eval(tmp_path, capsys):
     )
     assert code == 0
     assert out == "value=1/2\nroot_value=0\n"
+
+
+def test_eval_atom_missing_from_model_exit_2(tmp_path, capsys):
+    model = tmp_path / "m.model"
+    model.write_text("p 1 1/2\n")
+    code, out, err = run_cli(["eval", "p & q", "--model", str(model)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: the model assigns no value to atom q\n"
 
 
 def test_eval_model_zero_denominator_exit_2(tmp_path, capsys):
@@ -148,6 +161,18 @@ def test_translate(capsys):
     assert out == "formula=half\n"
 
 
+@pytest.mark.parametrize("formula", [[], ["?(p+q)"]])
+def test_translate_needs_exactly_one_of_formula_and_theory(tmp_path, capsys, formula):
+    theory = tmp_path / "t.thy"
+    theory.write_text("p\n")
+    argv = ["translate", *formula] + (["--theory", str(theory)] if formula else [])
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: provide either a formula or --theory\n"
+    assert run_cli(["translate", "--theory", str(theory)], capsys)[:2] == (0, "p\n")
+
+
 def test_tq5_output(capsys):
     code, out, _ = run_cli(["tq5", "--atoms", "p", "--s", "7/16"], capsys)
     assert code == 0
@@ -220,6 +245,21 @@ def test_sim_prop34(capsys):
     assert float(fields["max_deviation"]) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--trials", "0"], "trials must be at least 1, got 0"),
+        (["--trials", "-4"], "trials must be at least 1, got -4"),
+        (["rho(0.5)"], "gate prop34 takes no operands"),
+    ],
+)
+def test_sim_prop34_bad_input_exit_2(capsys, argv, message):
+    code, out, err = run_cli(["sim", "prop34", *argv, "--format", "machine"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_sim_gates(capsys):
     code, out, _ = run_cli(
         ["sim", "not", "(0, 0, 1)", "--format", "machine"], capsys
@@ -249,6 +289,97 @@ def test_missing_file_exit_2(capsys):
 
 def test_usage_error_exit_2(capsys):
     assert main(["unknown-command"]) == 2
+
+
+# Each command's options, by dest: those its handler reads, and no others.
+OPTION_TABLE = {
+    ("fmt",): {"format"},
+    ("eval",): {"model", "format"},
+    ("taut",): {"format", "seed", "budget"},
+    ("relevance",): {"format", "seed", "grid", "tol", "budget"},
+    ("translate",): {"theory", "format"},
+    ("tq5",): {"atoms", "s", "t5", "t5_s"},
+    ("proof", "check"): {"format"},
+    ("sim",): {"trials", "format", "seed"},
+}
+
+
+def _subcommand(parser: argparse.ArgumentParser, *names: str) -> argparse.ArgumentParser:
+    for name in names:
+        (choices,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        parser = choices[name]
+    return parser
+
+
+def _options(parser: argparse.ArgumentParser) -> dict[str, object]:
+    return {
+        a.dest: a.default
+        for a in parser._actions
+        if a.option_strings and not isinstance(a, argparse._HelpAction)
+    }
+
+
+def test_each_command_declares_only_the_options_it_reads():
+    parser = build_parser()
+    assert {command: set(_options(_subcommand(parser, *command))) for command in OPTION_TABLE} == OPTION_TABLE
+    assert sum(map(len, OPTION_TABLE.values())) == 21
+
+
+def test_kept_options_keep_their_defaults():
+    parser = build_parser()
+    defaults = {
+        "grid": Fraction(1, 32),
+        "tol": 1e-6,
+        "budget": 100_000,
+        "seed": 0,
+        "format": "plain",
+        "trials": 100,
+    }
+    for command in OPTION_TABLE:
+        for dest, default in _options(_subcommand(parser, *command)).items():
+            if dest in defaults:
+                assert default == defaults[dest] and type(default) is type(defaults[dest]), (command, dest)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fmt", "p", "--budget", "0"],
+        ["eval", "p", "--model", "m.model", "--seed", "1"],
+        ["taut", "p", "--grid", "1/2"],
+        ["translate", "p", "--tol", "1e-3"],
+        ["tq5", "--atoms", "p", "--format", "machine"],
+        ["proof", "check", "t.thy", "p.proof", "p", "--budget", "10"],
+        ["sim", "prop34", "--tol", "nan"],
+    ],
+)
+def test_dropped_option_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("command", list(OPTION_TABLE), ids=" ".join)
+def test_command_help_exits_0(capsys, command):
+    # argparse formats help only on request, so a bad declaration shows here.
+    code, out, _ = run_cli([*command, "--help"], capsys)
+    assert code == 0
+    assert out.startswith(f"usage: iqcl {' '.join(command)} ")
+
+
+def test_readme_command_line_examples_parse():
+    # The README may advertise only options that the commands take.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Command line\n\n```sh\n(.*?)```", readme, re.DOTALL).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("iqcl ")]
+    assert len(lines) >= len(OPTION_TABLE)
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
 
 
 def test_console_script_entry_point():
