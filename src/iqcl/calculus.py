@@ -49,6 +49,7 @@ from .syntax import (
     Const,
     Formula,
     Neg,
+    SpanReader,
     Sqrt,
     atoms as formula_atoms,
     parse,
@@ -335,8 +336,17 @@ _STEP_RE = re.compile(r"\s*(\d+):\s*(.*?)\s*\[([^\]]*)\]\s*$")
 
 
 def parse_proof(text: str) -> Proof:
+    """The proof in ``text``: one ``n: formula [justification]`` step a line.
+
+    ``#`` starts a comment and blank lines are ignored.  One
+    ``syntax.SpanReader`` reads the formulas of the file span by span, so a
+    subterm whose text recurs is read once; a line it leaves goes to
+    ``syntax.parse_span`` whole.  Either way each formula, its shared nodes
+    and any ``ParseError``, with its line and column, are those that
+    ``parse_span`` gives with one node table for the file.
+    """
     steps: list[ProofStep] = []
-    memo: dict = {}  # one node table for the file: see syntax.parse_span
+    reader = SpanReader()  # one node table and one span table for the file
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         if not line.strip():
@@ -349,7 +359,8 @@ def parse_proof(text: str) -> Proof:
             raise ProofError(
                 None, f"line {lineno}: step number {number}, expected {len(steps) + 1}"
             )
-        formula = parse_span(raw, m.start(2), m.end(2), lineno, memo)
+        start, end = m.span(2)
+        formula = reader.read(raw, start, end) or parse_span(raw, start, end, lineno, reader.memo)
         tokens = just_text.split()
         if not tokens:
             raise ProofError(None, f"line {lineno}: empty justification")

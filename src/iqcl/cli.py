@@ -3,7 +3,9 @@ proof checking and the gate simulator.
 
 Exit codes: 0 success, 1 semantic rejection (counterexample found, proof
 rejected, oracle deviation), 2 usage or parse error.  Each command takes
-only the options its handler reads; any other option is a usage error.
+only the options its handler reads; any other option is a usage error,
+reported with that command's usage line.  ``sim`` reads ``--trials`` and
+``--seed`` for gate ``prop34`` only, and rejects them for the others.
 
 ``--format machine`` applies to ``fmt``, ``eval``, ``taut``,
 ``relevance``, ``translate FORMULA``, ``proof check`` and ``sim``: they
@@ -67,9 +69,28 @@ _SHARED_OPTIONS = {
 }
 
 
-def _add_options(parser: argparse.ArgumentParser, *flags: str):
+def _add_options(parser: argparse.ArgumentParser, *flags: str, **extra):
     for flag in flags:
-        parser.add_argument(flag, **_SHARED_OPTIONS[flag])
+        parser.add_argument(flag, **_SHARED_OPTIONS[flag], **extra)
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser: it reports arguments it does not take itself, so
+    the error comes with the command's usage line, not the top-level one."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
+class _Prop34Option(argparse.Action):
+    """Stores the value and notes the flag: only ``sim prop34`` reads it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.prop34_flags = (*namespace.prop34_flags, option_string)
 
 
 def _cmd_fmt(args) -> int:
@@ -187,6 +208,9 @@ def _cmd_sim(args) -> int:
         _emit([("trials", args.trials), ("max_deviation", repr(worst))], fmt)
         return 0 if worst < 1e-10 else 1
 
+    if args.prop34_flags:
+        flags = " or ".join(dict.fromkeys(args.prop34_flags))
+        raise ValueError(f"gate {args.gate} takes no {flags}")
     operands = [qmix.parse_qmix(text) for text in args.operands]
     if args.gate in ("not", "sqrt_not"):
         if len(operands) != 1:
@@ -235,7 +259,7 @@ def _cmd_sim(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="iqcl")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     p_fmt = sub.add_parser("fmt", help="parse and reprint a formula")
     p_fmt.add_argument("formula")
@@ -286,9 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("sim", help="dense-matrix gate simulator")
     p_sim.add_argument("gate", help="prop34, not, sqrt_not, and, iand, oplus")
     p_sim.add_argument("operands", nargs="*")
-    p_sim.add_argument("--trials", type=int, default=100)
-    _add_options(p_sim, "--format", "--seed")
-    p_sim.set_defaults(run=_cmd_sim)
+    p_sim.add_argument("--trials", type=int, default=100, action=_Prop34Option)
+    _add_options(p_sim, "--format")
+    _add_options(p_sim, "--seed", action=_Prop34Option)
+    p_sim.set_defaults(run=_cmd_sim, prop34_flags=())
 
     return parser
 

@@ -23,11 +23,19 @@ call of ``parse`` or ``parse_theory_text`` (and of
 ``calculus.parse_proof``) returns equal subterms as one object, however
 many lines they occur on.  The table that does this lives only for the
 call.
+
+A proof file repeats each subterm's text on many lines, so
+``calculus.parse_proof`` reads it span by span with a ``SpanReader``: a
+span whose exact text it has read before costs one lookup, ``->`` and
+enclosing parentheses are split off by position, and only what remains
+goes to the token parser.  ``parse`` and theory files use the token
+parser alone.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
@@ -247,6 +255,132 @@ def parse_span(text: str, start: int, end: int, line: int, memo: dict) -> Formul
 def parse(text: str) -> Formula:
     """Parse concrete syntax into a Formula tree."""
     return parse_span(text, 0, len(text), 1, {})
+
+
+# Frames a span reader leaves spare below the recursion limit, for the
+# calls that ``parse_span`` makes on top of its own recursion.
+_SPARE_FRAMES = 50
+_PAREN_RE = re.compile(r"[()]")
+
+
+class _NotFast(Exception):
+    """A line the span reader leaves to ``parse_span`` whole."""
+
+
+def _closing_parens(text: str, start: int, end: int) -> dict[int, int]:
+    """The offset of each '(' of ``text[start:end]`` mapped to its ')', in one pass."""
+    closing, opened = {}, []
+    for m in _PAREN_RE.finditer(text, start, end):
+        if m.group() == "(":
+            opened.append(m.start())
+        elif opened:
+            closing[opened.pop()] = m.start()
+        else:
+            raise _NotFast
+    if opened:
+        raise _NotFast
+    return closing
+
+
+class SpanReader:
+    """Reads the formula spans of many lines, each distinct subterm text once.
+
+    Beside the node table of ``parse_span``, shared by every line, it keeps
+    a span table: the exact text of each span read so far, with its node
+    and a bound on the recursion depth ``parse_span`` would need for it.
+    A span, with no whitespace at either end, is read by the first rule
+    that applies:
+
+    - a text already in the table is its node;
+    - one pair of parentheses that encloses the whole span is stripped;
+    - the first ``->`` outside parentheses splits the span: ``->`` is the
+      loosest connective but ``<->``, and associates to the right;
+    - anything else goes to ``parse_span``.
+
+    A line holding ``<->``, with unbalanced parentheses or an empty span,
+    or with a span that ``parse_span`` rejects, is left to ``parse_span``
+    whole: ``read`` returns None.  So is a line for which ``parse_span``
+    might need more frames than the recursion limit leaves, counted from
+    where the reader was made, so that a known span lets no line through
+    that ``parse_span`` finds nested too deeply.  Each line thus gives the
+    node, or the error, that ``parse_span`` gives.
+    """
+
+    def __init__(self):
+        self.memo: dict = {}
+        self.spans: dict[str, tuple[Formula, int]] = {}
+        self.text, self.closing = "", {}  # the line being read
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        self.budget = sys.getrecursionlimit() - depth - _SPARE_FRAMES
+
+    def read(self, text: str, start: int, end: int) -> Formula | None:
+        """The formula of ``text[start:end]``, or None to leave the line to ``parse_span``."""
+        lstripped = text[start:end].lstrip()
+        key = lstripped.rstrip()
+        found = self.spans.get(key)
+        if found is None and key and "<->" not in key:
+            a = end - len(lstripped)
+            self.text = text
+            try:
+                self.closing = _closing_parens(text, a, a + len(key))
+                found = self._read(a, a + len(key), key)
+            except (ParseError, RecursionError, _NotFast):
+                return None
+        if found is None or found[1] > self.budget:
+            return None
+        return found[0]
+
+    def _read(self, a: int, b: int, key: str) -> tuple[Formula, int]:
+        """The node of ``key``, which is ``self.text[a:b]``, and a bound on
+        the frames ``parse_span`` would recurse through to read it.
+
+        Stripped pairs and right operands are followed in a loop, so only
+        left operands recurse.
+        """
+        text, closing, spans, memo = self.text, self.closing, self.spans, self.memo
+        pending = []  # (key, left node or None for a stripped pair, its depth bound)
+        while (found := spans.get(key)) is None:
+            if text[a] == "(" and closing[a] == b - 1:
+                pending.append((key, None, 0))
+                lstripped = text[a + 1 : b - 1].lstrip()
+                key = lstripped.rstrip()
+                a = b - 1 - len(lstripped)
+                b = a + len(key)
+            elif (k := self._arrow(a, b)) >= 0:
+                left = text[a:k].rstrip()
+                if not left:
+                    raise _NotFast
+                pending.append((key, *self._read(a, a + len(left), left)))
+                key = text[k + 2 : b].lstrip()
+                a = b - len(key)
+            else:
+                # A leaf: its depth bound is at most one frame per character.
+                found = spans[key] = parse_span(text, a, b, 1, memo), len(key)
+                break
+            if not key:
+                raise _NotFast
+        node, depth = found
+        for key, left, left_depth in reversed(pending):
+            if left is None:
+                depth += 1
+            else:
+                shared = (IMPLIES, id(left), id(node))
+                node = memo.get(shared) or memo.setdefault(shared, Bin(IMPLIES, left, node))
+                depth = max(left_depth, depth + 1)
+            spans[key] = node, depth
+        return node, depth
+
+    def _arrow(self, a: int, b: int) -> int:
+        """The offset of the first '->' outside parentheses in ``self.text[a:b]``, or -1."""
+        text, closing = self.text, self.closing
+        while (k := text.find(IMPLIES, a, b)) >= 0:
+            p = text.find("(", a, k)
+            if p < 0:
+                break
+            a = closing[p] + 1
+        return k
 
 
 def _const_text(c: SConstant) -> str:

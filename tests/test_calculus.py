@@ -46,7 +46,7 @@ from iqcl.syntax import (
     parse,
     print_formula,
 )
-from util import node_ids, random_formula
+from util import built_proofs, node_ids, random_formula
 
 
 def subst(f: Formula, mapping):
@@ -483,14 +483,6 @@ def test_finite_support():
 
     axiom_only = Proof((ProofStep(parse("p1 -> (p2 -> p1)"), AxiomRef("W1")),))
     assert finite_support(T, axiom_only).members == ()
-
-
-def built_proofs(workloads):
-    """The proofs that the benchmark builds: hypothesis used 1-4 times."""
-    alpha, beta = Atom("p"), Atom("q")
-    for uses in workloads.HYPOTHESIS_USES:
-        theory, proof = workloads._input_proof(alpha, beta, uses)
-        yield theory, deduction_transform(theory, alpha, proof)[1]
 
 
 def mutate(rng, f: Formula) -> Formula:

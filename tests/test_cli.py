@@ -341,23 +341,50 @@ def test_kept_options_keep_their_defaults():
                 assert default == defaults[dest] and type(default) is type(defaults[dest]), (command, dest)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["fmt", "p", "--budget", "0"],
-        ["eval", "p", "--model", "m.model", "--seed", "1"],
-        ["taut", "p", "--grid", "1/2"],
-        ["translate", "p", "--tol", "1e-3"],
-        ["tq5", "--atoms", "p", "--format", "machine"],
-        ["proof", "check", "t.thy", "p.proof", "p", "--budget", "10"],
-        ["sim", "prop34", "--tol", "nan"],
-    ],
-)
+DROPPED_OPTIONS = [
+    ["fmt", "p", "--budget", "0"],
+    ["eval", "p", "--model", "m.model", "--seed", "1"],
+    ["taut", "p", "--grid", "1/2"],
+    ["translate", "p", "--tol", "1e-3"],
+    ["tq5", "--atoms", "p", "--format", "machine"],
+    ["proof", "check", "t.thy", "p.proof", "p", "--budget", "10"],
+    ["sim", "prop34", "--tol", "nan"],
+]
+
+
+@pytest.mark.parametrize("argv", DROPPED_OPTIONS)
 def test_dropped_option_is_a_usage_error(capsys, argv):
     code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert out == ""
     assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("argv", DROPPED_OPTIONS)
+def test_usage_error_names_the_command(capsys, argv):
+    command = " ".join(argv[:2] if argv[0] == "proof" else argv[:1])
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.startswith(f"usage: iqcl {command} [-h]")
+    assert f"\niqcl {command}: error: unrecognized arguments: " in err
+
+
+@pytest.mark.parametrize(
+    "gate, operands", [("not", ["(0, 0, 1)"]), ("sqrt_not", ["rho(1)"]), ("iand", ["rho(0.5)", "rho(0.5)"])]
+)
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--trials", "0"], "--trials"),
+        (["--seed", "5"], "--seed"),
+        (["--trials", "100", "--seed", "0"], "--trials or --seed"),  # the defaults, given
+    ],
+)
+def test_sim_single_gate_rejects_prop34_flags(capsys, gate, operands, flags, named):
+    code, out, err = run_cli(["sim", gate, *operands, *flags, "--format", "machine"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: gate {gate} takes no {named}\n"
 
 
 @pytest.mark.parametrize("command", list(OPTION_TABLE), ids=" ".join)

@@ -6,6 +6,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from iqcl.algebra import SConstant
+from iqcl.calculus import deduction_transform
 from iqcl.semantics import ReducedModel, random_rational_model
 from iqcl.syntax import (
     BINARY_OPS,
@@ -92,3 +93,11 @@ def node_ids(*roots) -> set[int]:
         elif isinstance(f, Bin):
             stack += (f.left, f.right)
     return set(seen)
+
+
+def built_proofs(workloads):
+    """The proofs that the benchmark builds: hypothesis used 1-4 times."""
+    alpha, beta = Atom("p"), Atom("q")
+    for uses in workloads.HYPOTHESIS_USES:
+        theory, proof = workloads._input_proof(alpha, beta, uses)
+        yield theory, deduction_transform(theory, alpha, proof)[1]
