@@ -1,13 +1,17 @@
 """Hilbert-style proof machinery: axiom recognition, checking, deduction.
 
-The axiom base is the 23 schemata W1-W4, E1-E6, P1-P5, S1-S3, Q1-Q5.
-Schemata stated as equivalences are recognised in three sound forms: the
-full equivalence, each implication direction, and single-subterm rewrite
-implications along the defining equation (the definitional reading; the
-literal reading leaves the equivalence axioms inert under modus ponens,
-so none of the standard derived lemmas would be provable).  Rewrites
-along equations that change the square-root component of the value pair
-are refused underneath a square root.
+The axiom base is the 23 schemata W1-W4, E1-E6, P1-P5, S1-S3, Q1-Q5,
+stated by the rows of two tables: ``_PLAIN_SCHEMATA`` (implications) and
+``_EQUATIONS`` (defining equations).  Pattern atoms ``a``, ``b``, ``c``
+match any formula and ``r``, ``s``, ``t``, ``u`` only a constant; a row
+may carry a side condition on its binding (the value of ``r op t`` in
+S1-S3, the bound on ``s`` in Q5).  Equations are recognised in three
+sound forms: the full equivalence, each implication direction, and
+single-subterm rewrite implications along the equation (the
+definitional reading; the literal reading leaves the equivalence axioms
+inert under modus ponens, so none of the standard derived lemmas would
+be provable).  Rewrites along equations that change the square-root
+component of the value pair are refused underneath a square root.
 
 Proof steps are justified by an axiom schema, theory membership, or
 modus ponens referring to two earlier steps.  An axiom step is matched
@@ -23,9 +27,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Callable, Union
 
-from .algebra import SConstant, mv_implies, mv_odot, pmv_product, s_above_q5_bound
+from .algebra import mv_implies, mv_odot, pmv_product, s_above_q5_bound
 from .semantics import (
     PoolSearch,
     RelevanceOptions,
@@ -37,15 +41,13 @@ from .semantics import (
     sample_models,
 )
 from .syntax import (
+    BINARY_OPS,
     BOT,
     IMPLIES,
     ODOT,
-    OPLUS,
-    PRODUCT,
     TOP,
     Atom,
     Bin,
-    CHALF,
     Const,
     Formula,
     Neg,
@@ -65,75 +67,83 @@ AXIOM_IDS = (
     "Q1", "Q2", "Q3", "Q4", "Q5",
 )
 
-_METAVARS = ("a", "b", "c")
+_CONST_METAVARS = frozenset("rstu")
+_METAVARS = frozenset("abc") | _CONST_METAVARS
 
 
 def _imp(x: Formula, y: Formula) -> Formula:
     return Bin(IMPLIES, x, y)
 
 
-def _pattern(text: str) -> Formula:
-    return parse(text)
+_pattern = parse  # a schema pattern is a formula over the metavariables
 
 
 def _match(pattern: Formula, f: Formula, binding: dict[str, Formula]) -> bool:
     if isinstance(pattern, Atom) and pattern.name in _METAVARS:
+        if pattern.name in _CONST_METAVARS and not isinstance(f, Const):
+            return False
         bound = binding.get(pattern.name)
         if bound is None:
             binding[pattern.name] = f
             return True
         return bound == f
-    if isinstance(pattern, Atom):
-        return pattern == f
-    if isinstance(pattern, Const):
-        return pattern == f
-    if isinstance(pattern, Neg) and isinstance(f, Neg):
-        return _match(pattern.arg, f.arg, binding)
-    if isinstance(pattern, Sqrt) and isinstance(f, Sqrt):
-        return _match(pattern.arg, f.arg, binding)
-    if isinstance(pattern, Bin) and isinstance(f, Bin) and pattern.op == f.op:
-        return _match(pattern.left, f.left, binding) and _match(
-            pattern.right, f.right, binding
+    if type(f) is not type(pattern):
+        return False
+    if isinstance(pattern, Bin):
+        return (
+            pattern.op == f.op
+            and _match(pattern.left, f.left, binding)
+            and _match(pattern.right, f.right, binding)
         )
-    return False
+    if isinstance(pattern, (Neg, Sqrt)):
+        return _match(pattern.arg, f.arg, binding)
+    return pattern == f
 
 
+def _value_of(fn):
+    """The side condition u == fn(r, t) on the constants bound to r, t, u."""
+    return lambda b: b["u"].value.value == fn(b["r"].value.value, b["t"].value.value)
+
+
+# A row's side condition, when not None, must hold of the binding.
 _PLAIN_SCHEMATA = (
-    ("W1", _pattern("a -> (b -> a)")),
-    ("W2", _pattern("(a -> b) -> ((b -> c) -> (a -> c))")),
-    ("W3", _pattern("(!a -> !b) -> (b -> a)")),
-    ("W4", _pattern("((a -> b) -> b) -> ((b -> a) -> a)")),
-    ("P1", _pattern("(a . b) -> (b . a)")),
-    ("P3", _pattern("(a . b) -> b")),
+    ("W1", _pattern("a -> (b -> a)"), None),
+    ("W2", _pattern("(a -> b) -> ((b -> c) -> (a -> c))"), None),
+    ("W3", _pattern("(!a -> !b) -> (b -> a)"), None),
+    ("W4", _pattern("((a -> b) -> b) -> ((b -> a) -> a)"), None),
+    ("P1", _pattern("(a . b) -> (b . a)"), None),
+    ("P3", _pattern("(a . b) -> b"), None),
+    ("Q5", _pattern("(1/4 . a) + (1/4 . ?a) -> s"), lambda b: s_above_q5_bound(b["s"].value)),
 )
 
 # Defining equations of the equivalence-shaped schemata.  ``pair_exact``
 # marks equations whose two sides have identical (value, root-value)
 # pairs under every model; only those may be rewritten under a square
-# root.  E1/E2 each carry the dual definitional equation as well.
-_EQUATIONS: list[tuple[str, Formula, Formula, bool]] = [
-    ("E1", _pattern("a * b"), _pattern("!(!a + !b)"), True),
-    ("E1", _pattern("a + b"), _pattern("!(!a * !b)"), True),
-    ("E2", _pattern("a -> b"), _pattern("!(a * !b)"), True),
-    ("E2", _pattern("a * b"), _pattern("!(a -> !b)"), True),
-    ("E3", _pattern("!a"), _pattern("a -> bot"), False),
-    ("E4", _pattern("a & b"), _pattern("a * (a -> b)"), True),
-    ("E5", _pattern("a | b"), _pattern("(a -> b) -> b"), True),
-    ("E6", _pattern("!bot"), _pattern("top"), True),
-    ("P2", _pattern("top . a"), _pattern("a"), False),
-    ("P4", _pattern("(a . b) . c"), _pattern("a . (b . c)"), True),
-    ("P5", _pattern("a . (b * !c)"), _pattern("(a . b) * !(a . c)"), True),
-    ("Q1", _pattern("??a"), _pattern("!a"), True),
-    ("Q2", _pattern("?!a"), _pattern("!?a"), True),
+# root.  E1/E2 each carry the dual definitional equation as well, and Q3
+# has one equation per binary connective.
+_EQUATIONS: list[tuple[str, Formula, Formula, bool, Callable[[dict], bool] | None]] = [
+    ("E1", _pattern("a * b"), _pattern("!(!a + !b)"), True, None),
+    ("E1", _pattern("a + b"), _pattern("!(!a * !b)"), True, None),
+    ("E2", _pattern("a -> b"), _pattern("!(a * !b)"), True, None),
+    ("E2", _pattern("a * b"), _pattern("!(a -> !b)"), True, None),
+    ("E3", _pattern("!a"), _pattern("a -> bot"), False, None),
+    ("E4", _pattern("a & b"), _pattern("a * (a -> b)"), True, None),
+    ("E5", _pattern("a | b"), _pattern("(a -> b) -> b"), True, None),
+    ("E6", _pattern("!bot"), _pattern("top"), True, None),
+    ("P2", _pattern("top . a"), _pattern("a"), False, None),
+    ("P4", _pattern("(a . b) . c"), _pattern("a . (b . c)"), True, None),
+    ("P5", _pattern("a . (b * !c)"), _pattern("(a . b) * !(a . c)"), True, None),
+    ("S1", _pattern("r * t"), _pattern("u"), True, _value_of(mv_odot)),
+    ("S2", _pattern("r -> t"), _pattern("u"), True, _value_of(mv_implies)),
+    ("S3", _pattern("r . t"), _pattern("u"), True, _value_of(pmv_product)),
+    ("Q1", _pattern("??a"), _pattern("!a"), True, None),
+    ("Q2", _pattern("?!a"), _pattern("!?a"), True, None),
+    *(("Q3", _pattern(f"?(a {op} b)"), _pattern("half"), False, None) for op in BINARY_OPS),
+    ("Q4", _pattern("?s"), _pattern("half"), False, None),
 ]
 
-_S_FAMILY = (("S1", ODOT, mv_odot), ("S2", IMPLIES, mv_implies), ("S3", PRODUCT, pmv_product))
-
-_QUARTER = Const(SConstant(1, 2))
-
-
 # The schemata that ``_relate`` recognises.
-_RELATED = frozenset(sid for sid, *_ in _EQUATIONS) | {sid for sid, *_ in _S_FAMILY} | {"Q3", "Q4"}
+_RELATED = frozenset(sid for sid, *_ in _EQUATIONS)
 
 
 def _relate(
@@ -142,35 +152,17 @@ def _relate(
     """Schema instances relating x to y as equation sides (either way);
     with ``schema``, only the instances of that one schema."""
     found = []
-    for sid, lhs, rhs, pair_exact in _EQUATIONS:
+    for sid, lhs, rhs, pair_exact, condition in _EQUATIONS:
         if schema not in (None, sid):
             continue
         for s1, s2 in ((x, y), (y, x)):
             binding: dict[str, Formula] = {}
-            if _match(lhs, s1, binding) and _match(rhs, s2, binding):
-                found.append((sid, binding, pair_exact))
-    for sid, op, fn in _S_FAMILY:
-        if schema not in (None, sid):
-            continue
-        for s1, s2 in ((x, y), (y, x)):
             if (
-                isinstance(s1, Bin)
-                and s1.op == op
-                and isinstance(s1.left, Const)
-                and isinstance(s1.right, Const)
-                and isinstance(s2, Const)
+                _match(lhs, s1, binding)
+                and _match(rhs, s2, binding)
+                and (condition is None or condition(binding))
             ):
-                r, t = s1.left.value.value, s1.right.value.value
-                if s2.value.value == fn(r, t):
-                    found.append((sid, {"r": s1.left, "t": s1.right}, True))
-    for s1, s2 in ((x, y), (y, x)):
-        if isinstance(s1, Sqrt) and s2 == CHALF:
-            if isinstance(s1.arg, Bin) and schema in (None, "Q3"):
-                found.append(
-                    ("Q3", {"a": s1.arg.left, "b": s1.arg.right}, False)
-                )
-            if isinstance(s1.arg, Const) and schema in (None, "Q4"):
-                found.append(("Q4", {"s": s1.arg}, False))
+                found.append((sid, binding, pair_exact))
     return found
 
 
@@ -195,35 +187,12 @@ def _diff(x: Formula, y: Formula, under_sqrt: bool = False):
     return (x, y, under_sqrt)
 
 
-def _match_q5(f: Formula) -> dict[str, Formula] | None:
-    if not (isinstance(f, Bin) and f.op == IMPLIES and isinstance(f.right, Const)):
-        return None
-    if not s_above_q5_bound(f.right.value):
-        return None
-    body = f.left
-    if not (isinstance(body, Bin) and body.op == OPLUS):
-        return None
-    left, right = body.left, body.right
-    if not (
-        isinstance(left, Bin)
-        and left.op == PRODUCT
-        and left.left == _QUARTER
-        and isinstance(right, Bin)
-        and right.op == PRODUCT
-        and right.left == _QUARTER
-        and isinstance(right.right, Sqrt)
-        and right.right.arg == left.right
-    ):
-        return None
-    return {"a": left.right, "s": f.right}
-
-
 def match_axiom(
     f: Formula, schema: str | None = None
 ) -> list[tuple[str, dict[str, Formula]]]:
     """All axiom schemata (with substitutions) of which f is an instance.
 
-    With ``schema``, only the matchers of that one schema run, so the
+    With ``schema``, only the rows of that one schema are tried, so the
     result is the full result's entries for that schema.
     """
     matches: list[tuple[str, dict[str, Formula]]] = []
@@ -233,14 +202,14 @@ def match_axiom(
         if entry not in matches:
             matches.append(entry)
 
-    for sid, pattern in _PLAIN_SCHEMATA:
+    for sid, pattern, condition in _PLAIN_SCHEMATA:
         binding: dict[str, Formula] = {}
-        if schema in (None, sid) and _match(pattern, f, binding):
+        if (
+            schema in (None, sid)
+            and _match(pattern, f, binding)
+            and (condition is None or condition(binding))
+        ):
             add(sid, binding)
-    if schema in (None, "Q5"):
-        q5 = _match_q5(f)
-        if q5 is not None:
-            add("Q5", q5)
     if schema is not None and schema not in _RELATED:
         return matches
     if (
@@ -332,7 +301,12 @@ def format_proof(proof: Proof) -> str:
     return "\n".join(lines) + "\n"
 
 
-_STEP_RE = re.compile(r"\s*(\d+):\s*(.*?)\s*\[([^\]]*)\]\s*$")
+_STEP_RE = re.compile(r"\s*([0-9]+):\s*(.*?)\s*\[([^\]]*)\]\s*$")
+
+
+def _is_number(token: str) -> bool:
+    digits = token.removeprefix("-")  # int() also takes "_", "+" and non-ASCII digits
+    return digits.isascii() and digits.isdigit()
 
 
 def parse_proof(text: str) -> Proof:
@@ -367,9 +341,9 @@ def parse_proof(text: str) -> Proof:
         tag = tokens[0]
         if tag == "axiom" and len(tokens) == 2:
             justification: Justification = AxiomRef(tokens[1])
-        elif tag == "hyp" and len(tokens) in (1, 2):
+        elif tag == "hyp" and len(tokens) in (1, 2) and all(map(_is_number, tokens[1:])):
             justification = MemberRef(int(tokens[1]) if len(tokens) == 2 else None)
-        elif tag == "mp" and len(tokens) == 3:
+        elif tag == "mp" and len(tokens) == 3 and all(map(_is_number, tokens[1:])):
             justification = MpRef(int(tokens[1]), int(tokens[2]))
         else:
             raise ProofError(None, f"line {lineno}: bad justification {just_text!r}")
@@ -581,20 +555,17 @@ class ProofBuilder:
 
     # -- negation and constants ---------------------------------------
 
+    def not_bot(self) -> int:
+        """!bot, from bot -> bot by E3."""
+        return self.mp(self.identity(BOT), self.axiom(_imp(_imp(BOT, BOT), Neg(BOT)), "E3"))
+
     def bot_elim(self, a: Formula) -> int:
         """bot -> A."""
-        i0 = self.identity(BOT)
-        e3 = self.axiom(_imp(_imp(BOT, BOT), Neg(BOT)), "E3")
-        nb = self.mp(i0, e3)  # !bot
-        s = self.mp(nb, self.w1(Neg(BOT), Neg(a)))  # !a -> !bot
+        s = self.mp(self.not_bot(), self.w1(Neg(BOT), Neg(a)))  # !a -> !bot
         return self.mp(s, self.w3(a, BOT))
 
     def top_intro(self) -> int:
-        i0 = self.identity(BOT)
-        e3 = self.axiom(_imp(_imp(BOT, BOT), Neg(BOT)), "E3")
-        nb = self.mp(i0, e3)
-        e6 = self.axiom(_imp(Neg(BOT), TOP), "E6")
-        return self.mp(nb, e6)
+        return self.mp(self.not_bot(), self.axiom(_imp(Neg(BOT), TOP), "E6"))
 
     def dne_elim(self, a: Formula) -> int:
         """!!A -> A, through the ->bot unfolding of negation."""

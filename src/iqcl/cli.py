@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import calculus, qmix, semantics, translation
 from .algebra import SConstant, fraction
-from .syntax import ParseError, parse, parse_theory_text, print_formula
+from .syntax import Atom, ParseError, parse, parse_theory_text, print_formula
 
 
 def __getattr__(name: str):
@@ -153,9 +153,19 @@ def _parse_s(text: str) -> SConstant:
     return SConstant.from_fraction(fraction(text))
 
 
+def _atom_name(name: str) -> str:
+    """``name`` if it reads back as that atom, so ``tq5`` output parses."""
+    try:
+        if parse(name) == Atom(name):
+            return name
+    except ParseError:
+        pass
+    raise ValueError(f"--atoms: {name!r} is not an atom name")
+
+
 def _cmd_tq5(args) -> int:
     cfg = translation.Tq5Config(
-        atoms=tuple(a for a in args.atoms.split(",") if a),
+        atoms=tuple(_atom_name(a) for a in args.atoms.split(",") if a),
         s_values=tuple(_parse_s(s) for s in args.s.split(",") if s)
         if args.s
         else (translation.DEFAULT_Q5_CONSTANT,),

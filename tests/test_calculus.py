@@ -5,6 +5,8 @@ import pytest
 
 from iqcl.algebra import SConstant, mv_implies, mv_odot, pmv_product
 from iqcl.calculus import (
+    _EQUATIONS,
+    _PLAIN_SCHEMATA,
     AXIOM_IDS,
     AxiomRef,
     MemberRef,
@@ -140,6 +142,29 @@ def test_non_axioms_do_not_match():
         assert match_axiom(parse(text)) == []
 
 
+def test_every_schema_is_stated_by_table_rows():
+    rows = {sid for sid, *_ in _PLAIN_SCHEMATA} | {sid for sid, *_ in _EQUATIONS}
+    assert rows == set(AXIOM_IDS)
+
+
+def test_constant_metavariable_never_binds_a_compound():
+    assert match_axiom(parse("(1/4 . p) + (1/4 . ?p) -> (top . 7/16)")) == []
+    assert match_axiom(parse("?(p . q) -> half"), "Q4") == []
+    assert match_axiom(parse("?3/4 -> half"), "Q4") == [("Q4", {"s": parse("3/4")})]
+
+
+def test_s_row_side_condition_checks_the_value():
+    r, t = parse("half"), parse("3/4")
+    assert match_axiom(parse("half * 3/4 -> 1/4"), "S1") == [("S1", {"r": r, "t": t, "u": parse("1/4")})]
+    assert match_axiom(parse("half * 3/4 -> 1/2"), "S1") == []
+    assert match_axiom(parse("half * 3/4 -> 1/2")) == []
+
+
+def test_q3_is_not_pair_exact():
+    assert match_axiom(parse("?(p + q) -> half")) == [("Q3", {"a": parse("p"), "b": parse("q")})]
+    assert match_axiom(parse("?(?(p + q)) -> ?half"), "Q3") == []
+
+
 def test_check_proof_member_and_mp():
     alpha, beta = parse("p"), parse("q")
     T = Theory([alpha, parse("p -> q")])
@@ -230,6 +255,20 @@ def test_parse_proof_errors():
         parse_proof("1: p\n")  # no justification
     with pytest.raises(ProofError):
         parse_proof("")
+
+
+@pytest.mark.parametrize("justification", ["hyp x", "mp 1 y", "hyp \u0661", "mp 1_0 2", "mp 1 +2"])
+def test_justification_numbers_are_ascii_digits(justification):
+    with pytest.raises(ProofError) as err:
+        parse_proof(f"1: p [hyp]\n2: p [{justification}]\n")
+    assert err.value.step is None
+    assert err.value.reason == f"line 2: bad justification {justification!r}"
+
+
+def test_step_numbers_are_ascii_digits():
+    with pytest.raises(ProofError) as err:
+        parse_proof("\u0661: p [hyp]\n")
+    assert err.value.reason == "line 1: not a proof step: '\u0661: p [hyp]'"
 
 
 def test_parse_proof_formula_error_points_at_the_file():

@@ -188,6 +188,26 @@ def test_tq5_zero_denominator_exit_2(capsys):
     assert "zero denominator" in err
 
 
+@pytest.mark.parametrize("atoms", ["p q", "top", "p,half", "p->q", "p,(q)"])
+def test_tq5_atom_names_must_read_back_as_atoms(capsys, atoms):
+    code, out, err = run_cli(["tq5", "--atoms", atoms], capsys)
+    assert code == 2
+    assert out == ""
+    assert "not an atom name" in err
+
+
+@pytest.mark.parametrize("justification", ["hyp x", "mp 1 y", "hyp \u0661", "mp 1_0 2"])
+def test_proof_check_bad_justification_number_exit_2(tmp_path, capsys, justification):
+    theory = tmp_path / "t.thy"
+    theory.write_text("p\n")
+    proof = tmp_path / "bad.proof"
+    proof.write_text(f"1: p [hyp]\n2: p [{justification}]\n", encoding="utf-8")
+    code, out, err = run_cli(["proof", "check", str(theory), str(proof), "p"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"proof format error: proof: line 2: bad justification {justification!r}\n"
+
+
 def test_proof_check(tmp_path, capsys):
     theory = tmp_path / "t.thy"
     theory.write_text("p\np -> q\n")
