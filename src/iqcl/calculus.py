@@ -24,7 +24,6 @@ assembles fully checkable proofs.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
@@ -301,7 +300,32 @@ def format_proof(proof: Proof) -> str:
     return "\n".join(lines) + "\n"
 
 
-_STEP_RE = re.compile(r"\s*([0-9]+):\s*(.*?)\s*\[([^\]]*)\]\s*$")
+def _step_fields(line: str) -> tuple[str, int, int, str] | None:
+    r"""The step number, formula span and justification of a step line, or None.
+
+    They are the groups of ``\s*([0-9]+):\s*(.*?)\s*\[([^\]]*)\]\s*$``
+    on a line without ``\n``, and the formula's span is that of group 2.
+    The justification ends at the line's last non-space character, a
+    ``]``; it opens at the first ``[`` after the ``]`` before that, which
+    ``str.rfind`` and ``str.find`` place without a trial at every character.
+    """
+    colon = line.find(":")
+    number = line[:colon].lstrip()
+    if colon < 0 or not (number.isascii() and number.isdigit()):
+        return None
+    start = colon + 1
+    while start < len(line) and line[start].isspace():
+        start += 1
+    close = len(line.rstrip()) - 1
+    if close < start or line[close] != "]":
+        return None
+    opening = line.find("[", max(line.rfind("]", start, close) + 1, start), close)
+    if opening < 0:
+        return None
+    end = opening
+    while end > start and line[end - 1].isspace():
+        end -= 1
+    return number, start, end, line[opening + 1 : close]
 
 
 def _is_number(token: str) -> bool:
@@ -325,15 +349,14 @@ def parse_proof(text: str) -> Proof:
         line = raw.split("#", 1)[0]
         if not line.strip():
             continue
-        m = _STEP_RE.match(line)
-        if m is None:
+        fields = _step_fields(line)
+        if fields is None:
             raise ProofError(None, f"line {lineno}: not a proof step: {raw!r}")
-        number, _, just_text = m.groups()
+        number, start, end, just_text = fields
         if int(number) != len(steps) + 1:
             raise ProofError(
                 None, f"line {lineno}: step number {number}, expected {len(steps) + 1}"
             )
-        start, end = m.span(2)
         formula = reader.read(raw, start, end) or parse_span(raw, start, end, lineno, reader.memo)
         tokens = just_text.split()
         if not tokens:

@@ -454,25 +454,73 @@ def test_cli_import_leaves_numpy_unloaded():
         assert result.stdout == "False\n", module
 
 
-def test_sim_uses_the_module_attribute(monkeypatch, capsys):
-    # The simulator is looked up on iqcl.cli at call time, so a caller that
-    # replaces the attribute (a tracer, a test double) sees every call.
+def _sim_with(monkeypatch, **replacements):
+    """The real simulator module; iqcl.cli sees a copy with ``replacements``."""
     import types
 
     import iqcl.cli
     from iqcl import nqubit_sim
 
+    monkeypatch.setattr(iqcl.cli, "nqubit_sim", types.SimpleNamespace(**{**vars(nqubit_sim), **replacements}))
+    return nqubit_sim
+
+
+def test_sim_uses_the_module_attribute(monkeypatch, capsys):
+    # The simulator is looked up on iqcl.cli at call time, so a caller that
+    # replaces the attribute (a tracer, a test double) sees every call.
     calls = []
 
     def and_gate(*args):
         calls.append(args)
         return nqubit_sim.and_gate(*args)
 
-    monkeypatch.setattr(iqcl.cli, "nqubit_sim", types.SimpleNamespace(**{**vars(nqubit_sim), "and_gate": and_gate}))
+    nqubit_sim = _sim_with(monkeypatch, and_gate=and_gate)
     code, out, _ = run_cli(["sim", "and", "rho(0.5)", "rho(0.5)", "--format", "machine"], capsys)
     assert code == 0
     assert "probability=" in out
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("trials", [1, 256, 600])
+def test_prop34_calls_each_simulator_function_once_per_batch(monkeypatch, capsys, trials):
+    from iqcl.cli import PROP34_BATCH
+    from iqcl import nqubit_sim
+
+    names = ("bloch_embed", "and_gate", "partial_trace", "bloch_vectors")
+    calls = {name: [] for name in names}
+
+    def counted(name):
+        def call(*args):
+            calls[name].append(args)
+            return getattr(nqubit_sim, name)(*args)
+
+        return call
+
+    _sim_with(monkeypatch, **{name: counted(name) for name in names})
+    code, out, _ = run_cli(["sim", "prop34", "--trials", str(trials), "--format", "machine"], capsys)
+    assert code == 0
+    batches = -(-trials // PROP34_BATCH)
+    assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(names, batches)
+    assert sum(len(args[0]) for args in calls["and_gate"]) == trials
+
+
+@pytest.mark.parametrize("trials, nan_batch", [(5, 0), (600, 0), (600, 1), (600, 2)])
+def test_sim_prop34_nan_deviation_fails(monkeypatch, capsys, trials, nan_batch):
+    # A NaN from the simulator is a failed trial, wherever its batch falls.
+    import numpy as np
+
+    batch = []
+
+    def and_gate(tau, nu):
+        product = nqubit_sim.and_gate(tau, nu)
+        batch.append(None)
+        if len(batch) - 1 == nan_batch:
+            product[-1] = np.nan
+        return product
+
+    nqubit_sim = _sim_with(monkeypatch, and_gate=and_gate)
+    code, out, err = run_cli(["sim", "prop34", "--trials", str(trials), "--format", "machine"], capsys)
+    assert (code, out, err) == (1, f"trials={trials}\nmax_deviation=nan\n", "")
 
 
 def test_relevance_sweep_rejects_steps_not_a_power_of_two():

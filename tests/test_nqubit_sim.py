@@ -1,18 +1,26 @@
+import contextlib
+import io
 import itertools
 import random
 
 import numpy as np
 import pytest
 
+from iqcl.cli import PROP34_BATCH, main
 from iqcl.nqubit_sim import (
+    MAX_QBITS,
+    _check_cap,
+    _kron,
     and_gate,
     bloch_embed,
     bloch_extract,
+    bloch_vectors,
     diagonal_density,
     is_density,
     is_unitary,
     meas_distribution,
     not_j,
+    num_qbits,
     partial_trace,
     prob_n,
     projector_p1,
@@ -155,14 +163,133 @@ def test_last_register_negation_flips_probability():
             assert abs(prob_n(flipped) - (1.0 - prob_n(rho))) < 1e-12
 
 
-def test_iand_equals_reduced_and():
-    rng = random.Random(14)
-    for _ in range(50):
+def reference_deviations(trials, seed):
+    """The prop34 check one trial at a time, with no stack axis."""
+    rng = random.Random(seed)
+    for _ in range(trials):
         tau, nu = random_ball_point(rng), random_ball_point(rng)
         product = and_gate(bloch_embed(tau), bloch_embed(nu))
         reduced = bloch_extract(partial_trace(product, 1))
         direct = iand(tau, nu).bloch
-        for got, want in zip(
-            (reduced.r1, reduced.r2, reduced.r3), (direct.r1, direct.r2, direct.r3)
-        ):
-            assert abs(got - want) < 1e-10
+        yield from (
+            abs(reduced.r1 - direct.r1),
+            abs(reduced.r2 - direct.r2),
+            abs(reduced.r3 - direct.r3),
+        )
+
+
+def test_iand_equals_reduced_and():
+    assert all(d < 1e-10 for d in reference_deviations(50, 14))
+
+
+@pytest.mark.parametrize("trials", [PROP34_BATCH - 1, PROP34_BATCH, PROP34_BATCH + 1])
+@pytest.mark.parametrize("seed", [0, 14])
+def test_prop34_batches_match_the_per_trial_reference(trials, seed):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(["sim", "prop34", "--trials", str(trials), "--seed", str(seed), "--format", "machine"])
+    worst = max(reference_deviations(trials, seed))
+    assert (code, out.getvalue()) == (0, f"trials={trials}\nmax_deviation={worst!r}\n")
+
+
+def random_stack(rng, shape, n):
+    """Random complex matrices, not densities: the layer functions must not care."""
+    real, imag = (rng.standard_normal((*shape, 1 << n, 1 << n)) for _ in range(2))
+    return real + 1j * imag
+
+
+def per_matrix(fn, *stacks):
+    """``fn`` applied to each matrix of the stacks in turn, stacked again."""
+    lead = stacks[0].shape[:-2]
+    results = [fn(*(s[i] for s in stacks)) for i in np.ndindex(lead)]
+    return np.array(results).reshape(*lead, *results[0].shape)
+
+
+def test_and_gate_on_a_stack_equals_each_matrix():
+    rng = np.random.default_rng(21)
+    for shape, (n, m) in (((5,), (1, 1)), ((2, 3), (1, 1)), ((4,), (2, 1)), ((1,), (1, 2))):
+        tau, nu = random_stack(rng, shape, n), random_stack(rng, shape, m)
+        got = and_gate(tau, nu)
+        assert got.shape == (*shape, 1 << (n + m + 1), 1 << (n + m + 1))
+        assert np.array_equal(got, per_matrix(and_gate, tau, nu))
+    # One operand may be a single matrix: it broadcasts against the stack.
+    tau, nu = random_stack(rng, (3,), 1), random_stack(rng, (), 1)
+    assert np.array_equal(and_gate(tau, nu), np.array([and_gate(t, nu) for t in tau]))
+
+
+def test_kron_on_a_stack_equals_np_kron():
+    rng = np.random.default_rng(22)
+    a, b = random_stack(rng, (3,), 1), random_stack(rng, (3,), 2)
+    assert np.array_equal(_kron(a, b), np.array([np.kron(x, y) for x, y in zip(a, b)]))
+
+
+def test_partial_trace_on_a_stack_equals_each_matrix():
+    rng = np.random.default_rng(23)
+    for shape, n in (((6,), 3), ((2, 2), 2), ((3,), 1)):
+        rho = random_stack(rng, shape, n)
+        for keep in range(n + 1):
+            got = partial_trace(rho, keep)
+            assert got.shape == (*shape, 1 << keep, 1 << keep)
+            assert np.array_equal(got, per_matrix(lambda r: partial_trace(r, keep), rho))
+
+
+def test_bloch_embed_and_vectors_on_a_stack_equal_each_point():
+    rng = random.Random(24)
+    points = [[random_ball_point(rng) for _ in range(4)] for _ in range(3)]
+    coords = [[(b.r1, b.r2, b.r3) for b in row] for row in points]
+    stack = bloch_embed(coords)
+    assert stack.shape == (3, 4, 2, 2)
+    assert np.array_equal(stack, np.array([[bloch_embed(b) for b in row] for row in points]))
+    vectors = bloch_vectors(stack)
+    assert vectors.shape == (3, 4, 3)
+    for row, got_row in zip(stack, vectors):
+        for rho, got in zip(row, got_row):
+            b = bloch_extract(rho)
+            assert got.tolist() == [b.r1, b.r2, b.r3]
+    assert bloch_vectors(np.eye(2, dtype=complex) / 2).shape == (3,)
+    with pytest.raises(ValueError):
+        bloch_embed(np.zeros((4, 2)))
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(), (2,), (2, 3), (3, 2), (3, 4, 2), (5, 3, 3), (0, 0), (4, 0, 0), (2, 6, 6)],
+)
+def test_num_qbits_rejects_bad_shapes(shape):
+    with pytest.raises(ValueError):
+        num_qbits(np.zeros(shape, dtype=complex))
+
+
+def test_num_qbits_reads_the_trailing_axes():
+    assert num_qbits(np.zeros((1, 1))) == 0
+    assert num_qbits(np.zeros((8, 8))) == 3
+    assert num_qbits(np.zeros((5, 2, 8, 8))) == 3
+
+
+def test_the_cap_holds_for_stacks():
+    with pytest.raises(ValueError, match="exceed the configured cap"):
+        _check_cap(MAX_QBITS + 1)
+    big = np.zeros((2, 1 << 3, 1 << 3), dtype=complex)
+    with pytest.raises(ValueError, match="exceed the configured cap"):
+        and_gate(big, big)  # 3 + 3 + 1 registers
+    with pytest.raises(ValueError):
+        and_gate(np.zeros((2, 2, 3)), np.zeros((2, 2, 2)))
+
+
+def test_bloch_extract_rejects_stacks_and_wider_matrices():
+    with pytest.raises(ValueError):
+        bloch_extract(np.eye(4, dtype=complex) / 4)
+    with pytest.raises(ValueError):
+        bloch_extract(np.stack([np.eye(2, dtype=complex) / 2] * 2))
+    with pytest.raises(ValueError):
+        bloch_vectors(np.zeros((3, 4, 4), dtype=complex))
+
+
+def test_cached_toffoli_is_read_only():
+    t = toffoli(1, 1)
+    assert t is toffoli(1, 1)
+    with pytest.raises(ValueError):
+        t[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        t[:] *= 2
+    with pytest.raises(ValueError):
+        toffoli(-1, 2)

@@ -7,19 +7,22 @@ for the file, from the same call depth.
 
 import contextlib
 import random
+import re
 import time
 from pathlib import Path
 
 import pytest
 
 from iqcl import syntax
-from iqcl.calculus import _STEP_RE, format_proof, parse_proof
+from iqcl.calculus import _step_fields, format_proof, parse_proof
 from iqcl.syntax import _LEVEL, _TOKEN_RE, IMPLIES, ODOT, Bin, Neg, SpanReader, Sqrt, print_formula
 from util import built_proofs, random_formula
 
 FIXTURES = Path(__file__).parent / "fixtures"
 ALIAS = {"bot": "0", "top": "1", "half": "1/2"}
 ATOMS = ("p", "q", "r1", "s_2")
+# The step-line grammar that ``calculus._step_fields`` reads without a regex.
+STEP_RE = re.compile(r"\s*([0-9]+):\s*(.*?)\s*\[([^\]]*)\]\s*$")
 
 
 def outcome(text: str):
@@ -162,12 +165,47 @@ CORRUPTIONS = (
 def corrupted(rng, text: str) -> str:
     """``text`` with the formula of one line made malformed."""
     lines = text.split("\n")
-    candidates = [i for i, line in enumerate(lines) if _STEP_RE.match(line.split("#", 1)[0])]
+    candidates = [i for i, line in enumerate(lines) if STEP_RE.match(line.split("#", 1)[0])]
     i = rng.choice(candidates)
-    m = _STEP_RE.match(lines[i].split("#", 1)[0])
+    m = STEP_RE.match(lines[i].split("#", 1)[0])
     start, end = m.span(2)
     lines[i] = lines[i][:start] + rng.choice(CORRUPTIONS)(rng, lines[i][start:end]) + lines[i][end:]
     return "\n".join(lines)
+
+
+def assert_step_fields_match_the_regex(line: str):
+    m = STEP_RE.match(line)
+    assert _step_fields(line) == (m and (m[1], *m.span(2), m[3])), repr(line)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_step_fields_match_the_regex_on_random_and_malformed_proofs(seed):
+    rng = random.Random(2000 + seed)
+    for _ in range(25):
+        text = random_proof_text(rng)
+        for proof in (text, corrupted(rng, text)):
+            for raw in proof.splitlines():
+                assert_step_fields_match_the_regex(raw)
+                assert_step_fields_match_the_regex(raw.split("#", 1)[0])
+
+
+def test_step_fields_match_the_regex_on_random_lines():
+    # Short lines over the characters the grammar turns on, with Unicode
+    # spaces and non-ASCII digits; a line never holds "\n".
+    rng = random.Random(3)
+    alphabet = "[]:19 p\t\u00a0\u3000\x1c\r\u2028\u0661-"
+    heads = ("", "1:", " 12:", "\t3 :", "\u0661:", "7", ":", "\u00a01:\u3000", "1:]")
+    tails = ("", "]", "] ", "]\u00a0\r", "]x", "[]", " [hyp]", "[a]]", "[ mp 1 2 ]\t")
+    matched = 0
+    for _ in range(20000):
+        body = "".join(rng.choices(alphabet, k=rng.randint(0, 10)))
+        line = rng.choice(heads) + body + rng.choice(tails)
+        assert_step_fields_match_the_regex(line)
+        matched += STEP_RE.match(line) is not None
+    assert matched >= 2000
+    for line in ("1: p [hyp]", "1:[hyp]", "  12 :p [hyp]", "1: p [a] [b]", "1: p [a]] ", "1: [", "1:]",
+                 "1: p [hyp] x", "1: [[hyp]", "1: p] [hyp]", "\u0661: p [hyp]", ":p [hyp]", "1: p\u3000[hyp]\u00a0"):
+        assert_step_fields_match_the_regex(line)
 
 
 def nest(depth: int, inner: str) -> str:
@@ -257,6 +295,6 @@ def test_token_parser_reads_under_1_percent_of_a_built_proof(workloads, token_pa
     # A work count, not a time: it repeats exactly, so a lost fast path fails here.
     _, built = list(built_proofs(workloads))[-1]
     text = format_proof(built)
-    formula_chars = sum(len(_STEP_RE.match(line)[2]) for line in text.splitlines())
+    formula_chars = sum(len(STEP_RE.match(line)[2]) for line in text.splitlines())
     assert parse_proof(text) == built
     assert sum(token_parser_chars) <= formula_chars / 100
