@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import calculus, qmix, semantics, translation
 from .algebra import SConstant, fraction
-from .syntax import Atom, ParseError, parse, parse_theory_text, print_formula
+from .syntax import ParseError, is_atom_name, parse, parse_theory_text, print_formula
 
 
 def __getattr__(name: str):
@@ -160,11 +160,8 @@ def _parse_s(text: str) -> SConstant:
 
 def _atom_name(name: str) -> str:
     """``name`` if it reads back as that atom, so ``tq5`` output parses."""
-    try:
-        if parse(name) == Atom(name):
-            return name
-    except ParseError:
-        pass
+    if is_atom_name(name):
+        return name
     raise ValueError(f"--atoms: {name!r} is not an atom name")
 
 

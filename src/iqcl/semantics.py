@@ -9,7 +9,9 @@ by structural recursion and is exact whenever the model is rational.
 Tautology search, model sampling and the consistency probe are one
 exact search over a pool of rational disk points per atom: a candidate
 is a model of a theory when every member is exactly 1, and a
-counterexample when the objective is below 1.
+counterexample when the objective is below 1.  Candidates that agree on
+every coordinate the formulas read get the same verdict, so a sweep of
+the whole product screens each distinct tuple of those coordinates once.
 
 The relevance degree of a theory T over a formula f is the infimum of
 f's value over models giving every member of T value 1.  It is computed
@@ -32,6 +34,7 @@ reference and ``eval_bloch`` the oracle.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 import types
@@ -65,6 +68,7 @@ from .syntax import (
     Neg,
     Sqrt,
     atoms as formula_atoms,
+    is_atom_name,
     parse_theory_text,
 )
 
@@ -299,8 +303,9 @@ def _at(lines, depth: int) -> str:
 
 def _evaluator_source(
     objective: Formula | None, members, pos: dict[str, int], den: int | None = None
-) -> str:
-    """The source of the functions ``_evaluators`` compiles.
+) -> tuple[str, tuple[int, ...]]:
+    """The source of the functions ``_evaluators`` compiles, and the
+    coordinates that the formulas read, in order.
 
     Atom k sits at ``pos[name] = 2k``; its u and w are the coordinates
     ``x{2k}`` and ``x{2k + 1}``.  Only the component each node needs is
@@ -388,6 +393,7 @@ def _evaluator_source(
         else:
             lines.append(f"if {operand(value, e)} != {den**e}: continue")
     value, e = ("None", 0) if objective is None else emit(objective, False)
+    read = tuple(sorted(reads))
     if den is None:
         lines.append(f"o = {value}")
         coords = "".join(f"x{i}, " for i in range(2 * len(pos)))
@@ -398,15 +404,15 @@ def _evaluator_source(
             evaluate,
             _LINE_SEARCH.format(at3=_at(scored, 3)),
             _SCREEN.format(at2=_at(point, 2)),
-        ))
+        )), read
     if objective is not None:
         lines.append(f"if {operand(value, e)} < {den**e}: yield i")
     else:
         lines.append("yield i")
-    coords = "".join(f" x{c}," for c in sorted(reads))
-    columns = "".join(f", map(pool[{c % 2}].__getitem__, picks[{c // 2}])" for c in sorted(reads))
+    coords = "".join(f" x{c}," for c in read)
+    columns = "".join(f", map(pool[{c % 2}].__getitem__, picks[{c // 2}])" for c in read)
     body = "".join(f"        {line}\n" for line in lines)
-    return f"def evaluate(m, pool, picks):\n    for i,{coords} in zip(range(m){columns}):\n{body}"
+    return f"def evaluate(m, pool, picks):\n    for i,{coords} in zip(range(m){columns}):\n{body}", read
 
 
 def _evaluators(
@@ -417,11 +423,13 @@ def _evaluators(
     In floats (no ``den``) for the relevance search: ``evaluate``,
     ``line_search`` and ``screen``.  In exact integers over ``den`` for
     the pool search behind tautology and model search: ``evaluate``.
+    ``reads`` holds the coordinates they read, in order.
     """
+    source, reads = _evaluator_source(objective, members, pos, den)
     namespace: dict = {}
-    exec(_evaluator_source(objective, members, pos, den), namespace)
+    exec(source, namespace)
     del namespace["__builtins__"]
-    return types.SimpleNamespace(**namespace)
+    return types.SimpleNamespace(**namespace, reads=reads)
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +514,8 @@ class PoolSearch:
     of a pool of exact rational disk points: the fixed 61 of
     ``_rational_disk_pool``, then, for the members' constants c, the disk
     points with coordinates among c, 1 - c and 1/2.  Candidates are
-    screened in batches by one function generated per run, in exact
-    integers over a common denominator of the pool and the constants.
+    screened by one function generated per run, in exact integers over a
+    common denominator of the pool and the constants.
     """
 
     def __init__(self, objective: Formula | None, members=()):
@@ -533,9 +541,10 @@ class PoolSearch:
         With two or more atoms, each is first narrowed to the points where
         its single-atom members are exactly 1.  A product of at most
         ``budget`` points, or of one atom, is swept in order, first atom
-        varying fastest; a larger one is searched by the diagonal (every
-        atom at its j-th point), then seeded random combinations.
-        ``screened`` counts the candidates of the batches run in full.
+        varying fastest (see ``_sweep``); a larger one is searched in
+        batches by the diagonal (every atom at its j-th point), then
+        seeded random combinations.  ``screened`` counts the candidates of
+        the batches run in full; a sweep is one batch.
         """
         if budget < 1:
             raise ValueError(f"budget must be at least 1, got {budget}")
@@ -547,35 +556,116 @@ class PoolSearch:
                 narrow = _evaluators(None, own, {name: 0}, self.den).evaluate
                 allowed[k] = tuple(narrow(size, self.lifted, [range(size)]))
         sizes = [len(points) for points in allowed]
-        exhaustive = n <= 1 or math.prod(sizes) <= budget
         total = min(budget, math.prod(sizes))
-        strides = [math.prod(sizes[:k]) for k in range(n)]
-        rng = random.Random(seed)
         pos = {name: 2 * k for k, name in enumerate(self.names)}
-        screen = _evaluators(self.objective, self.members, pos, self.den).evaluate
+        screen = _evaluators(self.objective, self.members, pos, self.den)
 
         self.screened = 0
+        if n <= 1 or math.prod(sizes) <= budget:
+            # Only one atom's sweep can stop short at the budget: with more, total is the product.
+            yield from self._sweep(screen, [points[:total] for points in allowed])
+            self.screened = total
+            return
+        rng = random.Random(seed)
         start, batch = 0, size
         while start < total:
             stop = min(total, start + batch)
-            if exhaustive:
-                # Candidate i puts atom k at its point (i // stride_k) % size_k.
-                indices = [[(i // stride) % s for i in range(start, stop)] for stride, s in zip(strides, sizes)]
-            else:
-                # The diagonal first, then one draw per atom per candidate.
-                head = list(range(start, min(stop, *sizes)))
-                draws = [rng.randrange(s) for _ in range(stop - start - len(head)) for s in sizes]
-                indices = [head + draws[k::n] for k in range(n)]
+            # The diagonal first, then one draw per atom per candidate.
+            head = list(range(start, min(stop, *sizes)))
+            draws = [rng.randrange(s) for _ in range(stop - start - len(head)) for s in sizes]
+            indices = [head + draws[k::n] for k in range(n)]
             if sizes != [size] * n:
                 indices = [[points[j] for j in column] for points, column in zip(allowed, indices)]
-            for hit in screen(stop - start, self.lifted, indices):
+            for hit in screen.evaluate(stop - start, self.lifted, indices):
                 yield start + hit, tuple([column[hit] for column in indices])
             start, batch = stop, min(_CHUNK, 8 * batch)
             self.screened = start
 
+    def _sweep(self, screen, allowed):
+        """Yield the hits of the product of ``allowed`` in sweep order.
+
+        The screen's verdict on a candidate depends only on the coordinates
+        it reads (``screen.reads``).  So each atom's points fall into
+        classes of equal read coordinates, numbered in order of first
+        occurrence, and the screen runs once per tuple of classes, in the
+        sweep's order.  The walk extends candidates atom by atom, from the
+        last (slowest) to the first, keeping a point only if its class,
+        with the classes already chosen, begins a passing tuple.
+
+        No candidate before the first one of the first passing tuple
+        passes: each earlier candidate's tuple comes before it, because a
+        lower class first occurs earlier.  So the walk yields that first
+        hit before the remaining tuples are screened; the rest of the walk
+        then sees them all.
+        """
+        # Atoms that keep the whole pool and read the same components share one grouping.
+        domains = [(points, tuple(c % 2 for c in screen.reads if c // 2 == k)) for k, points in enumerate(allowed)]
+        grouped = {domain: _classes(domain[0], [self.lifted[c] for c in domain[1]]) for domain in set(domains)}
+        classes = [grouped[domain][0] for domain in domains]
+        firsts = [grouped[domain][1] for domain in domains]
+        counts = [len(points) for points in firsts]
+        m = math.prod(counts)
+        if not m:
+            return
+        # Class tuple h puts atom k in class (h // stride_k) % count_k, as
+        # the sweep puts it at a point; the screen sees each class's first point.
+        strides = [math.prod(counts[:k]) for k in range(len(counts))]
+        columns = [_Column(points, stride, m // (stride * len(points))) for points, stride in zip(firsts, strides)]
+        passing = screen.evaluate(m, self.lifted, columns)
+        h = next(passing, None)
+        if h is None:
+            return
+        # live[k]: the class offsets over atoms k, k + 1, ... of the passing tuples screened so far.
+        live = [{h - h % stride} for stride in strides]
+        walk = iter([(0, 0, ())])
+        for k in reversed(range(len(allowed))):
+            walk = _extend(walk, allowed[k], classes[k], math.prod(map(len, allowed[:k])), strides[k], live[k])
+        i, _, picks = next(walk)
+        yield i, picks
+        for h in passing:
+            for offsets, stride in zip(live, strides):
+                offsets.add(h - h % stride)
+        for i, _, picks in walk:
+            yield i, picks
+
     def pairs(self, picks) -> dict[str, tuple[Fraction, Fraction]]:
         """Each atom's disk point at a candidate's picks."""
         return {name: self.pool[j] for name, j in zip(self.names, picks)}
+
+
+class _Column:
+    """An atom's pool indices over the class tuples: each of ``points``
+    ``stride`` times in turn, the whole ``cycles`` times.  Each iteration
+    starts afresh, as the screen reads a column once per coordinate."""
+
+    def __init__(self, points, stride: int, cycles: int):
+        self.points, self.stride, self.cycles = points, stride, cycles
+
+    def __iter__(self):
+        points = itertools.chain.from_iterable(itertools.repeat(self.points, self.cycles))
+        if self.stride == 1:
+            return points
+        return itertools.chain.from_iterable(map(itertools.repeat, points, itertools.repeat(self.stride)))
+
+
+def _classes(points, columns):
+    """Each point's class of equal values in ``columns``, the classes
+    numbered in order of first occurrence, and each class's first point."""
+    keys = list(zip(*(map(column.__getitem__, points) for column in columns))) or [()] * len(points)
+    number = dict(zip(dict.fromkeys(keys), itertools.count()))
+    first = dict(zip(reversed(keys), reversed(points)))  # the last write is the first point
+    return list(map(number.__getitem__, keys)), list(map(first.__getitem__, number))
+
+
+def _extend(walk, points, classes, stride, class_stride, live):
+    """The candidates of ``walk``, each ``(i, class offset, picks)`` over
+    the atoms after this one, extended by each of this atom's points in
+    order whose class offset is in ``live``."""
+    offsets = [c * class_stride for c in classes]
+    for i, offset, picks in walk:
+        for j, point, dc in zip(range(i, i + len(points) * stride, stride), points, offsets):
+            if offset + dc in live:
+                yield j, offset + dc, (point, *picks)
 
 
 def check_tautology(f: Formula, budget: int = 100_000, seed: int = 0) -> TautologyReport:
@@ -812,7 +902,8 @@ def sample_models(theory: Theory, count: int, seed: int = 0, extra_atoms=()) -> 
 
 
 def parse_model_text(text: str) -> ReducedModel:
-    """Model file: lines ``atom u w`` with fractions or decimals."""
+    """Model file: lines ``atom u w`` with fractions or decimals, each
+    atom once.  A malformed line is a ``ValueError`` naming it."""
     pairs = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -822,7 +913,14 @@ def parse_model_text(text: str) -> ReducedModel:
         if len(parts) != 3:
             raise ValueError(f"model line {lineno}: expected 'atom u w'")
         name, u_text, w_text = parts
-        pairs[name] = (fraction(u_text), fraction(w_text))
+        if not is_atom_name(name):
+            raise ValueError(f"model line {lineno}: {name!r} is not an atom name")
+        if name in pairs:
+            raise ValueError(f"model line {lineno}: atom {name} is assigned twice")
+        try:
+            pairs[name] = (fraction(u_text), fraction(w_text))
+        except ValueError as exc:
+            raise ValueError(f"model line {lineno}: {exc}") from None
     return ReducedModel(pairs)
 
 

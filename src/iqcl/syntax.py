@@ -453,6 +453,14 @@ def atoms(f: Formula) -> set[str]:
     return atoms(f.left) | atoms(f.right)
 
 
+def is_atom_name(name: str) -> bool:
+    """True iff ``name`` reads back as the atom of that name."""
+    try:
+        return parse(name) == Atom(name)
+    except ParseError:
+        return False
+
+
 def is_pmv_fragment(f: Formula) -> bool:
     """True iff every square-root node wraps a propositional variable."""
     if isinstance(f, (Atom, Const)):

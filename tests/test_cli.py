@@ -71,6 +71,27 @@ def test_eval_model_zero_denominator_exit_2(tmp_path, capsys):
     assert "zero denominator" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p 1/2 1/2\np 1 1/2\n", "model line 2: atom p is assigned twice"),
+        ("# p then q\np 1 1/2\n\nq 0 1/2\nq 0 1/2  # again\n", "model line 5: atom q is assigned twice"),
+        ("top 1 1/2\n", "model line 1: 'top' is not an atom name"),
+        ("p 1 1/2\nhalf 1/2 1/2\n", "model line 2: 'half' is not an atom name"),
+        ("p 1 1/2\n(q) 1 1/2\n", "model line 2: '(q)' is not an atom name"),
+        ("p nan 1/2\n", "model line 1: Invalid literal for Fraction: 'nan'"),
+        ("p 1 1/2\nq 1/2 1/0\n", "model line 2: zero denominator: 1/0"),
+    ],
+)
+def test_eval_malformed_model_line_exit_2(tmp_path, capsys, text, message):
+    model = tmp_path / "m.model"
+    model.write_text(text)
+    code, out, err = run_cli(["eval", "p", "--model", str(model)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_taut_exit_codes(capsys):
     code, out, _ = run_cli(["taut", "p -> (q -> p)", "--format", "machine"], capsys)
     assert code == 0

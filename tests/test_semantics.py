@@ -13,7 +13,6 @@ from iqcl.semantics import (
     RelevanceOptions,
     RelevanceResult,
     ReducedModel,
-    TautologyReport,
     Theory,
     UnassignedAtomError,
     _CHUNK,
@@ -52,7 +51,7 @@ from iqcl.syntax import (
     atoms,
     parse,
 )
-from util import _CONST_POOL, random_formula, random_model
+from util import _CONST_POOL, random_formula, random_model, reference_check_tautology, reference_pool
 
 H = Fraction(1, 2)
 
@@ -131,70 +130,9 @@ def test_tautology_examples():
     assert check_tautology(parse("p -> p + p")).is_tautology
 
 
-def _reference_pool():
-    """The candidate pool, built by list scan in its defining order."""
-    pool = [(Fraction(1), H), (Fraction(0), H), (H, H), (H, Fraction(0)), (H, Fraction(1))]
-    step = Fraction(1, 8)
-    for i in range(9):
-        for j in range(9):
-            u, w = i * step, j * step
-            if (1 - 2 * u) ** 2 + (1 - 2 * w) ** 2 <= 1 and (u, w) not in pool:
-                pool.append((u, w))
-    for t in (0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), 3, -3, Fraction(1, 3), Fraction(-1, 3), 4, -4):
-        c = (1 - Fraction(t) ** 2) / (1 + Fraction(t) ** 2)
-        s = 2 * Fraction(t) / (1 + Fraction(t) ** 2)
-        for r3, r2 in ((c, s), (s, c)):
-            if ((1 - r3) / 2, (1 - r2) / 2) not in pool:
-                pool.append(((1 - r3) / 2, (1 - r2) / 2))
-    return pool
-
-
 def test_rational_disk_pool_order():
-    assert list(_rational_disk_pool()) == _reference_pool()
-    assert len(_reference_pool()) == 61
-
-
-def reference_check_tautology(f, budget=100_000, seed=0) -> TautologyReport:
-    """The per-candidate Fraction sweep that check_tautology batches.
-
-    Same candidates in the same order: the pool product with the first
-    atom varying fastest, or the diagonal followed by seeded random
-    combinations; each one is a ReducedModel evaluated by eval_prob.
-    """
-    names = sorted(atoms(f))
-    pool = _reference_pool()
-    if not names:
-        model = ReducedModel({})
-        return TautologyReport(model if eval_prob(model, f)[0] < 1 else None, 1)
-
-    def candidates():
-        if len(names) == 1 or len(pool) ** len(names) <= budget:
-            indices = [0] * len(names)
-            while True:
-                yield {name: pool[indices[k]] for k, name in enumerate(names)}
-                for k in range(len(names)):
-                    indices[k] += 1
-                    if indices[k] < len(pool):
-                        break
-                    indices[k] = 0
-                else:
-                    return
-        else:
-            for point in pool:
-                yield {name: point for name in names}
-            rng = random.Random(seed)
-            while True:
-                yield {name: pool[rng.randrange(len(pool))] for name in names}
-
-    evaluations = 0
-    for assignment in candidates():
-        if evaluations >= budget:
-            break
-        evaluations += 1
-        candidate = ReducedModel(assignment)
-        if eval_prob(candidate, f)[0] < 1:
-            return TautologyReport(candidate, evaluations)
-    return TautologyReport(None, evaluations)
+    assert list(_rational_disk_pool()) == reference_pool()
+    assert len(reference_pool()) == 61
 
 
 # 1/2**10 forces the screen's common denominator from 680 up to 680 * 2**7.
@@ -221,7 +159,7 @@ def _screen_values(g, pos, den, pool, picks):
     The screen yields only the candidates below 1; rewriting its final
     test into a plain yield exposes each value as (numerator, den**e).
     """
-    source, count = re.subn(r"if (\w+) < (\d+): yield i\n", r"yield \1, \2\n", _evaluator_source(g, (), pos, den))
+    source, count = re.subn(r"if (\w+) < (\d+): yield i\n", r"yield \1, \2\n", _evaluator_source(g, (), pos, den)[0])
     assert count == 1
     namespace = {}
     exec(source, namespace)
@@ -291,9 +229,9 @@ def test_integer_mode_folds_constants():
     for _ in range(200):
         objective = random_formula(rng, ("p", "q"), depth=5, constants=_WIDE_CONSTANTS)
         members = [random_formula(rng, ("p", "q"), depth=4, constants=_WIDE_CONSTANTS) for _ in range(rng.randint(0, 2))]
-        source = _evaluator_source(rng.choice((None, objective)), members, pos, 680 * 2**7)
+        source, _ = _evaluator_source(rng.choice((None, objective)), members, pos, 680 * 2**7)
         assert not re.search(r"= \d+ \* \d+", source), source
-    assert "173400" in _evaluator_source(parse("(p . ?q -> 3/8) | !?p"), (), pos, 680)  # 3/8 at exponent 2: 255 * 680
+    assert "173400" in _evaluator_source(parse("(p . ?q -> 3/8) | !?p"), (), pos, 680)[0]  # 3/8 at exponent 2: 255 * 680
 
 
 def test_tautology_matches_reference_on_random_formulas():
@@ -313,7 +251,7 @@ def test_tautology_matches_reference_beyond_64_bits():
         deep = random_formula(rng, ("p", "q"), depth=2, constants=_WIDE_CONSTANTS)
         for _ in range(6):
             deep = Bin(PRODUCT, random_formula(rng, ("p", "q"), depth=2, constants=_WIDE_CONSTANTS), deep)
-        source = _evaluator_source(deep, (), {"p": 0, "q": 2}, 680 * 2**7)
+        source, _ = _evaluator_source(deep, (), {"p": 0, "q": 2}, 680 * 2**7)
         one = int(re.search(r" < (\d+): yield i\n", source).group(1))  # den**e
         assert one > 2**63
         factor = deep.left
@@ -643,8 +581,8 @@ def test_generated_source_holds_no_formula_text():
     for _ in range(100):
         objective = random_formula(rng, names, depth=5, constants=_WIDE_CONSTANTS)
         members = [random_formula(rng, names, depth=4) for _ in range(rng.randint(0, 3))]
-        for source in (_evaluator_source(rng.choice((None, objective)), members, pos),
-                       _evaluator_source(rng.choice((None, objective)), members, pos, 680 * 2**7)):
+        for source, _ in (_evaluator_source(rng.choice((None, objective)), members, pos),
+                          _evaluator_source(rng.choice((None, objective)), members, pos, 680 * 2**7)):
             for node in ast.walk(ast.parse(source)):
                 if isinstance(node, ast.FunctionDef):
                     assert node.name in functions, source

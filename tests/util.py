@@ -1,5 +1,7 @@
-"""Shared generators for the test suite."""
+"""Shared generators and references for the test suite."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from iqcl.algebra import SConstant
 from iqcl.calculus import deduction_transform
-from iqcl.semantics import ReducedModel, random_rational_model
+from iqcl.semantics import ReducedModel, TautologyReport, eval_prob, random_rational_model
 from iqcl.syntax import (
     BINARY_OPS,
     Atom,
@@ -16,6 +18,7 @@ from iqcl.syntax import (
     Formula,
     Neg,
     Sqrt,
+    atoms,
 )
 
 _CONST_POOL = (
@@ -101,3 +104,99 @@ def built_proofs(workloads):
     for uses in workloads.HYPOTHESIS_USES:
         theory, proof = workloads._input_proof(alpha, beta, uses)
         yield theory, deduction_transform(theory, alpha, proof)[1]
+
+
+def _constants(f: Formula) -> set[Fraction]:
+    if isinstance(f, Const):
+        return {f.value.value}
+    if isinstance(f, (Neg, Sqrt)):
+        return _constants(f.arg)
+    if isinstance(f, Bin):
+        return _constants(f.left) | _constants(f.right)
+    return set()
+
+
+def reference_pool(members=()) -> list[tuple[Fraction, Fraction]]:
+    """The pool search's candidate points, built by list scan in their defining order.
+
+    The 61 fixed points, then, for the members' constants c, the disk
+    points with coordinates among c, 1 - c and 1/2.
+    """
+    half = Fraction(1, 2)
+
+    def add(u, w):
+        if (1 - 2 * u) ** 2 + (1 - 2 * w) ** 2 <= 1 and (u, w) not in pool:
+            pool.append((u, w))
+
+    pool = [(Fraction(1), half), (Fraction(0), half), (half, half), (half, Fraction(0)), (half, Fraction(1))]
+    step = Fraction(1, 8)
+    for i in range(9):
+        for j in range(9):
+            add(i * step, j * step)
+    for t in (0, 1, -1, 2, -2, half, -half, 3, -3, Fraction(1, 3), Fraction(-1, 3), 4, -4):
+        c = (1 - Fraction(t) ** 2) / (1 + Fraction(t) ** 2)
+        s = 2 * Fraction(t) / (1 + Fraction(t) ** 2)
+        for r3, r2 in ((c, s), (s, c)):
+            add((1 - r3) / 2, (1 - r2) / 2)
+    coords = sorted({x for beta in members for c in _constants(beta) for x in (c, 1 - c, half)})
+    for u in coords:
+        for w in coords:
+            add(u, w)
+    return pool
+
+
+def reference_hits(objective, members=(), budget=100_000, seed=0):
+    """The pool search candidate by candidate, with ``eval_prob`` on each.
+
+    Yields ``(i, picks)``, picks holding each atom's index into
+    ``reference_pool(members)``, for every candidate i among the first
+    ``budget`` at which each member is exactly 1 and the objective, if
+    any, is below 1; returns the number of candidates.  The candidates
+    are those of ``PoolSearch.hits``: with two or more atoms each is first
+    narrowed to the points where its single-atom members are 1; a product
+    of at most ``budget`` points, or of one atom, is swept with the first
+    atom varying fastest; a larger one is the diagonal, then seeded
+    random combinations, one draw per atom in order.
+    """
+    formulas = (*members, *(() if objective is None else (objective,)))
+    names = sorted(set().union(*map(atoms, formulas)))
+    pool = reference_pool(members)
+    allowed = [range(len(pool))] * len(names)
+    for k, name in enumerate(names if len(names) > 1 else ()):
+        own = [beta for beta in members if atoms(beta) == {name}]
+        allowed[k] = [j for j in range(len(pool))
+                      if all(eval_prob(ReducedModel({name: pool[j]}), beta)[0] == 1 for beta in own)]
+    sizes = [len(points) for points in allowed]
+
+    def candidates():
+        if len(names) <= 1 or math.prod(sizes) <= budget:
+            for picks in itertools.product(*reversed(allowed)):
+                yield picks[::-1]
+            return
+        for j in range(min(sizes)):
+            yield tuple(points[j] for points in allowed)
+        rng = random.Random(seed)
+        while True:
+            yield tuple(points[rng.randrange(len(points))] for points in allowed)
+
+    count = 0
+    for i, picks in enumerate(itertools.islice(candidates(), budget)):
+        count += 1
+        candidate = ReducedModel({name: pool[j] for name, j in zip(names, picks)})
+        if all(eval_prob(candidate, beta)[0] == 1 for beta in members) and (
+            objective is None or eval_prob(candidate, objective)[0] < 1
+        ):
+            yield i, picks
+    return count
+
+
+def reference_check_tautology(f, budget=100_000, seed=0) -> TautologyReport:
+    """The per-candidate reference of ``check_tautology``: the first hit of
+    ``reference_hits`` as a model, else every candidate counted."""
+    hits = reference_hits(f, (), budget, seed)
+    try:
+        i, picks = next(hits)
+    except StopIteration as stop:
+        return TautologyReport(None, stop.value)
+    pool = reference_pool()
+    return TautologyReport(ReducedModel({name: pool[j] for name, j in zip(sorted(atoms(f)), picks)}), i + 1)
