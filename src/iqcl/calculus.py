@@ -829,12 +829,12 @@ class ProbeResult:
         return "model-found" if self.model is not None else "no-model-at-budget"
 
 
-def consistency_probe(theory: Theory, budget: int = 100_000, seed: int = 0) -> ProbeResult:
-    """The first exact model of the theory among the first ``budget``
-    candidates of a ``PoolSearch``; finding one certifies consistency,
-    failing to is inconclusive at the given budget."""
+def consistency_probe(theory: Theory, budget: int = 100_000) -> ProbeResult:
+    """The first exact model of the theory in sweep order among the
+    candidates of the first ``budget`` class tuples of a ``PoolSearch``;
+    finding one certifies consistency, failing to is inconclusive."""
     search = PoolSearch(None, theory.members)
-    hit = next(search.hits(budget, seed), None)
+    hit = next(search.hits(budget), None)
     return ProbeResult(None if hit is None else ReducedModel(search.pairs(hit[1])))
 
 

@@ -116,7 +116,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_taut(args) -> int:
     f = parse(args.formula)
-    report = semantics.check_tautology(f, budget=args.budget, seed=args.seed)
+    report = semantics.check_tautology(f, budget=args.budget)
     fields: list[tuple[str, object]] = [("verdict", report.verdict)]
     if report.counterexample is not None:
         fields += _model_fields(report.counterexample)
@@ -286,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_taut = sub.add_parser("taut", help="search for a countermodel")
     p_taut.add_argument("formula")
-    _add_options(p_taut, "--format", "--seed", "--budget")
+    _add_options(p_taut, "--format", "--budget")
     p_taut.set_defaults(run=_cmd_taut)
 
     p_rel = sub.add_parser("relevance", help="relevance degree of a theory over a formula")

@@ -10,8 +10,9 @@ Tautology search, model sampling and the consistency probe are one
 exact search over a pool of rational disk points per atom: a candidate
 is a model of a theory when every member is exactly 1, and a
 counterexample when the objective is below 1.  Candidates that agree on
-every coordinate the formulas read get the same verdict, so a sweep of
-the whole product screens each distinct tuple of those coordinates once.
+every coordinate the formulas read get the same verdict, so one sweep of
+the product screens each distinct tuple of those coordinates, a class
+tuple, once; the budget caps the class tuples screened.
 
 The relevance degree of a theory T over a formula f is the infimum of
 f's value over models giving every member of T value 1.  It is computed
@@ -101,6 +102,16 @@ def _in_disk(u: Fraction, w: Fraction, tol: Fraction = DISK_TOL) -> bool:
     return (1 - 2 * u) ** 2 + (1 - 2 * w) ** 2 <= 1 + tol
 
 
+def _checked_pair(name: str, u, w) -> tuple[Fraction, Fraction]:
+    """Atom ``name``'s pair as fractions; ``ValueError`` off the unit square or the disk."""
+    u, w = Fraction(u), Fraction(w)
+    if not (0 <= u <= 1 and 0 <= w <= 1):
+        raise ValueError(f"atom {name}: pair ({u}, {w}) outside the unit square")
+    if not _in_disk(u, w):
+        raise ValueError(f"atom {name}: pair ({u}, {w}) violates the disk constraint")
+    return u, w
+
+
 @dataclass(frozen=True)
 class ReducedModel:
     """Map atom -> (u, w); u = value of the atom, w = value of its root."""
@@ -108,14 +119,7 @@ class ReducedModel:
     assignment: dict[str, tuple[Fraction, Fraction]]
 
     def __post_init__(self):
-        checked = {}
-        for name, (u, w) in self.assignment.items():
-            u, w = Fraction(u), Fraction(w)
-            if not (0 <= u <= 1 and 0 <= w <= 1):
-                raise ValueError(f"atom {name}: pair ({u}, {w}) outside the unit square")
-            if not _in_disk(u, w):
-                raise ValueError(f"atom {name}: pair ({u}, {w}) violates the disk constraint")
-            checked[name] = (u, w)
+        checked = {name: _checked_pair(name, u, w) for name, (u, w) in self.assignment.items()}
         object.__setattr__(self, "assignment", checked)
 
     def pair(self, name: str) -> tuple[Fraction, Fraction]:
@@ -491,11 +495,6 @@ def _pool_numerators() -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     return _numerators(_rational_disk_pool())
 
 
-# Candidates screened per batch: the first batch is one pool sweep, so an
-# early hit costs little; later batches grow to _CHUNK.
-_CHUNK = 4096
-
-
 def _constants(f: Formula) -> set[Fraction]:
     if isinstance(f, Const):
         return {f.value.value}
@@ -534,17 +533,16 @@ class PoolSearch:
         # Indexed by ``root``: u numerators, then w numerators, over den.
         self.lifted = (tuple(x * lift for x in pool_u), tuple(x * lift for x in pool_w))
 
-    def hits(self, budget: int, seed: int = 0):
+    def hits(self, budget: int):
         """Yield ``(i, picks)``, picks holding each atom's pool index, for
-        each passing candidate i among the first ``budget`` (at least 1).
+        each passing candidate i whose class tuple is among the first
+        ``budget`` (at least 1) that the sweep screens.
 
         With two or more atoms, each is first narrowed to the points where
-        its single-atom members are exactly 1.  A product of at most
-        ``budget`` points, or of one atom, is swept in order, first atom
-        varying fastest (see ``_sweep``); a larger one is searched in
-        batches by the diagonal (every atom at its j-th point), then
-        seeded random combinations.  ``screened`` counts the candidates of
-        the batches run in full; a sweep is one batch.
+        its single-atom members are exactly 1.  The product of the narrowed
+        points is swept in order, first atom varying fastest (see
+        ``_sweep``).  ``screened`` counts the candidates whose class tuple
+        was screened: the whole product when the budget covers its tuples.
         """
         if budget < 1:
             raise ValueError(f"budget must be at least 1, got {budget}")
@@ -555,34 +553,15 @@ class PoolSearch:
             if own:
                 narrow = _evaluators(None, own, {name: 0}, self.den).evaluate
                 allowed[k] = tuple(narrow(size, self.lifted, [range(size)]))
-        sizes = [len(points) for points in allowed]
-        total = min(budget, math.prod(sizes))
         pos = {name: 2 * k for k, name in enumerate(self.names)}
         screen = _evaluators(self.objective, self.members, pos, self.den)
-
         self.screened = 0
-        if n <= 1 or math.prod(sizes) <= budget:
-            # Only one atom's sweep can stop short at the budget: with more, total is the product.
-            yield from self._sweep(screen, [points[:total] for points in allowed])
-            self.screened = total
-            return
-        rng = random.Random(seed)
-        start, batch = 0, size
-        while start < total:
-            stop = min(total, start + batch)
-            # The diagonal first, then one draw per atom per candidate.
-            head = list(range(start, min(stop, *sizes)))
-            draws = [rng.randrange(s) for _ in range(stop - start - len(head)) for s in sizes]
-            indices = [head + draws[k::n] for k in range(n)]
-            if sizes != [size] * n:
-                indices = [[points[j] for j in column] for points, column in zip(allowed, indices)]
-            for hit in screen.evaluate(stop - start, self.lifted, indices):
-                yield start + hit, tuple([column[hit] for column in indices])
-            start, batch = stop, min(_CHUNK, 8 * batch)
-            self.screened = start
+        self.screened = yield from self._sweep(screen, allowed, budget)
 
-    def _sweep(self, screen, allowed):
-        """Yield the hits of the product of ``allowed`` in sweep order.
+    def _sweep(self, screen, allowed, budget: int):
+        """Yield the hits of the product of ``allowed`` in sweep order
+        among the candidates of its first ``budget`` class tuples, and
+        return the number of those candidates.
 
         The screen's verdict on a candidate depends only on the coordinates
         it reads (``screen.reads``).  So each atom's points fall into
@@ -606,15 +585,17 @@ class PoolSearch:
         counts = [len(points) for points in firsts]
         m = math.prod(counts)
         if not m:
-            return
+            return 0
         # Class tuple h puts atom k in class (h // stride_k) % count_k, as
         # the sweep puts it at a point; the screen sees each class's first point.
         strides = [math.prod(counts[:k]) for k in range(len(counts))]
         columns = [_Column(points, stride, m // (stride * len(points))) for points, stride in zip(firsts, strides)]
-        passing = screen.evaluate(m, self.lifted, columns)
+        b = min(budget, m)
+        passing = screen.evaluate(b, self.lifted, columns)
+        screened = math.prod(map(len, allowed)) if b == m else _candidates_below(b, classes, strides)
         h = next(passing, None)
         if h is None:
-            return
+            return screened
         # live[k]: the class offsets over atoms k, k + 1, ... of the passing tuples screened so far.
         live = [{h - h % stride} for stride in strides]
         walk = iter([(0, 0, ())])
@@ -627,6 +608,7 @@ class PoolSearch:
                 offsets.add(h - h % stride)
         for i, _, picks in walk:
             yield i, picks
+        return screened
 
     def pairs(self, picks) -> dict[str, tuple[Fraction, Fraction]]:
         """Each atom's disk point at a candidate's picks."""
@@ -657,6 +639,18 @@ def _classes(points, columns):
     return list(map(number.__getitem__, keys)), list(map(first.__getitem__, number))
 
 
+def _candidates_below(b: int, classes, strides) -> int:
+    """The candidates whose class tuple is below b, for b below the
+    product of the class counts: a sum over b's mixed-radix digits, from
+    the slowest atom."""
+    count, above = 0, 1
+    for k in reversed(range(len(classes))):
+        d, b = divmod(b, strides[k])
+        count += above * sum(c < d for c in classes[k]) * math.prod(map(len, classes[:k]))
+        above *= classes[k].count(d)
+    return count
+
+
 def _extend(walk, points, classes, stride, class_stride, live):
     """The candidates of ``walk``, each ``(i, class offset, picks)`` over
     the atoms after this one, extended by each of this atom's points in
@@ -668,24 +662,26 @@ def _extend(walk, points, classes, stride, class_stride, live):
                 yield j, offset + dc, (point, *picks)
 
 
-def check_tautology(f: Formula, budget: int = 100_000, seed: int = 0) -> TautologyReport:
+def check_tautology(f: Formula, budget: int = 100_000) -> TautologyReport:
     """Search the per-atom disk for a model giving f a value below 1.
 
     The candidates are those of a ``PoolSearch`` with no members, so
     the pool is the fixed 61 points; ``budget`` (at least 1) caps the
-    candidates screened.  Only the first failing candidate becomes a
-    ``ReducedModel``.  A returned counterexample is exact; a
+    class tuples screened.  ``evaluations`` counts the candidates decided:
+    up to the first counterexample in sweep order, else those of the
+    screened class tuples.  A counterexample is exact; a
     no-counterexample verdict is only as strong as the budget.
     """
     search = PoolSearch(f)
-    for i, picks in search.hits(budget, seed):
+    for i, picks in search.hits(budget):
         return TautologyReport(ReducedModel(search.pairs(picks)), i + 1)
     return TautologyReport(None, search.screened)
 
 
-def consequence(alpha: Formula, beta: Formula, budget: int = 100_000, seed: int = 0) -> TautologyReport:
-    """Semantic consequence check: alpha entails beta iff alpha -> beta is a tautology."""
-    return check_tautology(Bin(IMPLIES, alpha, beta), budget=budget, seed=seed)
+def consequence(alpha: Formula, beta: Formula, budget: int = 100_000) -> TautologyReport:
+    """Semantic consequence check: alpha entails beta iff alpha -> beta is
+    a tautology, searched as ``check_tautology`` does within ``budget``."""
+    return check_tautology(Bin(IMPLIES, alpha, beta), budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -879,15 +875,16 @@ def random_rational_model(
 
 def sample_models(theory: Theory, count: int, seed: int = 0, extra_atoms=()) -> list[ReducedModel]:
     """``count`` exact models of the theory: seeded choices, with repeats,
-    among the models a ``PoolSearch`` finds in its first size**3
-    candidates, size being the theory's pool; that sweeps the product of
-    three atoms, or of more once single-atom members narrow them.  Atoms
-    of ``extra_atoms`` outside the theory get seeded fixed-pool points.
-    Raises ``RuntimeError`` if the search finds no model, also for an
-    atom-free theory with a member below 1.
+    among the first size**3 models a ``PoolSearch`` finds in its first
+    size**3 class tuples, size being the theory's pool.  That sweeps the
+    whole product of up to three atoms, and of more when their class
+    tuples fit.  Atoms of ``extra_atoms`` outside the theory get seeded
+    fixed-pool points.  Raises ``RuntimeError`` if the search finds no
+    model, also for an atom-free theory with a member below 1.
     """
     search = PoolSearch(None, theory.members)
-    found = [picks for _, picks in search.hits(len(search.pool) ** 3, seed)]
+    limit = len(search.pool) ** 3
+    found = [picks for _, picks in itertools.islice(search.hits(limit), limit)]
     if not found:
         raise RuntimeError("the pool search found no exact model of the theory")
     pool = _rational_disk_pool()
@@ -903,7 +900,8 @@ def sample_models(theory: Theory, count: int, seed: int = 0, extra_atoms=()) -> 
 
 def parse_model_text(text: str) -> ReducedModel:
     """Model file: lines ``atom u w`` with fractions or decimals, each
-    atom once.  A malformed line is a ``ValueError`` naming it."""
+    atom once.  A malformed line, or a pair outside the unit square or
+    the disk, is a ``ValueError`` naming the line."""
     pairs = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -918,7 +916,7 @@ def parse_model_text(text: str) -> ReducedModel:
         if name in pairs:
             raise ValueError(f"model line {lineno}: atom {name} is assigned twice")
         try:
-            pairs[name] = (fraction(u_text), fraction(w_text))
+            pairs[name] = _checked_pair(name, fraction(u_text), fraction(w_text))
         except ValueError as exc:
             raise ValueError(f"model line {lineno}: {exc}") from None
     return ReducedModel(pairs)

@@ -81,6 +81,8 @@ def test_eval_model_zero_denominator_exit_2(tmp_path, capsys):
         ("p 1 1/2\n(q) 1 1/2\n", "model line 2: '(q)' is not an atom name"),
         ("p nan 1/2\n", "model line 1: Invalid literal for Fraction: 'nan'"),
         ("p 1 1/2\nq 1/2 1/0\n", "model line 2: zero denominator: 1/0"),
+        ("q 0 1/2\np 1 1\n", "model line 2: atom p: pair (1, 1) violates the disk constraint"),
+        ("p 1 1/2\nq 3/2 1/2\n", "model line 2: atom q: pair (3/2, 1/2) outside the unit square"),
     ],
 )
 def test_eval_malformed_model_line_exit_2(tmp_path, capsys, text, message):
@@ -336,7 +338,7 @@ def test_usage_error_exit_2(capsys):
 OPTION_TABLE = {
     ("fmt",): {"format"},
     ("eval",): {"model", "format"},
-    ("taut",): {"format", "seed", "budget"},
+    ("taut",): {"format", "budget"},
     ("relevance",): {"format", "seed", "grid", "tol", "budget"},
     ("translate",): {"theory", "format"},
     ("tq5",): {"atoms", "s", "t5", "t5_s"},
@@ -363,7 +365,7 @@ def _options(parser: argparse.ArgumentParser) -> dict[str, object]:
 def test_each_command_declares_only_the_options_it_reads():
     parser = build_parser()
     assert {command: set(_options(_subcommand(parser, *command))) for command in OPTION_TABLE} == OPTION_TABLE
-    assert sum(map(len, OPTION_TABLE.values())) == 21
+    assert sum(map(len, OPTION_TABLE.values())) == 20
 
 
 def test_kept_options_keep_their_defaults():
@@ -390,6 +392,7 @@ DROPPED_OPTIONS = [
     ["tq5", "--atoms", "p", "--format", "machine"],
     ["proof", "check", "t.thy", "p.proof", "p", "--budget", "10"],
     ["sim", "prop34", "--tol", "nan"],
+    ["taut", "p -> p", "--seed", "3"],
 ]
 
 

@@ -3,8 +3,8 @@
 ``tests/fixtures/pool_search.txt`` records the answers of the three: the
 verdict, evaluation count and counterexample of ``check_tautology`` on
 every ``taut`` formula of the benchmark's ``taut-session`` at seeds 1-3
-and on formulas chosen around the search's edges (budgets on both sides
-of the exhaustive threshold, full three-atom sweeps, formulas reading
+and on formulas chosen around the search's edges (budgets below and
+above the two-atom products, full three-atom sweeps, formulas reading
 one or both components of an atom or none, atom names that are also
 names in the generated code), and the models that ``sample_models`` and
 ``consistency_probe`` return for a few theories.  Regenerate it, on
@@ -24,12 +24,21 @@ import sys
 import tempfile
 from pathlib import Path
 
+import pytest
+
 from iqcl import semantics
 from iqcl.calculus import consistency_probe
-from iqcl.semantics import PoolSearch, Theory, check_tautology, format_model, sample_models
+from iqcl.semantics import PoolSearch, Theory, check_tautology, format_model, is_model_of, sample_models
 from iqcl.syntax import BINARY_OPS, IMPLIES, JOIN, PRODUCT, Atom, Bin, Const, Sqrt, parse, print_formula
 
-from util import _CONST_POOL, random_formula, reference_check_tautology, reference_hits, reference_pool
+from util import (
+    _CONST_POOL,
+    counting,
+    random_formula,
+    reference_check_tautology,
+    reference_hits,
+    reference_pool,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 POOL_FIXTURE = ROOT / "tests" / "fixtures" / "pool_search.txt"
@@ -76,12 +85,12 @@ def taut_session_formulas(workloads) -> list[tuple[str, int]]:
     return cases
 
 
-def tautology_cases(workloads) -> list[tuple[str, int, int]]:
-    """(formula, budget, seed) for every ``check_tautology`` line of the fixture."""
-    cases = [(f, budget, 0) for f, budget in taut_session_formulas(workloads)]
-    cases += [(f, budget, seed) for f in TWO_ATOM for budget in THRESHOLD_BUDGETS for seed in (0, 1)]
-    cases += [(f, FULL_SWEEP, 0) for f in THREE_ATOM]
-    cases += [(f, budget, 0) for f in COMPONENTS + CODE_NAMES for budget in (1, 17, DEFAULT_BUDGET)]
+def tautology_cases(workloads) -> list[tuple[str, int]]:
+    """(formula, budget) for every ``check_tautology`` line of the fixture."""
+    cases = taut_session_formulas(workloads)
+    cases += [(f, budget) for f in TWO_ATOM for budget in THRESHOLD_BUDGETS]
+    cases += [(f, FULL_SWEEP) for f in THREE_ATOM]
+    cases += [(f, budget) for f in COMPONENTS + CODE_NAMES for budget in (1, 17, DEFAULT_BUDGET)]
     return cases
 
 
@@ -91,9 +100,9 @@ def _model_text(model) -> str:
 
 def pool_search_text(workloads) -> str:
     lines = []
-    for f, budget, seed in tautology_cases(workloads):
-        report = check_tautology(parse(f), budget, seed)
-        line = f"taut {f} budget={budget} seed={seed}: {report.verdict} evaluations={report.evaluations}"
+    for f, budget in tautology_cases(workloads):
+        report = check_tautology(parse(f), budget)
+        line = f"taut {f} budget={budget}: {report.verdict} evaluations={report.evaluations}"
         if report.counterexample is not None:
             line += f" at {_model_text(report.counterexample)}"
         lines.append(line)
@@ -119,8 +128,8 @@ def pool_search_text(workloads) -> str:
 
 def check_against_reference(workloads) -> None:
     """Every tautology answer and every theory's hits equal the per-candidate reference."""
-    for f, budget, seed in tautology_cases(workloads):
-        assert check_tautology(parse(f), budget, seed) == reference_check_tautology(parse(f), budget, seed), f
+    for f, budget in tautology_cases(workloads):
+        assert check_tautology(parse(f), budget) == reference_check_tautology(parse(f), budget), f
     for members in THEORIES:
         theory = Theory(map(parse, members))
         search = PoolSearch(None, theory.members)
@@ -171,43 +180,27 @@ def _search_case(rng):
     return objective, [member() for _ in range(rng.randint(0, 3))]
 
 
-def test_hits_match_the_reference_on_random_searches():
-    # Same hits, same order, same count of candidates, on both the swept
-    # and the sampled path.
+def test_hits_match_the_reference_on_random_searches(monkeypatch):
+    # Same hits, same order, same count of candidates, whether the budget
+    # stops the sweep short of the class tuples' product or covers it.
+    capped = []
+    below = semantics._candidates_below
+    monkeypatch.setattr(semantics, "_candidates_below", lambda *args: capped.append(args) or below(*args))
     rng = random.Random(1401)
-    swept = sampled = 0
+    full = 0
     for _ in range(200):
         objective, members = _search_case(rng)
-        budget, seed = rng.choice((1, 7, 61, 300, 3721, 4000)), rng.randrange(3)
         search = PoolSearch(objective, members)
-        hits = list(search.hits(budget, seed))
-        expected, count = _drain(reference_hits(objective, members, budget, seed))
+        # The reference evaluates every decided candidate, up to 61**3 of
+        # them for three atoms, so three atoms get only the smaller budgets.
+        budget = rng.choice((1, 7, 61, 300) if len(search.names) > 2 else (1, 7, 61, 300, 3721, 4000))
+        before = len(capped)
+        hits = list(search.hits(budget))
+        expected, count = _drain(reference_hits(objective, members, budget))
         assert list(search.pool) == reference_pool(members)
-        assert (hits, search.screened) == (expected, count), (objective, members, budget, seed)
-        if len(search.names) > 1:
-            swept += count < budget
-            sampled += count == budget
-    assert swept >= 20 and sampled >= 20
-
-
-def _counting(monkeypatch):
-    """Record each generated screen's candidate count, and each walk level."""
-    screened, extended = [], []
-    evaluators, extend = semantics._evaluators, semantics._extend
-
-    def counted_evaluators(*args):
-        generated = evaluators(*args)
-        evaluate = generated.evaluate
-        generated.evaluate = lambda m, pool, picks: screened.append(m) or evaluate(m, pool, picks)
-        return generated
-
-    def counted_extend(*args):
-        extended.append(args)
-        return extend(*args)
-
-    monkeypatch.setattr(semantics, "_evaluators", counted_evaluators)
-    monkeypatch.setattr(semantics, "_extend", counted_extend)
-    return screened, extended
+        assert (hits, search.screened) == (expected, count), (objective, members, budget)
+        full += len(search.names) > 1 and len(capped) == before
+    assert len(capped) >= 20 and full >= 20
 
 
 def test_the_pool_has_16_values_of_each_component():
@@ -218,7 +211,7 @@ def test_the_pool_has_16_values_of_each_component():
 
 def test_a_tautology_screens_each_class_tuple_and_expands_nothing(monkeypatch):
     # q -> (!x -> q) reads u of both atoms: 16 * 16 class tuples, not 61 * 61 candidates.
-    screened, extended = _counting(monkeypatch)
+    screened, extended = counting(monkeypatch)
     assert check_tautology(parse("q -> (!x -> q)")) == semantics.TautologyReport(None, 3721)
     assert screened == [256]
     assert extended == []
@@ -229,7 +222,7 @@ def test_a_tautology_screens_each_class_tuple_and_expands_nothing(monkeypatch):
 
 
 def test_a_counterexample_walks_to_the_first_hit(monkeypatch):
-    screened, extended = _counting(monkeypatch)
+    screened, extended = counting(monkeypatch)
     for f in (parse("q -> (!x . q)"), parse("(r | !r) | (p & !p) | (q & !q)")):
         budget = 61 ** len(semantics.formula_atoms(f))
         report = check_tautology(f, budget)
@@ -237,6 +230,39 @@ def test_a_counterexample_walks_to_the_first_hit(monkeypatch):
         assert not report.is_tautology
     assert screened == [256, 16**3]
     assert len(extended) == 2 + 3  # one level per atom
+
+
+@pytest.mark.parametrize("budget", [1, 2, 17, 255, 256, 257, DEFAULT_BUDGET])
+def test_a_capped_sweep_screens_the_first_budget_class_tuples(monkeypatch, budget):
+    # Tautologies, so the screen runs to its end.  q -> (!x -> q) reads u
+    # of both atoms, 16 * 16 class tuples; the chain reads u of three, 16**3.
+    screened, _ = counting(monkeypatch)
+    f = parse("q -> (!x -> q)")
+    report = check_tautology(f, budget)
+    assert report == reference_check_tautology(f, budget)
+    chain = parse("(p -> q) -> ((q -> r) -> (p -> r))")
+    assert check_tautology(chain, budget).is_tautology
+    assert screened == [min(budget, 16**2), min(budget, 16**3)]
+
+
+def test_sample_models_keeps_at_most_size_cubed_hits(monkeypatch):
+    # The chain's 16**4 class tuples fit under 61**3, but the models among
+    # its 61**4 candidates are more than 61**3: only that many are drawn.
+    drawn = 0
+    hits = PoolSearch.hits
+
+    def counted_hits(self, budget):
+        nonlocal drawn
+        for hit in hits(self, budget):
+            drawn += 1
+            yield hit
+
+    monkeypatch.setattr(PoolSearch, "hits", counted_hits)
+    theory = Theory.from_text("p -> q\nq -> r\nr -> s")
+    models = sample_models(theory, 50, seed=4)
+    assert drawn == 61**3
+    assert len(models) == 50
+    assert all(is_model_of(model, theory) for model in models)
 
 
 def _read_coordinates(source: str) -> list[int]:
@@ -248,7 +274,7 @@ def _read_coordinates(source: str) -> list[int]:
 def test_the_search_groups_by_the_coordinates_the_source_reads(monkeypatch):
     # The screen runs once per tuple of classes of points that agree on
     # the coordinates named in its source, counted here from those names.
-    screened, _ = _counting(monkeypatch)
+    screened, _ = counting(monkeypatch)
     pool = semantics._rational_disk_pool()
     rng = random.Random(1402)
     for _ in range(60):

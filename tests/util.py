@@ -1,12 +1,12 @@
 """Shared generators and references for the test suite."""
 
-import itertools
 import math
 import random
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from iqcl import semantics
 from iqcl.algebra import SConstant
 from iqcl.calculus import deduction_transform
 from iqcl.semantics import ReducedModel, TautologyReport, eval_prob, random_rational_model
@@ -145,18 +145,34 @@ def reference_pool(members=()) -> list[tuple[Fraction, Fraction]]:
     return pool
 
 
-def reference_hits(objective, members=(), budget=100_000, seed=0):
+def reference_reads(f, root=False) -> set[tuple[str, int]]:
+    """The (atom, component) pairs that f's value, or with ``root`` its
+    root value, depends on in the pair recursion: 0 for u, 1 for w."""
+    if isinstance(f, Atom):
+        return {(f.name, int(root))}
+    if isinstance(f, Const) or (root and isinstance(f, Bin)):
+        return set()
+    if isinstance(f, Sqrt):
+        return reference_reads(f.arg, not root)
+    if isinstance(f, Neg):
+        return reference_reads(f.arg, root)
+    return reference_reads(f.left) | reference_reads(f.right)
+
+
+def reference_hits(objective, members=(), budget=100_000):
     """The pool search candidate by candidate, with ``eval_prob`` on each.
 
     Yields ``(i, picks)``, picks holding each atom's index into
-    ``reference_pool(members)``, for every candidate i among the first
-    ``budget`` at which each member is exactly 1 and the objective, if
-    any, is below 1; returns the number of candidates.  The candidates
-    are those of ``PoolSearch.hits``: with two or more atoms each is first
-    narrowed to the points where its single-atom members are 1; a product
-    of at most ``budget`` points, or of one atom, is swept with the first
-    atom varying fastest; a larger one is the diagonal, then seeded
-    random combinations, one draw per atom in order.
+    ``reference_pool(members)``, for every candidate i among those the
+    search decides at which each member is exactly 1 and the objective,
+    if any, is below 1; returns the number of candidates decided.  The
+    candidates are those of ``PoolSearch.hits``: with two or more atoms
+    each is first narrowed to the points where its single-atom members
+    are 1, and the product is swept with the first atom varying fastest.
+    Each atom's points fall into classes of equal read components,
+    numbered by first occurrence; a candidate is decided when its tuple
+    of classes, as a mixed-radix number with the first atom's class as
+    its lowest digit, is below ``budget``.
     """
     formulas = (*members, *(() if objective is None else (objective,)))
     names = sorted(set().union(*map(atoms, formulas)))
@@ -166,21 +182,26 @@ def reference_hits(objective, members=(), budget=100_000, seed=0):
         own = [beta for beta in members if atoms(beta) == {name}]
         allowed[k] = [j for j in range(len(pool))
                       if all(eval_prob(ReducedModel({name: pool[j]}), beta)[0] == 1 for beta in own)]
-    sizes = [len(points) for points in allowed]
+    reads = set().union(*map(reference_reads, formulas))
+    classes, strides, scales = [], [], []
+    for name, points in zip(names, allowed):
+        keys = [tuple(pool[j][c] for c in (0, 1) if (name, c) in reads) for j in points]
+        number = {key: c for c, key in enumerate(dict.fromkeys(keys))}
+        strides.append(math.prod(len(set(column)) for column in classes))
+        scales.append(math.prod(map(len, allowed[:len(scales)])))
+        classes.append([number[key] for key in keys])
 
-    def candidates():
-        if len(names) <= 1 or math.prod(sizes) <= budget:
-            for picks in itertools.product(*reversed(allowed)):
-                yield picks[::-1]
+    def candidates(k, i, h, picks):
+        # Atoms k, k - 1, ..., 0 still to place; a class only adds to h.
+        if k < 0:
+            yield i, picks
             return
-        for j in range(min(sizes)):
-            yield tuple(points[j] for points in allowed)
-        rng = random.Random(seed)
-        while True:
-            yield tuple(points[rng.randrange(len(points))] for points in allowed)
+        for j, (point, c) in enumerate(zip(allowed[k], classes[k])):
+            if h + c * strides[k] < budget:
+                yield from candidates(k - 1, i + j * scales[k], h + c * strides[k], (point, *picks))
 
     count = 0
-    for i, picks in enumerate(itertools.islice(candidates(), budget)):
+    for i, picks in candidates(len(names) - 1, 0, 0, ()):
         count += 1
         candidate = ReducedModel({name: pool[j] for name, j in zip(names, picks)})
         if all(eval_prob(candidate, beta)[0] == 1 for beta in members) and (
@@ -190,13 +211,34 @@ def reference_hits(objective, members=(), budget=100_000, seed=0):
     return count
 
 
-def reference_check_tautology(f, budget=100_000, seed=0) -> TautologyReport:
+def reference_check_tautology(f, budget=100_000) -> TautologyReport:
     """The per-candidate reference of ``check_tautology``: the first hit of
-    ``reference_hits`` as a model, else every candidate counted."""
-    hits = reference_hits(f, (), budget, seed)
+    ``reference_hits`` as a model, else every decided candidate counted."""
+    hits = reference_hits(f, (), budget)
     try:
         i, picks = next(hits)
     except StopIteration as stop:
         return TautologyReport(None, stop.value)
     pool = reference_pool()
     return TautologyReport(ReducedModel({name: pool[j] for name, j in zip(sorted(atoms(f)), picks)}), i + 1)
+
+
+def counting(monkeypatch):
+    """Record the class tuples each generated screen is asked to run on
+    (its ``m``), and the arguments of each level of the hits walk."""
+    screened, extended = [], []
+    evaluators, extend = semantics._evaluators, semantics._extend
+
+    def counted_evaluators(*args):
+        generated = evaluators(*args)
+        evaluate = generated.evaluate
+        generated.evaluate = lambda m, pool, picks: screened.append(m) or evaluate(m, pool, picks)
+        return generated
+
+    def counted_extend(*args):
+        extended.append(args)
+        return extend(*args)
+
+    monkeypatch.setattr(semantics, "_evaluators", counted_evaluators)
+    monkeypatch.setattr(semantics, "_extend", counted_extend)
+    return screened, extended
