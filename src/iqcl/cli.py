@@ -43,6 +43,16 @@ def __getattr__(name: str):
 # function per batch, and memory bounded for any --trials.
 PROP34_BATCH = 256
 
+# The single gates: operand count, then the function that applies the gate, by
+# module attribute and name, so that a replaced qmix or nqubit_sim sees the call.
+_GATES = {
+    "not": (1, "nqubit_sim", "not_j"),
+    "sqrt_not": (1, "nqubit_sim", "sqrt_not_j"),
+    "and": (2, "nqubit_sim", "and_gate"),
+    "iand": (2, "qmix", "iand"),
+    "oplus": (2, "qmix", "luk_oplus"),
+}
+
 
 def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
@@ -196,7 +206,6 @@ def _cmd_proof(args) -> int:
 
 def _cmd_sim(args) -> int:
     nqubit_sim = sys.modules[__name__].nqubit_sim
-    fmt = args.format
     if args.gate == "prop34":
         if args.operands:
             raise ValueError("gate prop34 takes no operands")
@@ -217,56 +226,32 @@ def _cmd_sim(args) -> int:
             direct = [(d.r1, d.r2, d.r3) for d in (qmix.iand(t, n).bloch for t, n in pairs)]
             # ndarray.max, unlike the builtin, keeps a NaN deviation.
             worst = float(abs(reduced - direct).max(initial=worst))
-        _emit([("trials", args.trials), ("max_deviation", repr(worst))], fmt)
+        _emit([("trials", args.trials), ("max_deviation", repr(worst))], args.format)
         return 0 if worst < 1e-10 else 1
 
     if args.prop34_flags:
         flags = " or ".join(dict.fromkeys(args.prop34_flags))
         raise ValueError(f"gate {args.gate} takes no {flags}")
     operands = [qmix.parse_qmix(text) for text in args.operands]
-    if args.gate in ("not", "sqrt_not"):
-        if len(operands) != 1:
-            raise ValueError(f"gate {args.gate} takes one operand")
-        rho = nqubit_sim.bloch_embed(
-            operands[0].bloch if isinstance(operands[0], qmix.DiagonalQmix) else operands[0]
-        )
-        gate = nqubit_sim.not_j(1, 1) if args.gate == "not" else nqubit_sim.sqrt_not_j(1, 1)
-        out = gate @ rho @ gate.conj().T
-        b = nqubit_sim.bloch_extract(out)
-        _emit(
-            [
-                ("probability", repr(nqubit_sim.prob_n(out))),
-                ("bloch", qmix.format_qmix(b)),
-            ],
-            fmt,
-        )
-        return 0
-    if args.gate in ("and", "iand", "oplus"):
-        if len(operands) != 2:
-            raise ValueError(f"gate {args.gate} takes two operands")
-        blochs = [
-            op.bloch if isinstance(op, qmix.DiagonalQmix) else op for op in operands
-        ]
-        if args.gate == "and":
-            out = nqubit_sim.and_gate(
-                nqubit_sim.bloch_embed(blochs[0]), nqubit_sim.bloch_embed(blochs[1])
-            )
-            _emit([("probability", repr(nqubit_sim.prob_n(out)))], fmt)
-            return 0
-        result = (
-            qmix.iand(blochs[0], blochs[1])
-            if args.gate == "iand"
-            else qmix.luk_oplus(blochs[0], blochs[1])
-        )
-        _emit(
-            [
-                ("probability", repr(qmix.prob(result))),
-                ("bloch", qmix.format_qmix(result.bloch)),
-            ],
-            fmt,
-        )
-        return 0
-    raise ValueError(f"unknown gate {args.gate!r}")
+    if args.gate not in _GATES:
+        raise ValueError(f"unknown gate {args.gate!r}")
+    arity, layer, name = _GATES[args.gate]
+    if len(operands) != arity:
+        raise ValueError(f"gate {args.gate} takes {'one operand' if arity == 1 else 'two operands'}")
+    blochs = [op.bloch if isinstance(op, qmix.DiagonalQmix) else op for op in operands]
+    apply = getattr(getattr(sys.modules[__name__], layer), name)
+    if layer == "qmix":
+        result = apply(*blochs)
+        probability, bloch = qmix.prob(result), result.bloch
+    elif arity == 2:
+        probability, bloch = nqubit_sim.prob_n(apply(*map(nqubit_sim.bloch_embed, blochs))), None
+    else:  # not_j(1, 1) or sqrt_not_j(1, 1): a unitary on one register
+        gate = apply(1, 1)
+        out = gate @ nqubit_sim.bloch_embed(blochs[0]) @ gate.conj().T
+        probability, bloch = nqubit_sim.prob_n(out), nqubit_sim.bloch_extract(out)
+    fields = [("probability", repr(probability))]
+    _emit(fields if bloch is None else [*fields, ("bloch", qmix.format_qmix(bloch))], args.format)
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -320,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(run=_cmd_proof)
 
     p_sim = sub.add_parser("sim", help="dense-matrix gate simulator")
-    p_sim.add_argument("gate", help="prop34, not, sqrt_not, and, iand, oplus")
+    p_sim.add_argument("gate", help=", ".join(["prop34", *_GATES]))
     p_sim.add_argument("operands", nargs="*")
     p_sim.add_argument("--trials", type=int, default=100, action=_Prop34Option)
     _add_options(p_sim, "--format")

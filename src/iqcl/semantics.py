@@ -484,15 +484,17 @@ def _rational_disk_pool() -> tuple[tuple[Fraction, Fraction], ...]:
     return tuple(dict.fromkeys(specials + grid + boundary))
 
 
-def _numerators(pool) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """A pool over its common denominator: (denominator, u numerators, w numerators)."""
+# Bounded: a long-lived process may search many theories with distinct constants.
+@functools.lru_cache(maxsize=64)
+def _pool_with(constants: frozenset[Fraction]) -> tuple[tuple, int, tuple[int, ...], tuple[int, ...]]:
+    """The pool for the members' constants c, with its common denominator
+    and its u and w numerators over it: the fixed 61 points, then the disk
+    points with coordinates among c, 1 - c and 1/2."""
+    coords = sorted({x for c in constants for x in (c, 1 - c, Fraction(1, 2))})
+    points = [(u, w) for u in coords for w in coords if _in_disk(u, w, Fraction(0))]
+    pool = tuple(dict.fromkeys(_rational_disk_pool() + tuple(points)))
     den = math.lcm(*(c.denominator for point in pool for c in point))
-    return den, tuple(int(u * den) for u, _ in pool), tuple(int(w * den) for _, w in pool)
-
-
-@functools.cache
-def _pool_numerators() -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    return _numerators(_rational_disk_pool())
+    return pool, den, tuple(int(u * den) for u, _ in pool), tuple(int(w * den) for _, w in pool)
 
 
 def _constants(f: Formula) -> set[Fraction]:
@@ -521,13 +523,7 @@ class PoolSearch:
         self.objective, self.members = objective, tuple(members)
         formulas = (*self.members, *(() if objective is None else (objective,)))
         self.names = sorted(set().union(*map(formula_atoms, formulas)))
-        self.pool = _rational_disk_pool()
-        pool_den, pool_u, pool_w = _pool_numerators()
-        coords = sorted({x for c in set().union(*map(_constants, self.members)) for x in (c, 1 - c, Fraction(1, 2))})
-        if coords:
-            points = [(u, w) for u in coords for w in coords if _in_disk(u, w, Fraction(0))]
-            self.pool = tuple(dict.fromkeys(self.pool + tuple(points)))
-            pool_den, pool_u, pool_w = _numerators(self.pool)
+        self.pool, pool_den, pool_u, pool_w = _pool_with(frozenset().union(*map(_constants, self.members)))
         self.den = math.lcm(pool_den, *(c.denominator for f in formulas for c in _constants(f)))
         lift = self.den // pool_den
         # Indexed by ``root``: u numerators, then w numerators, over den.

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import io
+import json
 import os
 import random
 import re
@@ -325,6 +326,24 @@ def test_sim_gates(capsys):
     assert "probability=0.25" in out3
 
 
+SINGLE_GATE_ERRORS = [
+    (["bogus"], "unknown gate 'bogus'"),
+    (["bogus", "rho(0.1)"], "unknown gate 'bogus'"),
+    *(([gate, *operands], f"gate {gate} takes one operand")
+      for gate in ("not", "sqrt_not") for operands in ([], ["rho(0.1)", "rho(0.2)"])),
+    *(([gate, *operands], f"gate {gate} takes two operands")
+      for gate in ("and", "iand", "oplus") for operands in ([], ["rho(0.1)"], ["rho(0.1)"] * 3)),
+    # The operands are parsed before the gate is looked up.
+    (["not", "(1,1,1)"], "point (1.0, 1.0, 1.0) outside the Bloch ball"),
+    (["bogus", "(1,1,1)"], "point (1.0, 1.0, 1.0) outside the Bloch ball"),
+]
+
+
+@pytest.mark.parametrize("argv, message", SINGLE_GATE_ERRORS, ids=[" ".join(argv) for argv, _ in SINGLE_GATE_ERRORS])
+def test_sim_single_gate_errors_exit_2(capsys, argv, message):
+    assert run_cli(["sim", *argv], capsys) == (2, "", f"error: {message}\n")
+
+
 def test_missing_file_exit_2(capsys):
     code, _, err = run_cli(["relevance", "/nonexistent.thy", "p"], capsys)
     assert code == 2
@@ -490,19 +509,33 @@ def _sim_with(monkeypatch, **replacements):
 
 
 def test_sim_uses_the_module_attribute(monkeypatch, capsys):
-    # The simulator is looked up on iqcl.cli at call time, so a caller that
-    # replaces the attribute (a tracer, a test double) sees every call.
+    # The simulator and the qmix closed forms are looked up on iqcl.cli at
+    # call time, so a caller that replaces either attribute (a tracer, a
+    # test double) sees every call.
+    import types
+
+    import iqcl.cli
+    from iqcl import qmix
+
     calls = []
 
     def and_gate(*args):
         calls.append(args)
         return nqubit_sim.and_gate(*args)
 
+    def iand(*args):
+        calls.append(args)
+        return qmix.iand(*args)
+
     nqubit_sim = _sim_with(monkeypatch, and_gate=and_gate)
+    monkeypatch.setattr(iqcl.cli, "qmix", types.SimpleNamespace(**{**vars(qmix), "iand": iand}))
     code, out, _ = run_cli(["sim", "and", "rho(0.5)", "rho(0.5)", "--format", "machine"], capsys)
     assert code == 0
     assert "probability=" in out
     assert len(calls) == 1
+    code, out, _ = run_cli(["sim", "iand", "rho(0.5)", "rho(0.5)", "--format", "machine"], capsys)
+    assert (code, out) == (0, "probability=0.25\nbloch=(0.0, 0.0, 0.5)\n")
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("trials", [1, 256, 600])
@@ -583,6 +616,27 @@ def test_benchmark_selftest_passes():
         cwd=ROOT,
     )
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("workload", ["taut-session", "oracle-sim"])
+def test_benchmark_traced_run_passes(tmp_path, workload):
+    # The traced run reads a span of each simulator and qmix function that
+    # sim calls; one missing span fails it.  It runs from a directory that
+    # holds only a link to src/, so its records stay out of the checkout.
+    (tmp_path / "src").symlink_to(ROOT / "src")
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"),
+         "--workload", workload, "--seed", "1", "--seconds", "0", "--trace", "1"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert result.returncode == 0, result.stderr
+    record = json.loads(result.stdout.splitlines()[-1])
+    assert record["correct"] is True
+    names = ("qmix.iand_us", "nqubit_sim.and_gate_us", "nqubit_sim.partial_trace_us", "nqubit_sim.bloch_embed_us")
+    assert set(names) <= set(record["metrics"]), sorted(record["metrics"])
 
 
 if __name__ == "__main__":

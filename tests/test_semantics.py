@@ -21,7 +21,7 @@ from iqcl.semantics import (
     _evaluators,
     _float_pool,
     _in_disk,
-    _pool_numerators,
+    _pool_with,
     _rational_disk_pool,
     check_tautology,
     consequence,
@@ -166,7 +166,7 @@ def _screen_values(g, pos, den, pool, picks):
 
 
 def _lifted_pool(den):
-    pool_den, pool_u, pool_w = _pool_numerators()
+    _, pool_den, pool_u, pool_w = _pool_with(frozenset())
     lift = den // pool_den
     return [x * lift for x in pool_u], [x * lift for x in pool_w]
 

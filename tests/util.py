@@ -160,7 +160,7 @@ def reference_reads(f, root=False) -> set[tuple[str, int]]:
 
 
 def reference_hits(objective, members=(), budget=100_000):
-    """The pool search candidate by candidate, with ``eval_prob`` on each.
+    """The pool search candidate by candidate, decided by ``eval_prob``.
 
     Yields ``(i, picks)``, picks holding each atom's index into
     ``reference_pool(members)``, for every candidate i among those the
@@ -194,19 +194,24 @@ def reference_hits(objective, members=(), budget=100_000):
     def candidates(k, i, h, picks):
         # Atoms k, k - 1, ..., 0 still to place; a class only adds to h.
         if k < 0:
-            yield i, picks
+            yield i, h, picks
             return
         for j, (point, c) in enumerate(zip(allowed[k], classes[k])):
             if h + c * strides[k] < budget:
                 yield from candidates(k - 1, i + j * scales[k], h + c * strides[k], (point, *picks))
 
+    # Candidates with the same class tuple h agree on every component the
+    # pair recursion reads, so eval_prob decides each tuple once.
+    verdicts = {}
     count = 0
-    for i, picks in candidates(len(names) - 1, 0, 0, ()):
+    for i, h, picks in candidates(len(names) - 1, 0, 0, ()):
         count += 1
-        candidate = ReducedModel({name: pool[j] for name, j in zip(names, picks)})
-        if all(eval_prob(candidate, beta)[0] == 1 for beta in members) and (
-            objective is None or eval_prob(candidate, objective)[0] < 1
-        ):
+        if h not in verdicts:
+            candidate = ReducedModel({name: pool[j] for name, j in zip(names, picks)})
+            verdicts[h] = all(eval_prob(candidate, beta)[0] == 1 for beta in members) and (
+                objective is None or eval_prob(candidate, objective)[0] < 1
+            )
+        if verdicts[h]:
             yield i, picks
     return count
 
