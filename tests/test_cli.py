@@ -497,26 +497,22 @@ def test_cli_import_leaves_numpy_unloaded():
         assert result.stdout == "False\n", module
 
 
-def _sim_with(monkeypatch, **replacements):
-    """The real simulator module; iqcl.cli sees a copy with ``replacements``."""
+def _sim_with(monkeypatch, layer="nqubit_sim", **replacements):
+    """The real ``iqcl.<layer>`` module; iqcl.cli sees a copy with ``replacements``."""
+    import importlib
     import types
 
     import iqcl.cli
-    from iqcl import nqubit_sim
 
-    monkeypatch.setattr(iqcl.cli, "nqubit_sim", types.SimpleNamespace(**{**vars(nqubit_sim), **replacements}))
-    return nqubit_sim
+    module = importlib.import_module(f"iqcl.{layer}")
+    monkeypatch.setattr(iqcl.cli, layer, types.SimpleNamespace(**{**vars(module), **replacements}))
+    return module
 
 
 def test_sim_uses_the_module_attribute(monkeypatch, capsys):
     # The simulator and the qmix closed forms are looked up on iqcl.cli at
     # call time, so a caller that replaces either attribute (a tracer, a
     # test double) sees every call.
-    import types
-
-    import iqcl.cli
-    from iqcl import qmix
-
     calls = []
 
     def and_gate(*args):
@@ -528,7 +524,7 @@ def test_sim_uses_the_module_attribute(monkeypatch, capsys):
         return qmix.iand(*args)
 
     nqubit_sim = _sim_with(monkeypatch, and_gate=and_gate)
-    monkeypatch.setattr(iqcl.cli, "qmix", types.SimpleNamespace(**{**vars(qmix), "iand": iand}))
+    qmix = _sim_with(monkeypatch, "qmix", iand=iand)
     code, out, _ = run_cli(["sim", "and", "rho(0.5)", "rho(0.5)", "--format", "machine"], capsys)
     assert code == 0
     assert "probability=" in out
