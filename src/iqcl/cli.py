@@ -43,15 +43,8 @@ def __getattr__(name: str):
 # function per batch, and memory bounded for any --trials.
 PROP34_BATCH = 256
 
-# The single gates: operand count, then the function that applies the gate, by
-# module attribute and name, so that a replaced qmix or nqubit_sim sees the call.
-_GATES = {
-    "not": (1, "nqubit_sim", "not_j"),
-    "sqrt_not": (1, "nqubit_sim", "sqrt_not_j"),
-    "and": (2, "nqubit_sim", "and_gate"),
-    "iand": (2, "qmix", "iand"),
-    "oplus": (2, "qmix", "luk_oplus"),
-}
+# The single gates and their operand counts.
+_GATES = {"not": 1, "sqrt_not": 1, "and": 2, "iand": 2, "oplus": 2}
 
 
 def _read(path: str) -> str:
@@ -235,18 +228,17 @@ def _cmd_sim(args) -> int:
     operands = [qmix.parse_qmix(text) for text in args.operands]
     if args.gate not in _GATES:
         raise ValueError(f"unknown gate {args.gate!r}")
-    arity, layer, name = _GATES[args.gate]
+    arity = _GATES[args.gate]
     if len(operands) != arity:
         raise ValueError(f"gate {args.gate} takes {'one operand' if arity == 1 else 'two operands'}")
     blochs = [op.bloch if isinstance(op, qmix.DiagonalQmix) else op for op in operands]
-    apply = getattr(getattr(sys.modules[__name__], layer), name)
-    if layer == "qmix":
-        result = apply(*blochs)
+    if args.gate in ("iand", "oplus"):
+        result = (qmix.iand if args.gate == "iand" else qmix.luk_oplus)(*blochs)
         probability, bloch = qmix.prob(result), result.bloch
-    elif arity == 2:
-        probability, bloch = nqubit_sim.prob_n(apply(*map(nqubit_sim.bloch_embed, blochs))), None
-    else:  # not_j(1, 1) or sqrt_not_j(1, 1): a unitary on one register
-        gate = apply(1, 1)
+    elif args.gate == "and":
+        probability, bloch = nqubit_sim.prob_n(nqubit_sim.and_gate(*map(nqubit_sim.bloch_embed, blochs))), None
+    else:  # a unitary on one register
+        gate = (nqubit_sim.not_j if args.gate == "not" else nqubit_sim.sqrt_not_j)(1, 1)
         out = gate @ nqubit_sim.bloch_embed(blochs[0]) @ gate.conj().T
         probability, bloch = nqubit_sim.prob_n(out), nqubit_sim.bloch_extract(out)
     fields = [("probability", repr(probability))]

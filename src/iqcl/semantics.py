@@ -484,17 +484,33 @@ def _rational_disk_pool() -> tuple[tuple[Fraction, Fraction], ...]:
     return tuple(dict.fromkeys(specials + grid + boundary))
 
 
-# Bounded: a long-lived process may search many theories with distinct constants.
-@functools.lru_cache(maxsize=64)
+@functools.cache
+def _fixed_numerators() -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """The fixed 61 points over their common denominator: (denominator, u numerators, w numerators)."""
+    pool = _rational_disk_pool()
+    den = math.lcm(*(c.denominator for point in pool for c in point))
+    return den, tuple(int(u * den) for u, _ in pool), tuple(int(w * den) for _, w in pool)
+
+
 def _pool_with(constants: frozenset[Fraction]) -> tuple[tuple, int, tuple[int, ...], tuple[int, ...]]:
     """The pool for the members' constants c, with its common denominator
     and its u and w numerators over it: the fixed 61 points, then the disk
-    points with coordinates among c, 1 - c and 1/2."""
-    coords = sorted({x for c in constants for x in (c, 1 - c, Fraction(1, 2))})
-    points = [(u, w) for u in coords for w in coords if _in_disk(u, w, Fraction(0))]
-    pool = tuple(dict.fromkeys(_rational_disk_pool() + tuple(points)))
-    den = math.lcm(*(c.denominator for point in pool for c in point))
-    return pool, den, tuple(int(u * den) for u, _ in pool), tuple(int(w * den) for _, w in pool)
+    points with coordinates among c, 1 - c and 1/2, found in integers."""
+    pool, (den, pool_u, pool_w) = _rational_disk_pool(), _fixed_numerators()
+    if constants:
+        lift = math.lcm(den, *(c.denominator for c in constants)) // den
+        den *= lift
+        pool_u, pool_w = tuple(x * lift for x in pool_u), tuple(x * lift for x in pool_w)
+        # den is even, as the fixed pool holds 1/2.
+        nums = {c.numerator * (den // c.denominator) for c in constants}
+        coords = sorted({x for n in nums for x in (n, den - n, den // 2)})
+        fixed = set(zip(pool_u, pool_w))
+        points = [(u, w) for u in coords for w in coords
+                  if (den - 2 * u) ** 2 + (den - 2 * w) ** 2 <= den * den and (u, w) not in fixed]
+        pool += tuple((Fraction(u, den), Fraction(w, den)) for u, w in points)
+        pool_u += tuple(u for u, _ in points)
+        pool_w += tuple(w for _, w in points)
+    return pool, den, pool_u, pool_w
 
 
 def _constants(f: Formula) -> set[Fraction]:

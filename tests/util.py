@@ -200,17 +200,25 @@ def reference_hits(objective, members=(), budget=100_000):
             if h + c * strides[k] < budget:
                 yield from candidates(k - 1, i + j * scales[k], h + c * strides[k], (point, *picks))
 
+    def decide(picks):
+        candidate = ReducedModel({name: pool[j] for name, j in zip(names, picks)})
+        return all(eval_prob(candidate, beta)[0] == 1 for beta in members) and (
+            objective is None or eval_prob(candidate, objective)[0] < 1
+        )
+
     # Candidates with the same class tuple h agree on every component the
-    # pair recursion reads, so eval_prob decides each tuple once.
-    verdicts = {}
+    # pair recursion reads, so eval_prob decides each tuple once.  The
+    # tuple's second candidate is decided again, so that a component read
+    # but missing from reference_reads fails here.
+    verdicts, rechecked = {}, set()
     count = 0
     for i, h, picks in candidates(len(names) - 1, 0, 0, ()):
         count += 1
         if h not in verdicts:
-            candidate = ReducedModel({name: pool[j] for name, j in zip(names, picks)})
-            verdicts[h] = all(eval_prob(candidate, beta)[0] == 1 for beta in members) and (
-                objective is None or eval_prob(candidate, objective)[0] < 1
-            )
+            verdicts[h] = decide(picks)
+        elif h not in rechecked:
+            rechecked.add(h)
+            assert decide(picks) == verdicts[h], f"class tuple {h} has two verdicts"
         if verdicts[h]:
             yield i, picks
     return count
