@@ -29,7 +29,7 @@ class BlochQmix:
 
     def __post_init__(self):
         norm_sq = self.r1 * self.r1 + self.r2 * self.r2 + self.r3 * self.r3
-        if norm_sq > 1.0 + BALL_TOL:
+        if not norm_sq <= 1.0 + BALL_TOL:
             raise ValueError(
                 f"point ({self.r1}, {self.r2}, {self.r3}) outside the Bloch ball"
             )
@@ -128,10 +128,16 @@ SQRT_BOUND_MAXIMIZER = BlochQmix(0.0, -1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.
 
 
 def parse_qmix(text: str) -> Qmix:
-    """Read a state literal: ``(r1, r2, r3)`` decimals or ``rho(lam)``."""
+    """Read a state literal: ``(r1, r2, r3)`` decimals or ``rho(lam)``.
+    A ``rho(lam)`` whose Bloch point leaves the ball is out of range."""
     t = text.strip()
     if t.startswith("rho(") and t.endswith(")"):
-        return DiagonalQmix(float(t[4:-1]))
+        rho = DiagonalQmix(float(t[4:-1]))
+        try:
+            rho.bloch
+        except ValueError:
+            raise ValueError(f"mixing weight out of range: {rho.lam}") from None
+        return rho
     if t.startswith("(") and t.endswith(")"):
         parts = t[1:-1].split(",")
         if len(parts) != 3:

@@ -26,10 +26,10 @@ template table of the connectives: in floats for the relevance search,
 computing the constraint residual and f's value together, bit-identical
 to the pair recursion in floats; in exact integers over a common
 denominator for the pool search.  In floats the seed screen and each
-line search of the descent, with the evaluation budget and the records
-of the best points, run inside the generated functions; the descent and
-its choice of starts stay in Python.  ``eval_prob`` is the exact
-reference and ``eval_bloch`` the oracle.
+line search of the descent run every evaluation, with the budget and
+the records of the best points; the descent, reading each point's value
+from them, and its choice of starts stay in Python.  ``eval_prob`` is
+the exact reference and ``eval_bloch`` the oracle.
 """
 
 from __future__ import annotations
@@ -238,13 +238,13 @@ _TEMPLATES = {
 
 # The relevance search's two inner loops, written around the float body of
 # _evaluator_source: one line search of coordinate ci, and the seed
-# screen.  Each evaluation of the point x runs _POINT: it stops when the
-# budget ``left`` is spent, then keeps the least objective among points of
+# screen.  Each evaluation of the point x runs _POINT: it returns None for
+# a spent budget ``left``, then keeps the least objective among points of
 # residual at most _STRICT_RESIDUAL, (sobj, sx), and the least (residual,
 # objective) among points of residual below tol, (lres, lobj, lx), each
 # with a copy of x.  {at2} and {at3} are evaluations at that depth.
 _POINT = """\
-if used == left: return used, True, (sobj, sx, lres, lobj, lx)
+if used == left: return used, None, (sobj, sx, lres, lobj, lx)
 used += 1
 {coords}= x
 {body}
@@ -262,8 +262,8 @@ else: s0, s1, s2 = 1.0, r, 0.0"""
 
 # The line search runs in stages: the first point, the clamped x[ci]; each
 # round, nine evenly spaced points of [lo, hi] and best_v rounded to 1/64,
-# then [lo, hi] narrowed to best_v +- step; the last point, best_v again.
-# A point replaces best_v only when its score is strictly less.
+# then [lo, hi] narrowed to best_v +- step; the last point, best_v again,
+# whose (r, o) it returns.  A point replaces best_v only when it scores less.
 _LINE_SEARCH = """\
 def line_search(x, ci, lo, hi, phase_a, guard, left, tol, records):
     sobj, sx, lres, lobj, lx = records
@@ -276,7 +276,7 @@ def line_search(x, ci, lo, hi, phase_a, guard, left, tol, records):
             if used == 1 or s0 < b0 or s0 == b0 and (s1 < b1 or s1 == b1 and s2 < b2):
                 b0, b1, b2, best_v = s0, s1, s2, v
         if stage == 2:
-            return used, False, (sobj, sx, lres, lobj, lx)
+            return used, (r, o), (sobj, sx, lres, lobj, lx)
         if stage == 1:
             lo = max(lo, best_v - step)
             hi = min(hi, best_v + step)
@@ -296,7 +296,7 @@ def screen(seeds, scored, left, tol, records):
     for x in seeds:
         {at2}
         scored.append((r, o, used - 1))
-    return used, False, (sobj, sx, lres, lobj, lx)
+    return used, (r, o), (sobj, sx, lres, lobj, lx)
 """
 
 
@@ -323,18 +323,18 @@ def _evaluator_source(
     value of each member), folded in member order; the value of a missing
     objective is None.  The body does the float operations of the pair
     recursion in the same order, so its results are bit-identical to it.
-    It is written into three functions:
+    It is written into two functions over flat float vectors:
 
-    - ``evaluate(x)`` over a flat float vector returns (r, o);
     - ``line_search(x, ci, lo, hi, phase_a, guard, left, tol, records)``
       narrows coordinate ci within [lo, hi], leaving the best point in
       ``x[ci]``;
     - ``screen(seeds, scored, left, tol, records)`` appends (r, o, index)
       to ``scored`` for each seed in order.
 
-    Both of the last two evaluate at most ``left`` points, keep the
-    records ``(sobj, sx, lres, lobj, lx)`` of ``_POINT``, and return
-    (evaluations, budget exhausted, records).
+    Both evaluate at most ``left`` points, keep the records ``(sobj, sx,
+    lres, lobj, lx)`` of ``_POINT``, and return (evaluations, last,
+    records): ``last`` is the (r, o) of the last point evaluated, which
+    for ``line_search`` is the final x, or None once ``left`` is spent.
 
     With ``den``: exact integers.  A value is ``num / den**e``, with e
     tracked here per node: ``.`` adds exponents, and the other
@@ -403,12 +403,7 @@ def _evaluator_source(
         coords = "".join(f"x{i}, " for i in range(2 * len(pos)))
         point = _POINT.format(coords=coords, body="\n".join(lines), strict=_STRICT_RESIDUAL).split("\n")
         scored = ["x[ci] = v", *point, *_SCORE.split("\n")]
-        evaluate = f"def evaluate(x):\n    {_at([f'{coords}= x', *lines, 'return r, o'], 1)}\n"
-        return "".join((
-            evaluate,
-            _LINE_SEARCH.format(at3=_at(scored, 3)),
-            _SCREEN.format(at2=_at(point, 2)),
-        )), read
+        return _LINE_SEARCH.format(at3=_at(scored, 3)) + _SCREEN.format(at2=_at(point, 2)), read
     if objective is not None:
         lines.append(f"if {operand(value, e)} < {den**e}: yield i")
     else:
@@ -424,8 +419,8 @@ def _evaluators(
 ) -> types.SimpleNamespace:
     """The functions generated for one search; see ``_evaluator_source``.
 
-    In floats (no ``den``) for the relevance search: ``evaluate``,
-    ``line_search`` and ``screen``.  In exact integers over ``den`` for
+    In floats (no ``den``) for the relevance search: ``line_search``
+    and ``screen``.  In exact integers over ``den`` for
     the pool search behind tautology and model search: ``evaluate``.
     ``reads`` holds the coordinates they read, in order.
     """
@@ -708,11 +703,12 @@ class RelevanceOptions:
     seed: int = 0
 
     def validate(self) -> None:
-        """Raise ``ValueError`` unless budget >= 1, 0 < grid <= 1 and tol is finite and positive."""
+        """Raise ``ValueError`` unless budget >= 1, 2**-52 <= grid <= 1 (a
+        finer grid's points are not distinct floats) and tol is finite and positive."""
         if self.budget < 1:
             raise ValueError(f"budget must be at least 1, got {self.budget}")
-        if not 0 < self.grid <= 1:
-            raise ValueError(f"grid must be in (0, 1], got {self.grid}")
+        if not Fraction(1, 2**52) <= self.grid <= 1:
+            raise ValueError(f"grid must be in [2**-52, 1], got {self.grid}")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
 
@@ -725,10 +721,6 @@ class RelevanceResult:
     evaluations: int
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
 # Residual below this is treated as exact feasibility; values are only
 # reported from such points, limiting constraint-slack undershoot to
 # sqrt(1e-13) ~ 3e-7 even where the disk couples the coordinates.
@@ -736,19 +728,34 @@ _STRICT_RESIDUAL = 1e-13
 
 
 @functools.lru_cache(maxsize=4)
-def _float_pool(grid: Fraction) -> tuple[tuple[float, float], ...]:
-    pool = [(1.0, 0.5), (0.0, 0.5), (0.5, 0.5), (0.5, 0.0), (0.5, 1.0)]
-    steps = max(2, round(1 / float(grid)))
-    g = 1.0 / steps
-    for i in range(steps + 1):
-        for j in range(steps + 1):
-            u, w = i * g, j * g
-            if (1 - 2 * u) ** 2 + (1 - 2 * w) ** 2 <= 1.0 + 1e-12:
-                pool.append((u, w))
-    for k in range(64):
-        theta = 2.0 * math.pi * k / 64.0
-        pool.append(((1.0 - math.cos(theta)) / 2.0, (1.0 - math.sin(theta)) / 2.0))
-    return tuple(dict.fromkeys(pool))
+def _float_pool(grid: Fraction, size: int | None = None) -> tuple[tuple[float, float], ...]:
+    """The distinct seed points, or the first ``size`` of them: five fixed
+    points, the grid of pitch ``grid`` in the disk row by row, reading
+    only each row's disk interval, then 64 boundary points."""
+
+    def points():
+        yield from ((1.0, 0.5), (0.0, 0.5), (0.5, 0.5), (0.5, 0.0), (0.5, 1.0))
+        steps = max(2, round(1 / float(grid)))
+        g = 1.0 / steps
+        for i in range(steps + 1):
+            u = i * g
+            # The interval of w that the test below admits, a point wider each way.
+            half = math.sqrt(1.0 + 1e-12 - (1 - 2 * u) ** 2) / 2.0
+            first, last = math.floor((0.5 - half) / g) - 1, math.ceil((0.5 + half) / g) + 1
+            for j in range(max(0, first), min(steps, last) + 1):
+                w = j * g
+                if (1 - 2 * u) ** 2 + (1 - 2 * w) ** 2 <= 1.0 + 1e-12:
+                    yield u, w
+        for k in range(64):
+            theta = 2.0 * math.pi * k / 64.0
+            yield (1.0 - math.cos(theta)) / 2.0, (1.0 - math.sin(theta)) / 2.0
+
+    pool: dict = {}
+    for point in points():
+        pool[point] = None
+        if len(pool) == size:
+            break
+    return tuple(pool)
 
 
 def _disk_interval(partner: float) -> tuple[float, float]:
@@ -785,44 +792,50 @@ def relevance_degree(
 
     pos = {name: 2 * k for k, name in enumerate(names)}
     search = _evaluators(alpha, theory.members, pos)
-    evaluate = search.evaluate
     budget, tol = opts.budget, opts.tol
     # The best strictly feasible (objective, point) and the best loosely
     # feasible (residual, objective, point), as the generated loops keep them.
     records = (None, None, None, None, None)
 
     def sweep(x: list[float], phase_a: bool, guard: float):
-        # One line search per coordinate, within the disk its partner allows.
+        # A line search per coordinate, within the disk its partner allows;
+        # (r, o) at the final x, or None once the budget is spent.
         nonlocal evals, records
         for ci in range(len(x)):
             lo, hi = _disk_interval(x[ci ^ 1])
-            used, exhausted, records = search.line_search(x, ci, lo, hi, phase_a, guard, budget - evals, tol, records)
+            used, last, records = search.line_search(x, ci, lo, hi, phase_a, guard, budget - evals, tol, records)
             evals += used
-            if exhausted:
-                raise _BudgetExhausted
+            if last is None:
+                return None
+        return last
 
-    def descend(x: list[float]):
+    def descend(x: list[float], r: float, o: float) -> bool:
+        # From x, whose (r, o) the screen measured; False once the budget is spent.
         # Phase A: drive the constraint residual to (float) zero.
         for _ in range(12):
-            before = evaluate(x)[0]
-            if before <= 1e-15:
+            if r <= 1e-15:
                 break
-            sweep(x, True, 0.0)
-            if before - evaluate(x)[0] <= 1e-16:
+            if (last := sweep(x, True, 0.0)) is None:
+                return False
+            before, (r, o) = r, last
+            if before - r <= 1e-16:
                 break
-        guard = max(_STRICT_RESIDUAL, evaluate(x)[0])
+        guard = max(_STRICT_RESIDUAL, r)
         if guard >= tol:
-            return
+            return True
         # Phase B: improve the objective without leaving feasibility.
         for _ in range(12):
-            before = evaluate(x)[1]
-            sweep(x, False, guard)
-            if before - evaluate(x)[1] <= tol / 10.0:
+            if (last := sweep(x, False, guard)) is None:
+                return False
+            before, (r, o) = o, last
+            if before - o <= tol / 10.0:
                 break
+        return True
 
-    pool = _float_pool(opts.grid)
+    # A pool of budget + 1 points outlasts the budget, and so would any random seeds.
+    pool = _float_pool(opts.grid, budget + 1)
     seeds = [list(point) * len(names) for point in pool]
-    if len(names) > 1:
+    if len(names) > 1 and len(pool) <= budget:
         rng = random.Random(opts.seed)
         for _ in range(128):
             seed_x: list[float] = []
@@ -831,24 +844,16 @@ def relevance_degree(
             seeds.append(seed_x)
 
     scored: list[tuple[float, float, int]] = []
-    evals, exhausted, records = search.screen(seeds, scored, budget, tol, records)
+    evals, last, records = search.screen(seeds, scored, budget, tol, records)
+    exhausted = last is None
     if not exhausted:
         by_residual = sorted(scored)[:12]
         by_objective = sorted(
             ((obj, residual, idx) for residual, obj, idx in scored if residual <= 0.5)
         )[:12]
-        start_ids: list[int] = []
-        for _, _, idx in by_residual:
-            if idx not in start_ids:
-                start_ids.append(idx)
-        for _, _, idx in by_objective:
-            if idx not in start_ids:
-                start_ids.append(idx)
-        try:
-            for idx in start_ids:
-                descend(list(seeds[idx]))
-        except _BudgetExhausted:
-            exhausted = True
+        starts = dict.fromkeys(idx for *_, idx in by_residual + by_objective)
+        # all() stops at the first descent that spends the budget.
+        exhausted = not all(descend(list(seeds[idx]), *scored[idx][:2]) for idx in starts)
 
     def to_model(x: list[float]) -> ReducedModel:
         return ReducedModel(

@@ -146,6 +146,7 @@ def test_relevance_machine_output_deterministic(tmp_path, capsys):
         (["--tol", "0"], "tol"),
         (["--tol", "inf"], "tol"),
         (["--grid=1/0"], "1/0"),
+        (["--grid", "1e-400"], "grid must be in [2**-52, 1], got 1/1000"),
     ],
 )
 def test_relevance_bad_option_exit_2(tmp_path, capsys, option, message):
@@ -336,6 +337,10 @@ SINGLE_GATE_ERRORS = [
     # The operands are parsed before the gate is looked up.
     (["not", "(1,1,1)"], "point (1.0, 1.0, 1.0) outside the Bloch ball"),
     (["bogus", "(1,1,1)"], "point (1.0, 1.0, 1.0) outside the Bloch ball"),
+    (["not", "(nan, 0, 0)"], "point (nan, 0.0, 0.0) outside the Bloch ball"),
+    # A weight within DiagonalQmix's tolerance whose Bloch point is not.
+    (["not", "rho(1.000000000001)"], "mixing weight out of range: 1.000000000001"),
+    (["iand", "rho(0.5)", "rho(-3e-13)"], "mixing weight out of range: -3e-13"),
 ]
 
 
@@ -600,6 +605,25 @@ def test_relevance_sweep_rejects_budget_below_one():
     assert result.returncode == 2, result.stderr
     assert result.stdout == ""
     assert "budget must be at least 1" in result.stderr
+
+
+def test_relevance_sweep_runs():
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "relevance_sweep.py"), "--steps", "2"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert result.returncode == 0, result.stderr
+    tables = [table.splitlines()[1:] for table in result.stdout.split("\n\n")]
+    assert [len(rows) for rows in tables] == [3, 4], result.stdout
+    assert all(row.split()[-1] == "feasible" for rows in tables for row in rows), result.stdout
+
+
+def test_readme_library_use_runs():
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
 
 
 def test_benchmark_selftest_passes():

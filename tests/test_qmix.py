@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -169,3 +170,19 @@ def test_qmix_literals_round_trip():
     assert parse_qmix(format_qmix(diag)) == diag
     with pytest.raises(ValueError):
         parse_qmix("(1, 2)")
+
+
+@pytest.mark.parametrize("coords", [(math.nan, 0.0, 0.0), (0.0, math.nan, 0.0), (0.0, 0.0, math.inf)])
+def test_bloch_point_not_a_number_is_outside_the_ball(coords):
+    with pytest.raises(ValueError, match="outside the Bloch ball"):
+        BlochQmix(*coords)
+
+
+def test_rho_literal_must_have_a_bloch_point():
+    # DiagonalQmix keeps its tolerance, so gate results just below 0 stay
+    # valid; a literal's weight must also give a point of the ball.
+    assert DiagonalQmix(-5e-13).lam == -5e-13
+    assert parse_qmix("rho(1.0000000000001)") == DiagonalQmix(1.0000000000001)
+    for text in ("rho(1.000000000001)", "rho(-3e-13)", "rho(nan)"):
+        with pytest.raises(ValueError, match=r"^mixing weight out of range: "):
+            parse_qmix(text)

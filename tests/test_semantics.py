@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from iqcl import semantics
 from iqcl.algebra import SConstant
 from iqcl.qmix import BlochQmix, P1
 from iqcl.semantics import (
@@ -546,7 +547,7 @@ def test_float_evaluator_bit_identical_to_closures():
 
         objective = rng.choice((None, formula()))
         members = [formula() for _ in range(rng.randint(0, 3))]
-        generated = _evaluators(objective, members, pos).evaluate
+        screen = _evaluators(objective, members, pos).screen
         reference = reference_float_evaluator(objective, members, pos)
         for _ in range(20):
             x = []
@@ -555,7 +556,14 @@ def test_float_evaluator_bit_identical_to_closures():
                 c = (1.0 - (1.0 - 2.0 * u) ** 2) ** 0.5
                 x += [u, (1.0 - c) / 2.0 + c * rng.random()]
             x = [rng.choice(special) if rng.random() < 0.3 else c for c in x]
-            assert list(map(_hex, generated(x))) == list(map(_hex, reference(x))), (objective, members, x)
+            scored = []
+            screen([x], scored, 1, 1.0, (None,) * 5)
+            assert list(map(_hex, scored[0][:2])) == list(map(_hex, reference(x))), (objective, members, x)
+
+
+def test_float_evaluators_are_the_line_search_and_the_screen():
+    generated = _evaluators(parse("?q + r"), [parse("3/4 -> p"), parse("p -> q")], {"p": 0, "q": 2, "r": 4})
+    assert sorted(vars(generated)) == ["line_search", "reads", "screen"]
 
 
 def test_generated_source_holds_no_formula_text():
@@ -812,6 +820,7 @@ def test_relevance_budget_limited_matches_closure_reference():
         RelevanceOptions(tol=-1.0),
         RelevanceOptions(tol=math.inf),
         RelevanceOptions(tol=math.nan),
+        RelevanceOptions(grid=Fraction(1, 2**53)),
     ],
 )
 def test_relevance_rejects_options_that_cannot_work(options):
@@ -822,6 +831,29 @@ def test_relevance_rejects_options_that_cannot_work(options):
 
 def test_relevance_accepts_grid_one():
     assert relevance_degree(Theory([parse("p")]), parse("?p"), RelevanceOptions(grid=Fraction(1))).status == "feasible"
+
+
+def test_relevance_builds_at_most_budget_plus_one_seed_points(monkeypatch):
+    # A pool of budget + 1 points is the whole pool's prefix, so the
+    # answer is unchanged.  At grid 2**-52 a row holds some 4.5e9 disk
+    # points, and the whole grid 2**104: only a scan that stops at the
+    # budget and reads only each row's disk interval answers.
+    built = []
+
+    def recorded(grid, size=None):
+        pool = _float_pool(grid, size)
+        built.append(len(pool))
+        return pool
+
+    monkeypatch.setattr(semantics, "_float_pool", recorded)
+    theory, whole = Theory([parse("p")]), len(_float_pool(Fraction(1, 32)))
+    for budget, alpha, size in ((40, "?p", 41), (whole, "?p + q", whole), (100_000, "?p + q", whole)):
+        _assert_matches_reference(theory, parse(alpha), RelevanceOptions(grid=Fraction(1, 32), budget=budget))
+        assert built.pop() == size
+    for grid, alpha in ((Fraction(1, 4096), "?p"), (Fraction(1, 2**52), "?p + q")):
+        result = relevance_degree(theory, parse(alpha), RelevanceOptions(grid=grid, budget=1000))
+        assert (result.status, result.evaluations, built.pop()) == ("tolerance-limited", 1000, 1001)
+    assert len(set(_float_pool(Fraction(1, 2**52), 1001))) == 1001
 
 
 def test_sample_models_exact():
