@@ -204,21 +204,22 @@ def _cmd_sim(args) -> int:
             raise ValueError("gate prop34 takes no operands")
         if args.trials < 1:
             raise ValueError(f"trials must be at least 1, got {args.trials}")
+        import numpy as np  # loaded by nqubit_sim already
+
         rng = random.Random(args.seed)
         worst = 0.0
         for start in range(0, args.trials, PROP34_BATCH):
-            pairs = [
-                (qmix.random_ball_point(rng), qmix.random_ball_point(rng))
-                for _ in range(min(PROP34_BATCH, args.trials - start))
-            ]
-            tau, nu = nqubit_sim.bloch_embed(
-                [[(b.r1, b.r2, b.r3) for b in side] for side in zip(*pairs)]
-            )
-            product = nqubit_sim.and_gate(tau, nu)
+            count = min(PROP34_BATCH, args.trials - start)
+            # Draw order tau_0, nu_0, tau_1, ...; stacked as (tau, nu).
+            draws = [qmix.random_ball_coords(rng) for _ in range(2 * count)]
+            coords = np.array(draws).reshape(count, 2, 3).swapaxes(0, 1)
+            product = nqubit_sim.and_gate(*nqubit_sim.bloch_embed(coords))
             reduced = nqubit_sim.bloch_vectors(nqubit_sim.partial_trace(product, 1))
-            direct = [(d.r1, d.r2, d.r3) for d in (qmix.iand(t, n).bloch for t, n in pairs)]
+            tau, nu = coords
+            direct = qmix.iand(qmix.BlochQmix(*tau.T), qmix.BlochQmix(*nu.T)).bloch
             # ndarray.max, unlike the builtin, keeps a NaN deviation.
-            worst = float(abs(reduced - direct).max(initial=worst))
+            for got, want in zip(reduced.T, (direct.r1, direct.r2, direct.r3)):
+                worst = float(abs(got - want).max(initial=worst))
         _emit([("trials", args.trials), ("max_deviation", repr(worst))], args.format)
         return 0 if worst < 1e-10 else 1
 

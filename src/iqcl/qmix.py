@@ -8,6 +8,10 @@ here; ``nqubit_sim`` provides the matrix-level cross-check.
 
 Probability values in this module are floats (Bloch coordinates are in
 general irrational); exact arithmetic lives in ``algebra``/``semantics``.
+A state may also hold a stack of coordinates, equal-shaped arrays in place
+of the floats: the checks and the closed forms use arithmetic and
+comparison operators only, so ``iand`` of two stacks is one call, and this
+module still does not import numpy.
 """
 
 from __future__ import annotations
@@ -19,9 +23,16 @@ from dataclasses import dataclass
 BALL_TOL = 1e-12
 
 
+def _holds(test) -> bool:
+    """A comparison's verdict: the ``bool`` of floats, or whether it holds
+    for every element of arrays (False where an element is NaN)."""
+    return test if isinstance(test, bool) else bool(test.all())
+
+
 @dataclass(frozen=True)
 class BlochQmix:
-    """A density operator on the 2-dim space, as a point of the unit ball."""
+    """A density operator on the 2-dim space, as a point of the unit ball
+    (or a stack of them, one per array element)."""
 
     r1: float
     r2: float
@@ -29,7 +40,7 @@ class BlochQmix:
 
     def __post_init__(self):
         norm_sq = self.r1 * self.r1 + self.r2 * self.r2 + self.r3 * self.r3
-        if not norm_sq <= 1.0 + BALL_TOL:
+        if not _holds(norm_sq <= 1.0 + BALL_TOL):
             raise ValueError(
                 f"point ({self.r1}, {self.r2}, {self.r3}) outside the Bloch ball"
             )
@@ -42,7 +53,7 @@ class DiagonalQmix:
     lam: float
 
     def __post_init__(self):
-        if not -BALL_TOL <= self.lam <= 1.0 + BALL_TOL:
+        if not _holds((-BALL_TOL <= self.lam) & (self.lam <= 1.0 + BALL_TOL)):
             raise ValueError(f"mixing weight out of range: {self.lam}")
 
     @property
@@ -57,12 +68,18 @@ P1 = BlochQmix(0.0, 0.0, -1.0)
 RHO_HALF = BlochQmix(0.0, 0.0, 0.0)
 
 
-def random_ball_point(rng: random.Random) -> BlochQmix:
-    """A uniform point of the ball: three ``rng.uniform(-1, 1)`` draws per try, kept inside."""
+def random_ball_coords(rng: random.Random) -> tuple[float, float, float]:
+    """The coordinates of a uniform point of the ball: three draws per try,
+    each ``rng.uniform(-1, 1)`` written out, kept when inside."""
     while True:
-        r1, r2, r3 = (rng.uniform(-1, 1) for _ in range(3))
+        r1, r2, r3 = -1 + 2 * rng.random(), -1 + 2 * rng.random(), -1 + 2 * rng.random()
         if r1 * r1 + r2 * r2 + r3 * r3 <= 1.0:
-            return BlochQmix(r1, r2, r3)
+            return r1, r2, r3
+
+
+def random_ball_point(rng: random.Random) -> BlochQmix:
+    """A uniform point of the ball, drawn by ``random_ball_coords``."""
+    return BlochQmix(*random_ball_coords(rng))
 
 
 def _coords(rho: Qmix) -> tuple[float, float, float]:

@@ -40,6 +40,7 @@ import math
 import random
 import types
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from .algebra import (
@@ -704,11 +705,14 @@ class RelevanceOptions:
 
     def validate(self) -> None:
         """Raise ``ValueError`` unless budget >= 1, 2**-52 <= grid <= 1 (a
-        finer grid's points are not distinct floats) and tol is finite and positive."""
+        finer grid's points are not distinct floats) and tol is finite and positive.
+        A rejected grid is shown to 6 significant digits, as its exact
+        fraction can run to any length."""
         if self.budget < 1:
             raise ValueError(f"budget must be at least 1, got {self.budget}")
         if not Fraction(1, 2**52) <= self.grid <= 1:
-            raise ValueError(f"grid must be in [2**-52, 1], got {self.grid}")
+            shown = Decimal(self.grid.numerator) / self.grid.denominator
+            raise ValueError(f"grid must be in [2**-52, 1], got {shown:.6g}")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
 

@@ -146,7 +146,8 @@ def test_relevance_machine_output_deterministic(tmp_path, capsys):
         (["--tol", "0"], "tol"),
         (["--tol", "inf"], "tol"),
         (["--grid=1/0"], "1/0"),
-        (["--grid", "1e-400"], "grid must be in [2**-52, 1], got 1/1000"),
+        (["--grid", "1e-400"], "error: grid must be in [2**-52, 1], got 1e-400\n"),
+        (["--grid", "1e-5000"], "error: grid must be in [2**-52, 1], got 1e-5000\n"),
     ],
 )
 def test_relevance_bad_option_exit_2(tmp_path, capsys, option, message):
@@ -155,7 +156,8 @@ def test_relevance_bad_option_exit_2(tmp_path, capsys, option, message):
     code, out, err = run_cli(["relevance", str(theory), "?p", *option, "--format", "machine"], capsys)
     assert code == 2
     assert out == ""
-    assert message in err
+    # A message that ends its line is the whole of stderr.
+    assert err == message if message.endswith("\n") else message in err
 
 
 def relevance_machine_text(workloads, directory: Path) -> str:
@@ -491,7 +493,7 @@ def test_console_script_entry_point():
 def test_cli_import_leaves_numpy_unloaded():
     # numpy is only for the gate simulator; the other commands, and the
     # semantics they call, skip its import.
-    for module in ("iqcl.semantics", "iqcl.cli"):
+    for module in ("iqcl.qmix", "iqcl.semantics", "iqcl.cli"):
         result = subprocess.run(
             [sys.executable, "-c", f"import sys, {module}; print('numpy' in sys.modules)"],
             capture_output=True,
@@ -541,25 +543,30 @@ def test_sim_uses_the_module_attribute(monkeypatch, capsys):
 
 @pytest.mark.parametrize("trials", [1, 256, 600])
 def test_prop34_calls_each_simulator_function_once_per_batch(monkeypatch, capsys, trials):
+    # The closed-form reference is one qmix.iand per batch too, and no state
+    # object is built per trial.
     from iqcl.cli import PROP34_BATCH
-    from iqcl import nqubit_sim
+    from iqcl import nqubit_sim, qmix
 
     names = ("bloch_embed", "and_gate", "partial_trace", "bloch_vectors")
-    calls = {name: [] for name in names}
+    calls = {name: [] for name in (*names, "iand", "random_ball_point")}
 
-    def counted(name):
+    def counted(module, name):
         def call(*args):
             calls[name].append(args)
-            return getattr(nqubit_sim, name)(*args)
+            return getattr(module, name)(*args)
 
         return call
 
-    _sim_with(monkeypatch, **{name: counted(name) for name in names})
+    _sim_with(monkeypatch, **{name: counted(nqubit_sim, name) for name in names})
+    _sim_with(monkeypatch, "qmix", **{name: counted(qmix, name) for name in ("iand", "random_ball_point")})
     code, out, _ = run_cli(["sim", "prop34", "--trials", str(trials), "--format", "machine"], capsys)
     assert code == 0
     batches = -(-trials // PROP34_BATCH)
-    assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(names, batches)
+    assert {name: len(c) for name, c in calls.items()} == {
+        **dict.fromkeys((*names, "iand"), batches), "random_ball_point": 0}
     assert sum(len(args[0]) for args in calls["and_gate"]) == trials
+    assert sum(len(args[0].r3) for args in calls["iand"]) == trials
 
 
 @pytest.mark.parametrize("trials, nan_batch", [(5, 0), (600, 0), (600, 1), (600, 2)])

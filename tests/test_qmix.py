@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from iqcl.qmix import (
@@ -21,6 +22,7 @@ from iqcl.qmix import (
     q_implies,
     q_join,
     q_meet,
+    random_ball_coords,
     random_ball_point,
     sqrt_prob,
 )
@@ -186,3 +188,46 @@ def test_rho_literal_must_have_a_bloch_point():
     for text in ("rho(1.000000000001)", "rho(-3e-13)", "rho(nan)"):
         with pytest.raises(ValueError, match=r"^mixing weight out of range: "):
             parse_qmix(text)
+
+
+def uniform_ball_coords(rng):
+    """The draw as it was written before ``random_ball_coords``."""
+    while True:
+        r1, r2, r3 = (rng.uniform(-1, 1) for _ in range(3))
+        if r1 * r1 + r2 * r2 + r3 * r3 <= 1.0:
+            return r1, r2, r3
+
+
+@pytest.mark.parametrize("seed", [0, 1, 903, 2**40 + 7])
+def test_random_ball_coords_is_the_uniform_draw(seed):
+    # sim prop34's output rests on the same points in the same order.
+    ours, reference = random.Random(seed), random.Random(seed)
+    for _ in range(5000):
+        assert random_ball_coords(ours) == uniform_ball_coords(reference)
+    assert ours.getstate() == reference.getstate()
+    assert random_ball_point(ours) == BlochQmix(*uniform_ball_coords(reference))
+
+
+def test_stacked_states_match_the_scalar_algebra():
+    rng = random.Random(11)
+    taus, nus = ([random_ball_coords(rng) for _ in range(50)] for _ in range(2))
+    stacked = iand(BlochQmix(*np.array(taus).T), BlochQmix(*np.array(nus).T))
+    assert stacked.lam.tolist() == [iand(BlochQmix(*t), BlochQmix(*n)).lam for t, n in zip(taus, nus)]
+    assert stacked.bloch.r3.tolist() == [iand(BlochQmix(*t), BlochQmix(*n)).bloch.r3 for t, n in zip(taus, nus)]
+
+
+@pytest.mark.parametrize("bad", [(0.9, 0.9, 0.0), (math.nan, 0.0, 0.0), (0.0, 0.0, math.inf)])
+def test_stacked_bloch_points_are_validated(bad):
+    # One bad point fails the stack, with this module's message.
+    r1, r2, r3 = np.array([(0.0, 0.0, 1.0), bad, (0.5, 0.5, 0.5)]).T
+    with pytest.raises(ValueError, match="outside the Bloch ball"):
+        BlochQmix(r1, r2, r3)
+    BlochQmix(r1[::2], r2[::2], r3[::2])
+
+
+@pytest.mark.parametrize("bad", [-1e-6, 1.0 + 1e-6, math.nan])
+def test_stacked_mixing_weights_are_validated(bad):
+    lam = np.array([0.0, 0.25, bad, 1.0])
+    with pytest.raises(ValueError, match="^mixing weight out of range: "):
+        DiagonalQmix(lam)
+    DiagonalQmix(np.delete(lam, 2))
