@@ -28,7 +28,10 @@ to the pair recursion in floats; in exact integers over a common
 denominator for the pool search.  In floats the seed screen and each
 line search of the descent run every evaluation, with the budget and
 the records of the best points; the descent, reading each point's value
-from them, and its choice of starts stay in Python.  ``eval_prob`` is
+from them, and its choice of starts stay in Python.  A line search on a
+coordinate that no formula reads is walked in Python without evaluation,
+as each of its points has the value the descent already holds; the
+evaluations reported still count every point visited.  ``eval_prob`` is
 the exact reference and ``eval_bloch`` the oracle.
 """
 
@@ -103,14 +106,25 @@ def _in_disk(u: Fraction, w: Fraction, tol: Fraction = DISK_TOL) -> bool:
     return (1 - 2 * u) ** 2 + (1 - 2 * w) ** 2 <= 1 + tol
 
 
+def _six_digits(q: Fraction) -> str:
+    """``q`` to 6 significant digits, however long its exact fraction."""
+    return f"{Decimal(q.numerator) / q.denominator:.6g}"
+
+
 def _checked_pair(name: str, u, w) -> tuple[Fraction, Fraction]:
-    """Atom ``name``'s pair as fractions; ``ValueError`` off the unit square or the disk."""
+    """Atom ``name``'s pair as fractions; ``ValueError`` off the unit square
+    or the disk.  The message shows a coordinate exactly while its
+    numerator and denominator fit in 64 bits, else to 6 significant digits:
+    an exact fraction can run to any length, and ``str`` fails past 4300 digits."""
     u, w = Fraction(u), Fraction(w)
     if not (0 <= u <= 1 and 0 <= w <= 1):
-        raise ValueError(f"atom {name}: pair ({u}, {w}) outside the unit square")
-    if not _in_disk(u, w):
-        raise ValueError(f"atom {name}: pair ({u}, {w}) violates the disk constraint")
-    return u, w
+        fault = "outside the unit square"
+    elif not _in_disk(u, w):
+        fault = "violates the disk constraint"
+    else:
+        return u, w
+    shown = (str(c) if max(abs(c.numerator), c.denominator) < 2**64 else _six_digits(c) for c in (u, w))
+    raise ValueError(f"atom {name}: pair ({', '.join(shown)}) {fault}")
 
 
 @dataclass(frozen=True)
@@ -711,8 +725,7 @@ class RelevanceOptions:
         if self.budget < 1:
             raise ValueError(f"budget must be at least 1, got {self.budget}")
         if not Fraction(1, 2**52) <= self.grid <= 1:
-            shown = Decimal(self.grid.numerator) / self.grid.denominator
-            raise ValueError(f"grid must be in [2**-52, 1], got {shown:.6g}")
+            raise ValueError(f"grid must be in [2**-52, 1], got {_six_digits(self.grid)}")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
 
@@ -768,6 +781,54 @@ def _disk_interval(partner: float) -> tuple[float, float]:
     return ((1.0 - c) / 2.0, (1.0 + c) / 2.0)
 
 
+def _walk_line_search(x, ci, lo, hi, phase_a, guard, left, tol, records, held):
+    """The generated ``line_search`` on a coordinate ci that no formula
+    reads, without evaluating: every point has the (r, o) ``held`` of x.
+
+    It visits the same candidates, counts them against ``left`` and stops
+    where the budget does, leaving the same ``x[ci]``.  The records can
+    change only at the first point; the score only by |v - 1/2|, which
+    phase B above the guard does not read.  So each round of candidates
+    is walked at once.
+    """
+    r, o = held
+    candidates = [min(max(x[ci], lo), hi)]
+    best_v = candidates[0]
+    if left:
+        x[ci] = best_v
+        sobj, sx, lres, lobj, lx = records
+        if r <= _STRICT_RESIDUAL and (sx is None or o < sobj):
+            sobj, sx = o, x.copy()
+        if r < tol and (lx is None or r < lres or r == lres and o < lobj):
+            lres, lobj, lx = r, o, x.copy()
+        records = (sobj, sx, lres, lobj, lx)
+    centring, gap = phase_a or r <= guard, abs(best_v - 0.5)
+    used = stage = 0
+    width = hi - lo
+    while True:
+        if left - used < len(candidates):
+            x[ci] = candidates[left - used]
+            return left, None, records
+        used += len(candidates)
+        if centring and gap:  # no point beats one at 1/2
+            for v in candidates:
+                if abs(v - 0.5) < gap:
+                    best_v, gap = v, abs(v - 0.5)
+        if stage == 2:
+            x[ci] = best_v
+            return used, held, records
+        if stage == 1:
+            lo = max(lo, best_v - step)
+            hi = min(hi, best_v + step)
+            width = hi - lo
+        if width > tol / 4.0:
+            stage, step = 1, width / 8.0
+            candidates = [lo + k * step for k in range(9)]
+            candidates.append(min(max(round(best_v * 64.0) / 64.0, lo), hi))
+        else:
+            stage, candidates = 2, [best_v]
+
+
 def relevance_degree(
     theory: Theory, alpha: Formula, options: RelevanceOptions | None = None
 ) -> RelevanceResult:
@@ -781,7 +842,11 @@ def relevance_degree(
     the best bound found.  The seed screen, each line search of the
     descent and every evaluation run in the functions ``_evaluators``
     generates for this call; the descent and the choice of its starts are
-    here.  Raises ``ValueError`` for options that ``validate`` rejects.
+    here.  A line search on a coordinate that no formula reads evaluates
+    nothing: ``_walk_line_search`` visits its points at the (r, o) the
+    descent holds.  ``evaluations`` counts every point visited, walked or
+    evaluated, and the budget bounds that count.  Raises ``ValueError``
+    for options that ``validate`` rejects.
     """
     opts = options or RelevanceOptions()
     opts.validate()
@@ -801,13 +866,18 @@ def relevance_degree(
     # feasible (residual, objective, point), as the generated loops keep them.
     records = (None, None, None, None, None)
 
-    def sweep(x: list[float], phase_a: bool, guard: float):
-        # A line search per coordinate, within the disk its partner allows;
-        # (r, o) at the final x, or None once the budget is spent.
+    def sweep(x: list[float], phase_a: bool, guard: float, last: tuple[float, float]):
+        # A line search per coordinate, within the disk its partner allows,
+        # from x at (r, o) ``last``; (r, o) at the final x, or None once the
+        # budget is spent.  A coordinate no formula reads is walked.
         nonlocal evals, records
         for ci in range(len(x)):
             lo, hi = _disk_interval(x[ci ^ 1])
-            used, last, records = search.line_search(x, ci, lo, hi, phase_a, guard, budget - evals, tol, records)
+            args = (x, ci, lo, hi, phase_a, guard, budget - evals, tol, records)
+            if ci in search.reads:
+                used, last, records = search.line_search(*args)
+            else:
+                used, last, records = _walk_line_search(*args, last)
             evals += used
             if last is None:
                 return None
@@ -819,7 +889,7 @@ def relevance_degree(
         for _ in range(12):
             if r <= 1e-15:
                 break
-            if (last := sweep(x, True, 0.0)) is None:
+            if (last := sweep(x, True, 0.0, (r, o))) is None:
                 return False
             before, (r, o) = r, last
             if before - r <= 1e-16:
@@ -829,7 +899,7 @@ def relevance_degree(
             return True
         # Phase B: improve the objective without leaving feasibility.
         for _ in range(12):
-            if (last := sweep(x, False, guard)) is None:
+            if (last := sweep(x, False, guard, (r, o))) is None:
                 return False
             before, (r, o) = o, last
             if before - o <= tol / 10.0:

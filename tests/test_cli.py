@@ -84,6 +84,10 @@ def test_eval_model_zero_denominator_exit_2(tmp_path, capsys):
         ("p 1 1/2\nq 1/2 1/0\n", "model line 2: zero denominator: 1/0"),
         ("q 0 1/2\np 1 1\n", "model line 2: atom p: pair (1, 1) violates the disk constraint"),
         ("p 1 1/2\nq 3/2 1/2\n", "model line 2: atom q: pair (3/2, 1/2) outside the unit square"),
+        # Long coordinates are shown to 6 significant digits, not in full.
+        ("p 1e-400 0\n", "model line 1: atom p: pair (1e-400, 0) violates the disk constraint"),
+        ("p 1e-5000 0\n", "model line 1: atom p: pair (1e-5000, 0) violates the disk constraint"),
+        ("p 1e5000 0\n", "model line 1: atom p: pair (1.00000e+5000, 0) outside the unit square"),
     ],
 )
 def test_eval_malformed_model_line_exit_2(tmp_path, capsys, text, message):
@@ -645,10 +649,11 @@ def test_benchmark_selftest_passes():
     assert result.returncode == 0, result.stderr
 
 
-@pytest.mark.parametrize("workload", ["taut-session", "oracle-sim"])
+@pytest.mark.parametrize("workload", ["taut-session", "relevance-closed-form", "oracle-sim"])
 def test_benchmark_traced_run_passes(tmp_path, workload):
     # The traced run reads a span of each simulator and qmix function that
-    # sim calls; one missing span fails it.  It runs from a directory that
+    # sim calls; one missing span fails it, as does a relevance answer that
+    # a change to the search gets wrong.  It runs from a directory that
     # holds only a link to src/, so its records stay out of the checkout.
     (tmp_path / "src").symlink_to(ROOT / "src")
     result = subprocess.run(

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import math
 import random
 import re
@@ -24,6 +25,7 @@ from iqcl.semantics import (
     _in_disk,
     _pool_with,
     _rational_disk_pool,
+    _walk_line_search,
     check_tautology,
     consequence,
     eval_bloch,
@@ -564,6 +566,48 @@ def test_float_evaluator_bit_identical_to_closures():
 def test_float_evaluators_are_the_line_search_and_the_screen():
     generated = _evaluators(parse("?q + r"), [parse("3/4 -> p"), parse("p -> q")], {"p": 0, "q": 2, "r": 4})
     assert sorted(vars(generated)) == ["line_search", "reads", "screen"]
+
+
+@pytest.mark.parametrize("phase_a", [True, False])
+def test_walked_line_search_matches_the_generated_one_on_unread_coordinates(phase_a):
+    # On a coordinate no formula reads every point has the (r, o) of x, so
+    # the walk must return and leave what line_search does, at every budget
+    # up to one past the whole search: a guard below and above r, and
+    # records that are empty (None), beaten by the point (shifted up),
+    # beating it (down) and tied.
+    rng = random.Random(222 + phase_a)
+    for guard_above, shift in itertools.product((False, True), (None, 0.25, -0.25, 0.0) * 10):
+        while True:
+            names = ("p", "q", "r")[: rng.randint(1, 3)]
+            pos = {name: 2 * k for k, name in enumerate(names)}
+            objective = random_formula(rng, names, depth=rng.randint(0, 3), constants=_WIDE_CONSTANTS)
+            members = [random_formula(rng, names, depth=rng.randint(0, 3)) for _ in range(rng.randint(0, 2))]
+            search = _evaluators(objective, members, pos)
+            unread = [c for c in range(2 * len(names)) if c not in search.reads]
+            if unread:
+                break
+        ci = rng.choice(unread)
+        x = []
+        for _ in names:
+            u = rng.random()
+            c = (1.0 - (1.0 - 2.0 * u) ** 2) ** 0.5
+            x += [u, (1.0 - c) / 2.0 + c * rng.random()]
+        if rng.random() < 0.3:
+            x[ci] = rng.random()  # often outside [lo, hi], so the first point is clamped
+        tol = rng.choice((1e-6, 1e-3, 0.5))
+        scored = []
+        search.screen([x], scored, 1, tol, (None,) * 5)
+        held = scored[0][:2]
+        r, o = held
+        guard = r + 1e-3 if guard_above else r - 1e-3
+        records = (None,) * 5 if shift is None else (o + shift, [0.25] * len(x), r + shift, o + shift, [0.75] * len(x))
+        lo, hi = _disk_interval(x[ci ^ 1])
+        full, _, _ = search.line_search(x.copy(), ci, lo, hi, phase_a, guard, 10**9, tol, records)
+        for left in range(full + 2):
+            generated_x, walked_x = x.copy(), x.copy()
+            generated = search.line_search(generated_x, ci, lo, hi, phase_a, guard, left, tol, records)
+            walked = _walk_line_search(walked_x, ci, lo, hi, phase_a, guard, left, tol, records, held)
+            assert repr((walked, walked_x)) == repr((generated, generated_x)), (objective, members, ci, left)
 
 
 def test_generated_source_holds_no_formula_text():
