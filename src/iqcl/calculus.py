@@ -852,13 +852,13 @@ def proof_degree(
     certificates: list[Proof] = (),
     options: RelevanceOptions | None = None,
 ) -> ProofDegreeReport:
-    """Certified lower bounds on the proof degree plus the numeric
-    relevance value, equal to it by the completeness identity.
+    """Certified lower bounds on the proof degree plus the relevance
+    value, equal to it by the completeness identity.
 
     Each certificate must prove r -> alpha from the theory for a dyadic
     constant r; every checked r is a true lower bound (and licenses all
-    smaller constants).  A certificate above the numeric value flags a
-    numeric-search defect.
+    smaller constants).  The relevance value is alpha's exact value at a
+    model, an upper bound, so a certificate above it flags a defect.
     """
     certified: list[tuple[Fraction, Proof]] = []
     for cert in certificates:
@@ -877,12 +877,8 @@ def proof_degree(
         certified.append((conclusion.left.value.value, cert))
     numeric = relevance_degree(theory, alpha, options)
     lower = max((r for r, _ in certified), default=Fraction(0))
-    tol = (options or RelevanceOptions()).tol
-    defects = [
-        f"certificate bound {r} exceeds numeric value {float(numeric.value):.9f}"
-        for r, _ in certified
-        if float(r) > float(numeric.value) + tol
-    ]
+    defects = [f"certificate bound {r} exceeds relevance value {numeric.value}"
+               for r, _ in certified if r > numeric.value]
     return ProofDegreeReport(lower, certified, numeric, defects)
 
 

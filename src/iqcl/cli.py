@@ -135,7 +135,7 @@ def _cmd_relevance(args) -> int:
     )
     result = semantics.relevance_degree(theory, f, options)
     fields: list[tuple[str, object]] = [
-        ("value", result.value if isinstance(result.value, Fraction) else repr(result.value)),
+        ("value", result.value),
         ("status", result.status),
         ("evaluations", result.evaluations),
     ]

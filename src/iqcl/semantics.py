@@ -15,24 +15,19 @@ the product screens each distinct tuple of those coordinates, a class
 tuple, once; the budget caps the class tuples screened.
 
 The relevance degree of a theory T over a formula f is the infimum of
-f's value over models giving every member of T value 1.  It is computed
-by multi-start penalised local search: seeds from a per-atom grid plus
-disk-boundary samples, refinement by coordinate descent, feasibility
-kept honest by only reporting values measured at points whose constraint
-residual is essentially zero.
+f's value over models giving every member of T value 1.  The search
+reports the least value it finds at an exact model, taken from the pool
+search's least objective over its class tuples and from the end point
+of a float multi-start coordinate descent, snapped to exact disk points.
 
 Both searches evaluate through functions generated per call from one
-template table of the connectives: in floats for the relevance search,
-computing the constraint residual and f's value together, bit-identical
-to the pair recursion in floats; in exact integers over a common
-denominator for the pool search.  In floats the seed screen and each
-line search of the descent run every evaluation, with the budget and
-the records of the best points; the descent, reading each point's value
-from them, and its choice of starts stay in Python.  A line search on a
-coordinate that no formula reads is walked in Python without evaluation,
-as each of its points has the value the descent already holds; the
-evaluations reported still count every point visited.  ``eval_prob`` is
-the exact reference and ``eval_bloch`` the oracle.
+template table of the connectives: in exact integers over a common
+denominator for the pool search; in floats for the descent, computing
+the constraint residual and f's value together, bit-identical to the
+pair recursion in floats.  In floats the seed screen and each line
+search run every evaluation, with the budget and the records of the
+best point; the descent and its choice of starts stay in Python.
+``eval_prob`` is the exact reference and ``eval_bloch`` the oracle.
 """
 
 from __future__ import annotations
@@ -107,8 +102,24 @@ def _in_disk(u: Fraction, w: Fraction, tol: Fraction = DISK_TOL) -> bool:
 
 
 def _six_digits(q: Fraction) -> str:
-    """``q`` to 6 significant digits, however long its exact fraction."""
-    return f"{Decimal(q.numerator) / q.denominator:.6g}"
+    """``q`` to 6 significant digits, as ``Decimal(q.numerator) / q.denominator``
+    formats it, forming only that quotient's 28 digits (rounded half even;
+    an exact one loses trailing zeros down to exponent 0), so in time
+    linear in the length of q's exact fraction."""
+    n, d = abs(q.numerator), q.denominator
+    # 10**e <= n / d < 10**(e + 1).  As 2**(b - 1) <= n / d < 2**(b + 1) for the
+    # difference b of the bit lengths, the estimate is e or one below it.
+    e = math.floor((n.bit_length() - d.bit_length() - 1) * math.log10(2))
+    num, den = (n * 10 ** (27 - e), d) if e <= 27 else (n, d * 10 ** (e - 27))
+    if num >= den * 10**28:
+        e, den = e + 1, den * 10
+    digits, rest = divmod(num, den)
+    if 2 * rest > den or 2 * rest == den and digits % 2:
+        digits += 1  # a carry to 10**28 formats as the 28 digits 10**27 would
+    exponent = e - 27
+    while not rest and exponent < 0 and not digits % 10:
+        digits, exponent = digits // 10, exponent + 1
+    return f"{Decimal(f'{-digits if q < 0 else digits}e{exponent}'):.6g}"
 
 
 def _checked_pair(name: str, u, w) -> tuple[Fraction, Fraction]:
@@ -255,16 +266,16 @@ _TEMPLATES = {
 # _evaluator_source: one line search of coordinate ci, and the seed
 # screen.  Each evaluation of the point x runs _POINT: it returns None for
 # a spent budget ``left``, then keeps the least objective among points of
-# residual at most _STRICT_RESIDUAL, (sobj, sx), and the least (residual,
-# objective) among points of residual below tol, (lres, lobj, lx), each
-# with a copy of x.  {at2} and {at3} are evaluations at that depth.
+# residual at most _STRICT_RESIDUAL with a copy of the point, (sobj, sx),
+# and the least residual of any point, lres.  {at2} and {at3} are
+# evaluations at that depth.
 _POINT = """\
-if used == left: return used, None, (sobj, sx, lres, lobj, lx)
+if used == left: return used, None, (sobj, sx, lres)
 used += 1
 {coords}= x
 {body}
 if r <= {strict!r} and (sx is None or o < sobj): sobj, sx = o, x.copy()
-if r < tol and (lx is None or r < lres or r == lres and o < lobj): lres, lobj, lx = r, o, x.copy()"""
+if r < lres: lres = r"""
 
 # A line search scores the point x[ci] = v lexicographically.  In phase A
 # the centring tie-break moves toward 1/2 where the residual is flat, so
@@ -281,7 +292,7 @@ else: s0, s1, s2 = 1.0, r, 0.0"""
 # whose (r, o) it returns.  A point replaces best_v only when it scores less.
 _LINE_SEARCH = """\
 def line_search(x, ci, lo, hi, phase_a, guard, left, tol, records):
-    sobj, sx, lres, lobj, lx = records
+    sobj, sx, lres = records
     used = stage = 0
     width = hi - lo
     candidates = [min(max(x[ci], lo), hi)]
@@ -291,7 +302,7 @@ def line_search(x, ci, lo, hi, phase_a, guard, left, tol, records):
             if used == 1 or s0 < b0 or s0 == b0 and (s1 < b1 or s1 == b1 and s2 < b2):
                 b0, b1, b2, best_v = s0, s1, s2, v
         if stage == 2:
-            return used, (r, o), (sobj, sx, lres, lobj, lx)
+            return used, (r, o), (sobj, sx, lres)
         if stage == 1:
             lo = max(lo, best_v - step)
             hi = min(hi, best_v + step)
@@ -305,13 +316,13 @@ def line_search(x, ci, lo, hi, phase_a, guard, left, tol, records):
 """
 
 _SCREEN = """\
-def screen(seeds, scored, left, tol, records):
-    sobj, sx, lres, lobj, lx = records
+def screen(seeds, scored, left, records):
+    sobj, sx, lres = records
     used = 0
     for x in seeds:
         {at2}
         scored.append((r, o, used - 1))
-    return used, (r, o), (sobj, sx, lres, lobj, lx)
+    return used, (r, o), (sobj, sx, lres)
 """
 
 
@@ -321,7 +332,7 @@ def _at(lines, depth: int) -> str:
 
 
 def _evaluator_source(
-    objective: Formula | None, members, pos: dict[str, int], den: int | None = None
+    objective: Formula | None, members, pos: dict[str, int], den: int | None = None, least: bool = False
 ) -> tuple[str, tuple[int, ...]]:
     """The source of the functions ``_evaluators`` compiles, and the
     coordinates that the formulas read, in order.
@@ -343,13 +354,13 @@ def _evaluator_source(
     - ``line_search(x, ci, lo, hi, phase_a, guard, left, tol, records)``
       narrows coordinate ci within [lo, hi], leaving the best point in
       ``x[ci]``;
-    - ``screen(seeds, scored, left, tol, records)`` appends (r, o, index)
+    - ``screen(seeds, scored, left, records)`` appends (r, o, index)
       to ``scored`` for each seed in order.
 
     Both evaluate at most ``left`` points, keep the records ``(sobj, sx,
-    lres, lobj, lx)`` of ``_POINT``, and return (evaluations, last,
-    records): ``last`` is the (r, o) of the last point evaluated, which
-    for ``line_search`` is the final x, or None once ``left`` is spent.
+    lres)`` of ``_POINT``, and return (evaluations, last, records): ``last``
+    is the (r, o) of the last point evaluated, which for ``line_search`` is
+    the final x, or None once ``left`` is spent.
 
     With ``den``: exact integers.  A value is ``num / den**e``, with e
     tracked here per node: ``.`` adds exponents, and the other
@@ -359,7 +370,9 @@ def _evaluator_source(
     putting atom k at pool index ``picks[k][i]``, whose u and w
     numerators over den are ``pool[0]`` and ``pool[1]`` at that index.
     It is a generator of the indices i at which every member, in order,
-    is exactly 1 and the objective, if any, is below 1.
+    is exactly 1 and the objective, if any, is below 1.  With ``least``
+    it yields, of those i, each whose objective is below every one before
+    it, so the last one yielded is the first of least objective.
     """
     lines: list[str] = ["r = 0.0"] if den is None else []
     reads: set[int] = set()
@@ -419,27 +432,30 @@ def _evaluator_source(
         point = _POINT.format(coords=coords, body="\n".join(lines), strict=_STRICT_RESIDUAL).split("\n")
         scored = ["x[ci] = v", *point, *_SCORE.split("\n")]
         return _LINE_SEARCH.format(at3=_at(scored, 3)) + _SCREEN.format(at2=_at(point, 2)), read
-    if objective is not None:
-        lines.append(f"if {operand(value, e)} < {den**e}: yield i")
-    else:
+    if objective is None:
         lines.append("yield i")
+    elif least:
+        lines.append(f"if {operand(value, e)} < least: least = {operand(value, e)}; yield i")
+    else:
+        lines.append(f"if {operand(value, e)} < {den**e}: yield i")
+    start = f"    least = {den**e + 1}\n" if least else ""
     coords = "".join(f" x{c}," for c in read)
     columns = "".join(f", map(pool[{c % 2}].__getitem__, picks[{c // 2}])" for c in read)
     body = "".join(f"        {line}\n" for line in lines)
-    return f"def evaluate(m, pool, picks):\n    for i,{coords} in zip(range(m){columns}):\n{body}", read
+    return f"def evaluate(m, pool, picks):\n{start}    for i,{coords} in zip(range(m){columns}):\n{body}", read
 
 
 def _evaluators(
-    objective: Formula | None, members, pos: dict[str, int], den: int | None = None
+    objective: Formula | None, members, pos: dict[str, int], den: int | None = None, least: bool = False
 ) -> types.SimpleNamespace:
     """The functions generated for one search; see ``_evaluator_source``.
 
     In floats (no ``den``) for the relevance search: ``line_search``
     and ``screen``.  In exact integers over ``den`` for
-    the pool search behind tautology and model search: ``evaluate``.
-    ``reads`` holds the coordinates they read, in order.
+    the pool search: ``evaluate``.  ``reads`` holds the coordinates they
+    read, in order.
     """
-    source, reads = _evaluator_source(objective, members, pos, den)
+    source, reads = _evaluator_source(objective, members, pos, den, least)
     namespace: dict = {}
     exec(source, namespace)
     del namespace["__builtins__"]
@@ -486,12 +502,15 @@ def _rational_disk_pool() -> tuple[tuple[Fraction, Fraction], ...]:
     boundary = []
     for t in (Fraction(0), 1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2),
               3, -3, Fraction(1, 3), Fraction(-1, 3), 4, -4):
-        t = Fraction(t)
-        c = (1 - t * t) / (1 + t * t)
-        s = 2 * t / (1 + t * t)
-        for r3, r2 in ((c, s), (s, c)):
-            boundary.append(((1 - r3) / 2, (1 - r2) / 2))
+        u, w = _circle_point(Fraction(t))
+        boundary += [(u, w), (w, u)]
     return tuple(dict.fromkeys(specials + grid + boundary))
+
+
+def _circle_point(t: Fraction) -> tuple[Fraction, Fraction]:
+    """The disk point with (1 - 2u, 1 - 2w) = (cos θ, sin θ) at t = tan(θ/2)."""
+    c, s = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
+    return (1 - c) / 2, (1 - s) / 2
 
 
 @functools.cache
@@ -535,7 +554,7 @@ def _constants(f: Formula) -> set[Fraction]:
 
 class PoolSearch:
     """Exact search for candidate models of ``members`` at which the
-    objective, if any, is below 1.
+    objective, if any, is below 1 (``hits``) or least (``least``).
 
     A candidate gives each atom of the formulas, in sorted order, a point
     of a pool of exact rational disk points: the fixed 61 of
@@ -568,6 +587,22 @@ class PoolSearch:
         """
         if budget < 1:
             raise ValueError(f"budget must be at least 1, got {budget}")
+        self.screened = 0
+        self.screened = yield from self._sweep(budget)
+
+    def least(self, budget: int) -> tuple[int, dict[str, tuple[Fraction, Fraction]] | None]:
+        """The class tuples screened, the first ``budget``, and the pairs of
+        the first model among them of least objective (perhaps 1), or None."""
+        screen, _, _, firsts, strides, columns, m = self._class_tuples(least=True)
+        b, h = min(budget, m), None
+        for h in screen.evaluate(b, self.lifted, columns) if m else ():
+            pass
+        return b, None if h is None else self.pairs(ps[h // stride % len(ps)] for ps, stride in zip(firsts, strides))
+
+    def _class_tuples(self, least: bool):
+        """The generated screen; each atom's points, narrowed to where its single-atom
+        members are 1 when there are two or more atoms; each point's class, each
+        class's first point, the strides, the screen's columns and the tuple count."""
         size, n = len(self.pool), len(self.names)
         allowed = [range(size)] * n
         for k, name in enumerate(self.names if n > 1 else ()):
@@ -576,14 +611,24 @@ class PoolSearch:
                 narrow = _evaluators(None, own, {name: 0}, self.den).evaluate
                 allowed[k] = tuple(narrow(size, self.lifted, [range(size)]))
         pos = {name: 2 * k for k, name in enumerate(self.names)}
-        screen = _evaluators(self.objective, self.members, pos, self.den)
-        self.screened = 0
-        self.screened = yield from self._sweep(screen, allowed, budget)
+        screen = _evaluators(self.objective, self.members, pos, self.den, least)
+        # Atoms that keep the whole pool and read the same components share one grouping.
+        domains = [(points, tuple(c % 2 for c in screen.reads if c // 2 == k)) for k, points in enumerate(allowed)]
+        grouped = {domain: _classes(domain[0], [self.lifted[c] for c in domain[1]]) for domain in set(domains)}
+        classes = [grouped[domain][0] for domain in domains]
+        firsts = [grouped[domain][1] for domain in domains]
+        counts = [len(points) for points in firsts]
+        m = math.prod(counts)
+        # Class tuple h puts atom k in class (h // stride_k) % count_k, as
+        # the sweep puts it at a point; the screen sees each class's first point.
+        strides = [math.prod(counts[:k]) for k in range(len(counts))]
+        columns = [_Column(points, stride, m // (stride * len(points))) for points, stride in zip(firsts, strides) if m]
+        return screen, allowed, classes, firsts, strides, columns, m
 
-    def _sweep(self, screen, allowed, budget: int):
-        """Yield the hits of the product of ``allowed`` in sweep order
-        among the candidates of its first ``budget`` class tuples, and
-        return the number of those candidates.
+    def _sweep(self, budget: int):
+        """Yield the hits of the product of the atoms' narrowed points in
+        sweep order among the candidates of its first ``budget`` class
+        tuples, and return the number of those candidates.
 
         The screen's verdict on a candidate depends only on the coordinates
         it reads (``screen.reads``).  So each atom's points fall into
@@ -599,19 +644,9 @@ class PoolSearch:
         hit before the remaining tuples are screened; the rest of the walk
         then sees them all.
         """
-        # Atoms that keep the whole pool and read the same components share one grouping.
-        domains = [(points, tuple(c % 2 for c in screen.reads if c // 2 == k)) for k, points in enumerate(allowed)]
-        grouped = {domain: _classes(domain[0], [self.lifted[c] for c in domain[1]]) for domain in set(domains)}
-        classes = [grouped[domain][0] for domain in domains]
-        firsts = [grouped[domain][1] for domain in domains]
-        counts = [len(points) for points in firsts]
-        m = math.prod(counts)
+        screen, allowed, classes, _, strides, columns, m = self._class_tuples(least=False)
         if not m:
             return 0
-        # Class tuple h puts atom k in class (h // stride_k) % count_k, as
-        # the sweep puts it at a point; the screen sees each class's first point.
-        strides = [math.prod(counts[:k]) for k in range(len(counts))]
-        columns = [_Column(points, stride, m // (stride * len(points))) for points, stride in zip(firsts, strides)]
         b = min(budget, m)
         passing = screen.evaluate(b, self.lifted, columns)
         screened = math.prod(map(len, allowed)) if b == m else _candidates_below(b, classes, strides)
@@ -732,15 +767,20 @@ class RelevanceOptions:
 
 @dataclass
 class RelevanceResult:
-    value: Fraction | float
-    status: str  # "feasible" | "infeasible" | "tolerance-limited"
+    """``value`` is the least value found at an exact model, ``witness``, or
+    1 with no witness.  ``status`` is ``feasible`` when a model was found
+    within the budget, ``infeasible`` when none was and no point reached a
+    residual below ``tol``, else ``tolerance-limited``: the budget ran out,
+    or the points reached gave no exact model.  ``evaluations``, at most the
+    budget, counts class tuples screened, float points and snaps tried."""
+
+    value: Fraction
+    status: str
     witness: ReducedModel | None
     evaluations: int
 
 
-# Residual below this is treated as exact feasibility; values are only
-# reported from such points, limiting constraint-slack undershoot to
-# sqrt(1e-13) ~ 3e-7 even where the disk couples the coordinates.
+# Only a point of residual at most this is snapped to exact models.
 _STRICT_RESIDUAL = 1e-13
 
 
@@ -776,108 +816,33 @@ def _float_pool(grid: Fraction, size: int | None = None) -> tuple[tuple[float, f
 
 
 def _disk_interval(partner: float) -> tuple[float, float]:
-    rad_sq = 1.0 - (1.0 - 2.0 * partner) ** 2
-    c = math.sqrt(max(0.0, rad_sq))
+    c = math.sqrt(max(0.0, 1.0 - (1.0 - 2.0 * partner) ** 2))
     return ((1.0 - c) / 2.0, (1.0 + c) / 2.0)
 
 
-def _walk_line_search(x, ci, lo, hi, phase_a, guard, left, tol, records, held):
-    """The generated ``line_search`` on a coordinate ci that no formula
-    reads, without evaluating: every point has the (r, o) ``held`` of x.
-
-    It visits the same candidates, counts them against ``left`` and stops
-    where the budget does, leaving the same ``x[ci]``.  The records can
-    change only at the first point; the score only by |v - 1/2|, which
-    phase B above the guard does not read.  So each round of candidates
-    is walked at once.
-    """
-    r, o = held
-    candidates = [min(max(x[ci], lo), hi)]
-    best_v = candidates[0]
-    if left:
-        x[ci] = best_v
-        sobj, sx, lres, lobj, lx = records
-        if r <= _STRICT_RESIDUAL and (sx is None or o < sobj):
-            sobj, sx = o, x.copy()
-        if r < tol and (lx is None or r < lres or r == lres and o < lobj):
-            lres, lobj, lx = r, o, x.copy()
-        records = (sobj, sx, lres, lobj, lx)
-    centring, gap = phase_a or r <= guard, abs(best_v - 0.5)
-    used = stage = 0
-    width = hi - lo
-    while True:
-        if left - used < len(candidates):
-            x[ci] = candidates[left - used]
-            return left, None, records
-        used += len(candidates)
-        if centring and gap:  # no point beats one at 1/2
-            for v in candidates:
-                if abs(v - 0.5) < gap:
-                    best_v, gap = v, abs(v - 0.5)
-        if stage == 2:
-            x[ci] = best_v
-            return used, held, records
-        if stage == 1:
-            lo = max(lo, best_v - step)
-            hi = min(hi, best_v + step)
-            width = hi - lo
-        if width > tol / 4.0:
-            stage, step = 1, width / 8.0
-            candidates = [lo + k * step for k in range(9)]
-            candidates.append(min(max(round(best_v * 64.0) / 64.0, lo), hi))
-        else:
-            stage, candidates = 2, [best_v]
-
-
-def relevance_degree(
-    theory: Theory, alpha: Formula, options: RelevanceOptions | None = None
-) -> RelevanceResult:
-    """Minimise the value of alpha over models of the theory.
-
-    Seeds from a per-atom grid (pitch ``options.grid``) plus boundary
-    samples, coordinate-descent refinement to ``options.tol``, penalty on
-    the constraint residual 1 - min over members.  Infeasibility (no seed
-    reaches residual below tol) reports the ``infeasible`` status and the
-    exact value 1; an exhausted budget reports ``tolerance-limited`` with
-    the best bound found.  The seed screen, each line search of the
-    descent and every evaluation run in the functions ``_evaluators``
-    generates for this call; the descent and the choice of its starts are
-    here.  A line search on a coordinate that no formula reads evaluates
-    nothing: ``_walk_line_search`` visits its points at the (r, o) the
-    descent holds.  ``evaluations`` counts every point visited, walked or
-    evaluated, and the budget bounds that count.  Raises ``ValueError``
-    for options that ``validate`` rejects.
-    """
-    opts = options or RelevanceOptions()
-    opts.validate()
-    names = sorted(formula_atoms(alpha) | theory.atoms())
-
-    if not names:
-        empty = ReducedModel({})
-        feasible = all(eval_prob(empty, beta)[0] == 1 for beta in theory)
-        if feasible:
-            return RelevanceResult(eval_prob(empty, alpha)[0], "feasible", empty, len(theory) + 1)
-        return RelevanceResult(Fraction(1), "infeasible", None, len(theory) + 1)
-
+def _descent(alpha: Formula, members, names, opts: RelevanceOptions, budget: int):
+    """The float search within ``budget`` evaluations, in the functions
+    ``_evaluators`` generates: seeds from a per-atom grid (pitch
+    ``opts.grid``) and boundary samples, then coordinate descent from the
+    best, first of the residual 1 - min over members, then of alpha without
+    leaving it.  A coordinate no formula reads is set to 1/2, in every disk
+    interval, without evaluation.  Returns (evaluations, whether the budget
+    ran out, the point of least objective among those of residual at most
+    ``_STRICT_RESIDUAL`` or None, the least residual of any point)."""
     pos = {name: 2 * k for k, name in enumerate(names)}
-    search = _evaluators(alpha, theory.members, pos)
-    budget, tol = opts.budget, opts.tol
-    # The best strictly feasible (objective, point) and the best loosely
-    # feasible (residual, objective, point), as the generated loops keep them.
-    records = (None, None, None, None, None)
+    search, tol = _evaluators(alpha, members, pos), opts.tol
+    evals, records = 0, (None, None, math.inf)
 
     def sweep(x: list[float], phase_a: bool, guard: float, last: tuple[float, float]):
-        # A line search per coordinate, within the disk its partner allows,
-        # from x at (r, o) ``last``; (r, o) at the final x, or None once the
-        # budget is spent.  A coordinate no formula reads is walked.
+        # A line search per coordinate read, within the disk its partner allows, from
+        # x at (r, o) ``last``; (r, o) at the final x, or None once the budget is spent.
         nonlocal evals, records
         for ci in range(len(x)):
+            if ci not in search.reads:
+                x[ci] = 0.5
+                continue
             lo, hi = _disk_interval(x[ci ^ 1])
-            args = (x, ci, lo, hi, phase_a, guard, budget - evals, tol, records)
-            if ci in search.reads:
-                used, last, records = search.line_search(*args)
-            else:
-                used, last, records = _walk_line_search(*args, last)
+            used, last, records = search.line_search(x, ci, lo, hi, phase_a, guard, budget - evals, tol, records)
             evals += used
             if last is None:
                 return None
@@ -911,38 +876,77 @@ def relevance_degree(
     seeds = [list(point) * len(names) for point in pool]
     if len(names) > 1 and len(pool) <= budget:
         rng = random.Random(opts.seed)
-        for _ in range(128):
-            seed_x: list[float] = []
-            for _ in names:
-                seed_x.extend(pool[rng.randrange(len(pool))])
-            seeds.append(seed_x)
+        seeds += [[c for _ in names for c in pool[rng.randrange(len(pool))]] for _ in range(128)]
 
     scored: list[tuple[float, float, int]] = []
-    evals, last, records = search.screen(seeds, scored, budget, tol, records)
+    evals, last, records = search.screen(seeds, scored, budget, records)
     exhausted = last is None
     if not exhausted:
         by_residual = sorted(scored)[:12]
-        by_objective = sorted(
-            ((obj, residual, idx) for residual, obj, idx in scored if residual <= 0.5)
-        )[:12]
+        by_objective = sorted((obj, residual, idx) for residual, obj, idx in scored if residual <= 0.5)[:12]
         starts = dict.fromkeys(idx for *_, idx in by_residual + by_objective)
         # all() stops at the first descent that spends the budget.
         exhausted = not all(descend(list(seeds[idx]), *scored[idx][:2]) for idx in starts)
+    _, strict_x, least_residual = records
+    return evals, exhausted, strict_x, least_residual
 
-    def to_model(x: list[float]) -> ReducedModel:
-        return ReducedModel(
-            {name: (Fraction(x[pos[name]]), Fraction(x[pos[name] + 1])) for name in names}
-        )
 
-    strict_obj, strict_x, _, loose_obj, loose_x = records
-    status = "tolerance-limited" if exhausted else "feasible"
-    if strict_x is not None:
-        return RelevanceResult(strict_obj, status, to_model(strict_x), evals)
-    if loose_x is not None:
-        return RelevanceResult(loose_obj, status, to_model(loose_x), evals)
-    if exhausted:
-        return RelevanceResult(Fraction(1), "tolerance-limited", None, evals)
-    return RelevanceResult(Fraction(1), "infeasible", None, evals)
+def _convergents(x: float, count: int) -> list[Fraction]:
+    """The first ``count`` continued-fraction convergents of x within 1e-12
+    of it; the last convergent is x itself."""
+    n, d = x.as_integer_ratio()
+    h0, h1, k0, k1 = 0, 1, 1, 0
+    near: list[Fraction] = []
+    while d and len(near) < count:
+        a, (n, d) = n // d, (d, n % d)
+        h0, h1, k0, k1 = h1, a * h1 + h0, k1, a * k1 + k0
+        if abs(h1 / k1 - x) <= 1e-12:
+            near.append(Fraction(h1, k1))
+    return near
+
+
+def _snaps(u: float, w: float) -> list[tuple[Fraction, Fraction]]:
+    """Exact disk points near (u, w): its coordinates' first convergents, and
+    within 1e-9 of the circle, the circle points at tan(θ/2)'s first two."""
+    points = [(_convergents(u, 1)[0], _convergents(w, 1)[0])]
+    r3, r2 = 1.0 - 2.0 * u, 1.0 - 2.0 * w
+    if abs(math.hypot(r3, r2) - 1.0) <= 1e-9:
+        points += map(_circle_point, _convergents(math.tan(math.atan2(r2, r3) / 2.0), 2))
+    return [point for point in dict.fromkeys(points) if _in_disk(*point, Fraction(0))]
+
+
+def relevance_degree(
+    theory: Theory, alpha: Formula, options: RelevanceOptions | None = None
+) -> RelevanceResult:
+    """The least value of alpha at the exact models of the theory found within
+    ``options.budget`` evaluations, the pool's on ties (see ``RelevanceResult``),
+    from two sources: ``PoolSearch(alpha, theory.members).least``, one
+    evaluation per class tuple; and ``_descent`` on the budget left, whose
+    strict point gives each atom the exact disk points of ``_snaps``, each
+    tuple of their product tried with ``is_model_of`` at tolerance 0 as one
+    evaluation.  Raises ``ValueError`` for options that ``validate`` rejects."""
+    opts = options or RelevanceOptions()
+    opts.validate()
+    search = PoolSearch(alpha, theory.members)
+    evals, pairs = search.least(opts.budget)
+    found = [] if pairs is None else [ReducedModel(pairs)]
+    # An atom-free theory and formula have one class tuple, which decides them.
+    descent = _descent(alpha, theory.members, search.names, opts, opts.budget - evals) if search.names else None
+    used, exhausted, strict_x, least_residual = descent or (0, False, None, math.inf)
+    evals += used
+    snapped = () if strict_x is None else itertools.product(*map(_snaps, strict_x[::2], strict_x[1::2]))
+    for points in snapped:
+        if exhausted := evals == opts.budget:
+            break
+        evals += 1
+        model = ReducedModel(dict(zip(search.names, points)))
+        if is_model_of(model, theory):
+            found.append(model)
+    if found:
+        value, witness = min(((eval_prob(model, alpha)[0], model) for model in found), key=lambda vm: vm[0])
+        return RelevanceResult(value, "tolerance-limited" if exhausted else "feasible", witness, evals)
+    status = "tolerance-limited" if exhausted or least_residual < opts.tol else "infeasible"
+    return RelevanceResult(Fraction(1), status, None, evals)
 
 
 # ---------------------------------------------------------------------------

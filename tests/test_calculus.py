@@ -505,6 +505,25 @@ def test_proof_degree_defect_flag():
         assert report.lower_bound == Fraction(7, 8)
 
 
+def test_proof_degree_flags_a_certificate_above_the_relevance_value(monkeypatch):
+    # The relevance value is exact, so a checked certificate above it can
+    # only come from a defect; one strictly above it is flagged, with the
+    # value printed exactly, and one equal to it is not.
+    from iqcl import calculus
+    from iqcl.semantics import RelevanceResult
+
+    T = Theory([parse("7/8 -> p")])
+    cert = Proof((ProofStep(parse("7/8 -> p"), MemberRef()),))
+    for value, defects in (
+        (Fraction(13, 16), ["certificate bound 7/8 exceeds relevance value 13/16"]),
+        (Fraction(7, 8), []),
+    ):
+        result = RelevanceResult(value, "feasible", None, 1)
+        monkeypatch.setattr(calculus, "relevance_degree", lambda *args, result=result: result)
+        report = proof_degree(T, parse("p"), [cert])
+        assert (report.lower_bound, report.numeric, report.defects) == (Fraction(7, 8), result, defects)
+
+
 def test_finite_support():
     members = [parse(f"p{i}") for i in range(1, 10)]
     T = Theory(members)

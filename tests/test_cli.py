@@ -126,7 +126,7 @@ def test_relevance(tmp_path, capsys):
     assert code == 0
     fields = dict(line.split("=", 1) for line in out.strip().splitlines())
     assert fields["status"] == "feasible"
-    assert abs(float(fields["value"]) - 0.5) < 1e-6
+    assert Fraction(fields["value"]) == Fraction(1, 2)
 
 
 def test_relevance_machine_output_deterministic(tmp_path, capsys):
@@ -180,8 +180,8 @@ def relevance_machine_text(workloads, directory: Path) -> str:
 
 def test_relevance_machine_output_matches_fixture(workloads, tmp_path):
     # The byte-identity promise of --format machine, for the relevance
-    # search.  The fixture records the values as they are, the known-wrong
-    # rows of ROADMAP item 1 included; regenerate it, on purpose only, with
+    # search.  The fixture records the exact values and witnesses as they
+    # are; regenerate it, on purpose only, with
     # PYTHONPATH=src python3 tests/test_cli.py
     assert relevance_machine_text(workloads, tmp_path).encode() == RELEVANCE_FIXTURE.read_bytes()
 

@@ -28,8 +28,17 @@ import pytest
 
 from iqcl import semantics
 from iqcl.calculus import consistency_probe
-from iqcl.semantics import PoolSearch, Theory, check_tautology, format_model, is_model_of, sample_models
-from iqcl.syntax import BINARY_OPS, IMPLIES, JOIN, PRODUCT, Atom, Bin, Const, Sqrt, parse, print_formula
+from iqcl.semantics import (
+    PoolSearch,
+    ReducedModel,
+    Theory,
+    check_tautology,
+    eval_prob,
+    format_model,
+    is_model_of,
+    sample_models,
+)
+from iqcl.syntax import BINARY_OPS, IMPLIES, JOIN, ODOT, PRODUCT, Atom, Bin, Const, Sqrt, atoms, parse, print_formula
 
 from util import (
     _CONST_POOL,
@@ -200,6 +209,33 @@ def test_hits_match_the_reference_on_random_searches(monkeypatch):
         full += len(search.names) > 1 and len(capped) == before
         large += len(search.names) > 2 and budget > 300
     assert len(capped) >= 20 and full >= 20 and large >= 10
+
+
+def test_least_matches_the_reference_on_random_searches():
+    # The least objective over the models among the candidates of the first
+    # ``budget`` class tuples.  The reference decides the same candidates
+    # for the objective * 0, which reads what the objective reads and is
+    # below 1 everywhere, so it yields every model among them.
+    rng = random.Random(1402)
+    found = 0
+    for _ in range(100):
+        objective, members = _search_case(rng)
+        objective = objective or _formula(rng, sorted(set().union(*map(atoms, members))), 2)
+        budget = rng.choice((1, 7, 61, 300))
+        screened, pairs = PoolSearch(objective, members).least(budget)
+        names = sorted(set().union(atoms(objective), *map(atoms, members)))
+        pool = reference_pool(members)
+        models = [ReducedModel({name: pool[j] for name, j in zip(names, picks)})
+                  for _, picks in reference_hits(Bin(ODOT, objective, Const(_CONST_POOL[0])), members, budget)]
+        assert 1 <= screened <= budget or not screened and not models
+        if not models:
+            assert pairs is None, (objective, members, budget)
+            continue
+        found += 1
+        model = ReducedModel(pairs)
+        assert is_model_of(model, Theory(members))
+        assert eval_prob(model, objective)[0] == min(eval_prob(m, objective)[0] for m in models), (objective, members)
+    assert found >= 30
 
 
 def test_the_pool_has_16_values_of_each_component():

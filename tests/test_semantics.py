@@ -1,8 +1,8 @@
 import ast
-import itertools
 import math
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -13,11 +13,11 @@ from iqcl.qmix import BlochQmix, P1
 from iqcl.semantics import (
     PoolSearch,
     RelevanceOptions,
-    RelevanceResult,
     ReducedModel,
     Theory,
     UnassignedAtomError,
     _STRICT_RESIDUAL,
+    _descent,
     _disk_interval,
     _evaluator_source,
     _evaluators,
@@ -25,7 +25,7 @@ from iqcl.semantics import (
     _in_disk,
     _pool_with,
     _rational_disk_pool,
-    _walk_line_search,
+    _six_digits,
     check_tautology,
     consequence,
     eval_bloch,
@@ -53,7 +53,15 @@ from iqcl.syntax import (
     atoms,
     parse,
 )
-from util import _CONST_POOL, counting, random_formula, random_model, reference_check_tautology, reference_pool
+from util import (
+    _CONST_POOL,
+    counting,
+    random_formula,
+    random_model,
+    reference_check_tautology,
+    reference_pool,
+    reference_reads,
+)
 
 H = Fraction(1, 2)
 
@@ -559,55 +567,13 @@ def test_float_evaluator_bit_identical_to_closures():
                 x += [u, (1.0 - c) / 2.0 + c * rng.random()]
             x = [rng.choice(special) if rng.random() < 0.3 else c for c in x]
             scored = []
-            screen([x], scored, 1, 1.0, (None,) * 5)
+            screen([x], scored, 1, (None, None, math.inf))
             assert list(map(_hex, scored[0][:2])) == list(map(_hex, reference(x))), (objective, members, x)
 
 
 def test_float_evaluators_are_the_line_search_and_the_screen():
     generated = _evaluators(parse("?q + r"), [parse("3/4 -> p"), parse("p -> q")], {"p": 0, "q": 2, "r": 4})
     assert sorted(vars(generated)) == ["line_search", "reads", "screen"]
-
-
-@pytest.mark.parametrize("phase_a", [True, False])
-def test_walked_line_search_matches_the_generated_one_on_unread_coordinates(phase_a):
-    # On a coordinate no formula reads every point has the (r, o) of x, so
-    # the walk must return and leave what line_search does, at every budget
-    # up to one past the whole search: a guard below and above r, and
-    # records that are empty (None), beaten by the point (shifted up),
-    # beating it (down) and tied.
-    rng = random.Random(222 + phase_a)
-    for guard_above, shift in itertools.product((False, True), (None, 0.25, -0.25, 0.0) * 10):
-        while True:
-            names = ("p", "q", "r")[: rng.randint(1, 3)]
-            pos = {name: 2 * k for k, name in enumerate(names)}
-            objective = random_formula(rng, names, depth=rng.randint(0, 3), constants=_WIDE_CONSTANTS)
-            members = [random_formula(rng, names, depth=rng.randint(0, 3)) for _ in range(rng.randint(0, 2))]
-            search = _evaluators(objective, members, pos)
-            unread = [c for c in range(2 * len(names)) if c not in search.reads]
-            if unread:
-                break
-        ci = rng.choice(unread)
-        x = []
-        for _ in names:
-            u = rng.random()
-            c = (1.0 - (1.0 - 2.0 * u) ** 2) ** 0.5
-            x += [u, (1.0 - c) / 2.0 + c * rng.random()]
-        if rng.random() < 0.3:
-            x[ci] = rng.random()  # often outside [lo, hi], so the first point is clamped
-        tol = rng.choice((1e-6, 1e-3, 0.5))
-        scored = []
-        search.screen([x], scored, 1, tol, (None,) * 5)
-        held = scored[0][:2]
-        r, o = held
-        guard = r + 1e-3 if guard_above else r - 1e-3
-        records = (None,) * 5 if shift is None else (o + shift, [0.25] * len(x), r + shift, o + shift, [0.75] * len(x))
-        lo, hi = _disk_interval(x[ci ^ 1])
-        full, _, _ = search.line_search(x.copy(), ci, lo, hi, phase_a, guard, 10**9, tol, records)
-        for left in range(full + 2):
-            generated_x, walked_x = x.copy(), x.copy()
-            generated = search.line_search(generated_x, ci, lo, hi, phase_a, guard, left, tol, records)
-            walked = _walk_line_search(walked_x, ci, lo, hi, phase_a, guard, left, tol, records, held)
-            assert repr((walked, walked_x)) == repr((generated, generated_x)), (objective, members, ci, left)
 
 
 def test_generated_source_holds_no_formula_text():
@@ -649,48 +615,37 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def reference_relevance_degree(theory, alpha, options=None) -> RelevanceResult:
-    """The relevance search as Python closures over ``reference_float_evaluator``.
+def reference_descent(theory, alpha, names, opts, budget):
+    """The float search of ``_descent`` as Python closures over
+    ``reference_float_evaluator``, returning what it returns.
 
     One Python call per evaluation, per score and per line search, as the
     search was written before its loops moved into the generated
-    functions; ``relevance_degree`` must agree with it in every bit.
+    functions; ``_descent`` must agree with it in every bit.
     """
-    opts = options or RelevanceOptions()
-    names = sorted(atoms(alpha) | theory.atoms())
-
-    if not names:
-        empty = ReducedModel({})
-        feasible = all(eval_prob(empty, beta)[0] == 1 for beta in theory)
-        if feasible:
-            return RelevanceResult(eval_prob(empty, alpha)[0], "feasible", empty, len(theory) + 1)
-        return RelevanceResult(Fraction(1), "infeasible", None, len(theory) + 1)
-
     pos = {name: 2 * k for k, name in enumerate(names)}
     values = reference_float_evaluator(alpha, theory.members, pos)
-    budget, tol = opts.budget, opts.tol
+    reads = {pos[name] + c for f in (alpha, *theory) for name, c in reference_reads(f)}
 
     evals = 0
     best_strict = None  # (objective, x)
-    best_loose = None  # (residual, objective, x), least by (residual, objective)
+    least_residual = math.inf
 
     def evaluate(x):
-        nonlocal evals, best_strict, best_loose
+        nonlocal evals, best_strict, least_residual
         if evals >= budget:
             raise _BudgetExhausted
         evals += 1
         residual, obj = values(x)
         if residual <= _STRICT_RESIDUAL and (best_strict is None or obj < best_strict[0]):
             best_strict = (obj, list(x))
-        if residual < tol and (
-            best_loose is None
-            or residual < best_loose[0]
-            or (residual == best_loose[0] and obj < best_loose[1])
-        ):
-            best_loose = (residual, obj, list(x))
+        least_residual = min(least_residual, residual)
         return residual, obj
 
     def line_search(x, ci, phase_a, guard):
+        if ci not in reads:
+            x[ci] = 0.5  # every point of the line has x's value, and 1/2 gives the partner full room
+            return
         partner = x[ci + 1] if ci % 2 == 0 else x[ci - 1]
         lo, hi = _disk_interval(partner)
         width = hi - lo
@@ -775,30 +730,24 @@ def reference_relevance_degree(theory, alpha, options=None) -> RelevanceResult:
             descend(list(seeds[idx]))
     except _BudgetExhausted:
         exhausted = True
-
-    def to_model(x):
-        return ReducedModel(
-            {name: (Fraction(x[pos[name]]), Fraction(x[pos[name] + 1])) for name in names}
-        )
-
-    if best_strict is not None:
-        obj, x = best_strict
-        status = "tolerance-limited" if exhausted else "feasible"
-        return RelevanceResult(obj, status, to_model(x), evals)
-    if best_loose is not None:
-        _, obj, x = best_loose
-        status = "tolerance-limited" if exhausted else "feasible"
-        return RelevanceResult(obj, status, to_model(x), evals)
-    if exhausted:
-        return RelevanceResult(Fraction(1), "tolerance-limited", None, evals)
-    return RelevanceResult(Fraction(1), "infeasible", None, evals)
+    return evals, exhausted, None if best_strict is None else best_strict[1], least_residual
 
 
 def _assert_matches_reference(theory, alpha, options):
+    """``relevance_degree``'s answer, after checking that it is exact and
+    that its descent, on the budget the pool screen leaves, agrees in
+    every bit with ``reference_descent``."""
     result = relevance_degree(theory, alpha, options)
-    expected = reference_relevance_degree(theory, alpha, options)
-    assert result == expected, (theory, alpha, options)
-    assert repr(result.value) == repr(expected.value)
+    assert type(result.value) is Fraction and result.evaluations <= options.budget
+    if result.witness is not None:
+        assert is_model_of(result.witness, theory, Fraction(0))
+        assert all(_in_disk(u, w, Fraction(0)) for u, w in result.witness.assignment.values())
+        assert eval_prob(result.witness, alpha)[0] == result.value
+    names = sorted(atoms(alpha) | theory.atoms())
+    if names:
+        left = options.budget - PoolSearch(alpha, theory.members).least(options.budget)[0]
+        descent = _descent(alpha, theory.members, names, options, left)
+        assert repr(descent) == repr(reference_descent(theory, alpha, names, options, left)), (theory, alpha, options)
     return result
 
 
@@ -825,18 +774,20 @@ def test_relevance_random_theories_match_closure_reference():
 
 
 def test_relevance_loose_records_match_closure_reference():
-    # With p . q pinned to 1/2 no point reaches a residual of
-    # _STRICT_RESIDUAL, so the answer is the loose record, and at grid
-    # 1/8 points tie on its (residual, objective).
+    # With p . q pinned to 1/2 the descent reaches no point of residual
+    # _STRICT_RESIDUAL, so it keeps only its least residual; the pool's
+    # model p = 1/2, q = 1 gives the exact value.
     theory = Theory([parse("p . q -> 1/2"), parse("1/2 -> p . q")])
     for grid in (Fraction(1, 8), Fraction(1, 32)):
-        _assert_matches_reference(theory, parse("p"), RelevanceOptions(grid=grid))
+        result = _assert_matches_reference(theory, parse("p"), RelevanceOptions(grid=grid))
+        assert (result.value, result.status) == (Fraction(1, 2), "feasible")
 
 
 def test_relevance_budget_limited_matches_closure_reference():
-    # Budgets that run out at the first seed, at the last seed, one past
-    # the seeds, at each point of the first line search and into its
-    # second round, and deep in the descent.
+    # Budgets that run out in the pool screen and at its end; then, on the
+    # budget the screen leaves, at the first seed, at the last seed, one
+    # past the seeds, at each point of the first line search and into its
+    # second round, and deep in the descent; and one short of the whole search.
     grid = Fraction(1, 32)
     rows = [
         (Theory([parse("3/4 -> p"), parse("p -> q"), parse("q . r -> p")]), parse("?q + r")),
@@ -845,8 +796,10 @@ def test_relevance_budget_limited_matches_closure_reference():
     ]
     for theory, alpha in rows:
         full = relevance_degree(theory, alpha, RelevanceOptions(grid=grid)).evaluations
+        screened = PoolSearch(alpha, theory.members).least(full)[0]
         seeds = len(_float_pool(grid)) + (128 if len(atoms(alpha) | theory.atoms()) > 1 else 0)
-        for budget in (1, seeds, *range(seeds + 1, seeds + 14), 3000, full - 1, full):
+        descent = (1, seeds, *range(seeds + 1, seeds + 14), 3000)
+        for budget in (1, screened, *(screened + b for b in descent), full - 1, full):
             result = _assert_matches_reference(theory, alpha, RelevanceOptions(grid=grid, budget=budget))
             assert result.evaluations == budget
             assert result.status == ("tolerance-limited" if budget < full else "feasible")
@@ -878,8 +831,9 @@ def test_relevance_accepts_grid_one():
 
 
 def test_relevance_builds_at_most_budget_plus_one_seed_points(monkeypatch):
-    # A pool of budget + 1 points is the whole pool's prefix, so the
-    # answer is unchanged.  At grid 2**-52 a row holds some 4.5e9 disk
+    # A pool of budget + 1 points, for the budget that the pool screen
+    # leaves, is the whole pool's prefix, so the answer is unchanged.
+    # At grid 2**-52 a row holds some 4.5e9 disk
     # points, and the whole grid 2**104: only a scan that stops at the
     # budget and reads only each row's disk interval answers.
     built = []
@@ -891,13 +845,112 @@ def test_relevance_builds_at_most_budget_plus_one_seed_points(monkeypatch):
 
     monkeypatch.setattr(semantics, "_float_pool", recorded)
     theory, whole = Theory([parse("p")]), len(_float_pool(Fraction(1, 32)))
-    for budget, alpha, size in ((40, "?p", 41), (whole, "?p + q", whole), (100_000, "?p + q", whole)):
+    for left, alpha, size in ((40, "?p", 41), (whole, "?p + q", whole), (100_000, "?p + q", whole)):
+        budget = PoolSearch(parse(alpha), theory.members).least(10**9)[0] + left
         _assert_matches_reference(theory, parse(alpha), RelevanceOptions(grid=Fraction(1, 32), budget=budget))
         assert built.pop() == size
     for grid, alpha in ((Fraction(1, 4096), "?p"), (Fraction(1, 2**52), "?p + q")):
+        left = 1000 - PoolSearch(parse(alpha), theory.members).least(1000)[0]
         result = relevance_degree(theory, parse(alpha), RelevanceOptions(grid=grid, budget=1000))
-        assert (result.status, result.evaluations, built.pop()) == ("tolerance-limited", 1000, 1001)
+        assert (result.status, result.evaluations, built.pop()) == ("tolerance-limited", 1000, left + 1)
     assert len(set(_float_pool(Fraction(1, 2**52), 1001))) == 1001
+
+
+@pytest.mark.parametrize("grid", [Fraction(1, 32), Fraction(1, 64)])
+@pytest.mark.parametrize(
+    "lines, formula, value",
+    [
+        (["half -> p . q"], "p", Fraction(1, 2)),
+        (["3/4 -> p . q"], "p", Fraction(3, 4)),
+        (["1/4 -> p * q"], "p", Fraction(1, 4)),
+        (["p + q", "!p + q"], "q", Fraction(1, 2)),
+        (["p"], "?p", Fraction(1, 2)),
+    ],
+)
+def test_relevance_is_exact_where_the_float_search_was_not(lines, formula, value, grid):
+    # The float search alone reported these as feasible at 0.511 or 0.593,
+    # 0.762 or 0.765, 0.3125, 0.4999999999999999 (with a witness that is no
+    # model) and 0.49999999999999994 (with a witness off the disk).
+    theory = Theory([parse(line) for line in lines])
+    result = relevance_degree(theory, parse(formula), RelevanceOptions(grid=grid))
+    assert (type(result.value), result.value, result.status) == (Fraction, value, "feasible")
+    assert is_model_of(result.witness, theory, Fraction(0))
+    assert all(_in_disk(u, w, Fraction(0)) for u, w in result.witness.assignment.values())
+
+
+@pytest.mark.parametrize("grid", [Fraction(1, 32), Fraction(1, 64)])
+def test_relevance_snaps_irrational_optima_to_exact_models(grid):
+    # The pool misses these optima by up to 0.084.  An exact model's value
+    # is an upper bound on the infimum, checked exactly here:
+    # v >= (2 - sqrt 3)/4 iff (2 - 4v)**2 <= 3, and
+    # v >= (1 - 2 sqrt(h(1 - h)))/2 iff (1 - 2v)**2 <= 4h(1 - h), for 2 - 4v, 1 - 2v >= 0.
+    h = Fraction(15, 16)
+    rows = [
+        (["3/4 -> p", "p -> q", "q . r -> p"], "?q + r", (2 - math.sqrt(3)) / 4, lambda v: (2 - 4 * v) ** 2 <= 3),
+        ([f"{h} -> p"], "?p", (1 - 2 * math.sqrt(h * (1 - h))) / 2, lambda v: (1 - 2 * v) ** 2 <= 4 * h * (1 - h)),
+    ]
+    for lines, formula, closed_form, above in rows:
+        theory = Theory([parse(line) for line in lines])
+        result = relevance_degree(theory, parse(formula), RelevanceOptions(grid=grid))
+        assert (type(result.value), result.status) == (Fraction, "feasible")
+        assert abs(result.value - closed_form) <= 1e-9 and above(result.value), (lines, result.value)
+        assert is_model_of(result.witness, theory, Fraction(0))
+        assert all(_in_disk(u, w, Fraction(0)) for u, w in result.witness.assignment.values())
+        assert eval_prob(result.witness, parse(formula))[0] == result.value
+
+
+def test_relevance_without_a_rational_model_reports_no_value():
+    # p . p = 1/2 holds only at the irrational u = 1/sqrt 2: the descent
+    # reaches it in floats, but no exact model exists to report.
+    theory = Theory([parse("p . p -> 1/2"), parse("1/2 -> p . p")])
+    for grid in (Fraction(1, 32), Fraction(1, 64)):
+        result = relevance_degree(theory, parse("p"), RelevanceOptions(grid=grid))
+        assert (result.value, result.status, result.witness) == (Fraction(1), "tolerance-limited", None)
+
+
+def test_relevance_value_is_an_exact_fraction_on_every_path():
+    # Random theories, at budgets that run out in the pool screen, in the
+    # descent and not at all, and atom-free ones: the value is a Fraction,
+    # the value at its witness, an exact model; without one it is 1.
+    rng = random.Random(223)
+    cases = [(Theory([parse("top")]), parse("3/8"), 100), (Theory([parse("3/8")]), parse("1/4"), 100)]
+    for _ in range(60):
+        names = ("p", "q", "r")[: rng.randint(1, 3)]
+        members = [random_formula(rng, names, depth=rng.randint(0, 3)) for _ in range(rng.randint(0, 3))]
+        cases.append((Theory(members), random_formula(rng, names, depth=rng.randint(1, 4)), rng.choice((1, 60, 3000, 100_000))))
+    statuses = set()
+    for theory, alpha, budget in cases:
+        result = relevance_degree(theory, alpha, RelevanceOptions(grid=Fraction(1, 16), budget=budget))
+        assert type(result.value) is Fraction and result.evaluations <= budget, (theory, alpha, budget)
+        if result.witness is None:
+            assert result.value == 1
+        else:
+            assert is_model_of(result.witness, theory, Fraction(0))
+            assert all(_in_disk(u, w, Fraction(0)) for u, w in result.witness.assignment.values())
+            assert eval_prob(result.witness, alpha)[0] == result.value
+        statuses.add(result.status)
+    assert statuses == {"feasible", "infeasible", "tolerance-limited"}
+
+
+def test_six_digits_matches_the_decimal_quotient():
+    # _six_digits forms only 28 digits of the quotient that the Decimal
+    # route divides out in full; the text must be the same at rounding
+    # carries (9999995 * 10**k is 1.00000e(k + 7)), at ties to even,
+    # at exact quotients that keep or lose trailing zeros, and at 28-digit
+    # ties, where rounding twice differs from rounding once.
+    tie = Fraction(12345650000000000000000000005, 10**28)  # 29 digits: 1.23456 after two roundings, not 1.23457
+    cases = [Fraction(0), Fraction(1, 2), Fraction(-3, 7), Fraction(10**30, 10**29), tie, -tie]
+    for k in range(-40, 41):
+        for m in (9999995, 9999994, 99999950, 1234565, 1234575, 10**28 - 1, 10**29 - 5, 2**100):
+            cases += [m * Fraction(10) ** k, -m * Fraction(10) ** k]
+    rng = random.Random(224)
+    cases += [Fraction(rng.randrange(1, 10 ** rng.randint(1, 80)), rng.randrange(1, 10 ** rng.randint(1, 80))) for _ in range(2000)]
+    for q in cases:
+        assert _six_digits(q) == f"{Decimal(q.numerator) / q.denominator:.6g}", q
+    # The Decimal route takes seconds on these; the digits formed here do not.
+    assert _six_digits(Fraction(10**400000)) == "1.00000e+400000"
+    assert _six_digits(Fraction(-9999995 * 10**100000)) == "-1.00000e+100007"
+    assert _six_digits(Fraction(1, 10**200000)) == "1e-200000"
 
 
 def test_sample_models_exact():
