@@ -12,7 +12,8 @@ is a model of a theory when every member is exactly 1, and a
 counterexample when the objective is below 1.  Candidates that agree on
 every coordinate the formulas read get the same verdict, so one sweep of
 the product screens each distinct tuple of those coordinates, a class
-tuple, once; the budget caps the class tuples screened.
+tuple, once, save those that arc consistency over the two-atom members
+rules out; the budget caps the class tuples decided.
 
 The relevance degree of a theory T over a formula f is the infimum of
 f's value over models giving every member of T value 1.  The search
@@ -455,7 +456,10 @@ def _evaluators(
     the pool search: ``evaluate``.  ``reads`` holds the coordinates they
     read, in order.
     """
-    source, reads = _evaluator_source(objective, members, pos, den, least)
+    return _compile(*_evaluator_source(objective, members, pos, den, least))
+
+
+def _compile(source: str, reads: tuple[int, ...]) -> types.SimpleNamespace:
     namespace: dict = {}
     exec(source, namespace)
     del namespace["__builtins__"]
@@ -561,7 +565,10 @@ class PoolSearch:
     ``_rational_disk_pool``, then, for the members' constants c, the disk
     points with coordinates among c, 1 - c and 1/2.  Candidates are
     screened by one function generated per run, in exact integers over a
-    common denominator of the pool and the constants.
+    common denominator of the pool and the constants.  With three or more
+    atoms, the class tuples that arc consistency rules out are decided
+    without being screened (``_arc_consistent``); every count is that of
+    the class tuples decided, as if each were screened.
     """
 
     def __init__(self, objective: Formula | None, members=()):
@@ -577,13 +584,14 @@ class PoolSearch:
     def hits(self, budget: int):
         """Yield ``(i, picks)``, picks holding each atom's pool index, for
         each passing candidate i whose class tuple is among the first
-        ``budget`` (at least 1) that the sweep screens.
+        ``budget`` (at least 1) that the sweep decides.
 
         With two or more atoms, each is first narrowed to the points where
         its single-atom members are exactly 1.  The product of the narrowed
         points is swept in order, first atom varying fastest (see
         ``_sweep``).  ``screened`` counts the candidates whose class tuple
-        was screened: the whole product when the budget covers its tuples.
+        was decided, screened or ruled out by arc consistency: the whole
+        product when the budget covers its tuples.
         """
         if budget < 1:
             raise ValueError(f"budget must be at least 1, got {budget}")
@@ -591,18 +599,20 @@ class PoolSearch:
         self.screened = yield from self._sweep(budget)
 
     def least(self, budget: int) -> tuple[int, dict[str, tuple[Fraction, Fraction]] | None]:
-        """The class tuples screened, the first ``budget``, and the pairs of
-        the first model among them of least objective (perhaps 1), or None."""
-        screen, _, _, firsts, strides, columns, m = self._class_tuples(least=True)
+        """The class tuples decided, the first ``budget``, and the pairs of
+        the first model among them of least objective (perhaps 1), or None.
+        Only the tuples that arc consistency keeps are screened."""
+        screen, _, _, firsts, strides, kept, m = self._class_tuples(least=True)
         b, h = min(budget, m), None
-        for h in screen.evaluate(b, self.lifted, columns) if m else ():
+        for h in _screen_kept(screen, self.lifted, firsts, strides, kept, b):
             pass
         return b, None if h is None else self.pairs(ps[h // stride % len(ps)] for ps, stride in zip(firsts, strides))
 
     def _class_tuples(self, least: bool):
         """The generated screen; each atom's points, narrowed to where its single-atom
         members are 1 when there are two or more atoms; each point's class, each
-        class's first point, the strides, the screen's columns and the tuple count."""
+        class's first point, the strides, the classes that arc consistency keeps
+        with three or more atoms (``_arc_consistent``), and the tuple count."""
         size, n = len(self.pool), len(self.names)
         allowed = [range(size)] * n
         for k, name in enumerate(self.names if n > 1 else ()):
@@ -622,8 +632,41 @@ class PoolSearch:
         # Class tuple h puts atom k in class (h // stride_k) % count_k, as
         # the sweep puts it at a point; the screen sees each class's first point.
         strides = [math.prod(counts[:k]) for k in range(len(counts))]
-        columns = [_Column(points, stride, m // (stride * len(points))) for points, stride in zip(firsts, strides) if m]
-        return screen, allowed, classes, firsts, strides, columns, m
+        # With two atoms the arcs would decide the product the screen does.
+        kept = self._arc_consistent(firsts) if n > 2 and m else [range(count) for count in counts]
+        return screen, allowed, classes, firsts, strides, kept, m
+
+    def _arc_consistent(self, firsts) -> list[list[int]]:
+        """Each atom's classes, in order, that arc consistency over the
+        members reading exactly two atoms keeps (AC-3; Mackworth,
+        "Consistency in networks of relations", 1977): a class stays while
+        each such member of its atom is 1 at it and at some kept class of
+        the other atom.  A class agrees on every coordinate the screen
+        reads, so a member is decided once per pair of classes, at their
+        first points, by a generated function compiled once per distinct
+        source.  No class tuple holding a dropped class passes the screen;
+        an empty domain means the pool holds no model."""
+        compiled = functools.cache(_compile)
+        arcs = []
+        for beta in self.members:
+            pair = sorted(formula_atoms(beta))
+            if len(pair) == 2:
+                a, b = map(self.names.index, pair)
+                arc = compiled(*_evaluator_source(None, [beta], {pair[0]: 0, pair[1]: 2}, self.den))
+                ca, cb = len(firsts[a]), len(firsts[b])
+                columns = [_Column(firsts[a], 1, cb), _Column(firsts[b], ca, 1)]
+                arcs.append((a, b, [(i % ca, i // ca) for i in arc.evaluate(ca * cb, self.lifted, columns)]))
+        domains = [set(range(len(points))) for points in firsts]
+        changed = bool(arcs)
+        while changed:
+            changed = False
+            for index, (a, b, supported) in enumerate(arcs):
+                supported = [(x, y) for x, y in supported if x in domains[a] and y in domains[b]]
+                arcs[index] = a, b, supported
+                for k, side in ((a, {x for x, _ in supported}), (b, {y for _, y in supported})):
+                    if len(side) < len(domains[k]):
+                        domains[k], changed = side, True
+        return [sorted(domain) for domain in domains]
 
     def _sweep(self, budget: int):
         """Yield the hits of the product of the atoms' narrowed points in
@@ -633,8 +676,9 @@ class PoolSearch:
         The screen's verdict on a candidate depends only on the coordinates
         it reads (``screen.reads``).  So each atom's points fall into
         classes of equal read coordinates, numbered in order of first
-        occurrence, and the screen runs once per tuple of classes, in the
-        sweep's order.  The walk extends candidates atom by atom, from the
+        occurrence, and the screen runs once per tuple of classes that arc
+        consistency keeps, in the sweep's order; a tuple it rules out does
+        not pass.  The walk extends candidates atom by atom, from the
         last (slowest) to the first, keeping a point only if its class,
         with the classes already chosen, begins a passing tuple.
 
@@ -644,11 +688,11 @@ class PoolSearch:
         hit before the remaining tuples are screened; the rest of the walk
         then sees them all.
         """
-        screen, allowed, classes, _, strides, columns, m = self._class_tuples(least=False)
+        screen, allowed, classes, firsts, strides, kept, m = self._class_tuples(least=False)
         if not m:
             return 0
         b = min(budget, m)
-        passing = screen.evaluate(b, self.lifted, columns)
+        passing = _screen_kept(screen, self.lifted, firsts, strides, kept, b)
         screened = math.prod(map(len, allowed)) if b == m else _candidates_below(b, classes, strides)
         h = next(passing, None)
         if h is None:
@@ -687,6 +731,25 @@ class _Column:
         return itertools.chain.from_iterable(map(itertools.repeat, points, itertools.repeat(self.stride)))
 
 
+def _screen_kept(screen, lifted, firsts, strides, kept, b: int):
+    """Run the generated screen on the class tuples of ``kept``, each atom's
+    kept classes, whose index in the whole product (``strides``) is below
+    b, and yield that index of each passing one, in order.  The kept tuples
+    below b come first in their own product, so they are counted from b's
+    digits."""
+    counts = list(map(len, kept))
+    m = math.prod(counts)
+    if not m:
+        return iter(())
+    inner = [math.prod(counts[:k]) for k in range(len(counts))]
+    columns = [_Column([ps[c] for c in cs], s, m // (s * len(cs))) for ps, cs, s in zip(firsts, kept, inner)]
+    whole = math.prod(map(len, firsts))
+    if m == whole:
+        return screen.evaluate(b, lifted, columns)
+    passing = screen.evaluate(m if b == whole else _candidates_below(b, kept, strides), lifted, columns)
+    return (sum(cs[h // s % len(cs)] * stride for cs, s, stride in zip(kept, inner, strides)) for h in passing)
+
+
 def _classes(points, columns):
     """Each point's class of equal values in ``columns``, the classes
     numbered in order of first occurrence, and each class's first point."""
@@ -699,7 +762,8 @@ def _classes(points, columns):
 def _candidates_below(b: int, classes, strides) -> int:
     """The candidates whose class tuple is below b, for b below the
     product of the class counts: a sum over b's mixed-radix digits, from
-    the slowest atom."""
+    the slowest atom.  With each atom's kept classes for its points'
+    classes, the kept class tuples below b."""
     count, above = 0, 1
     for k in reversed(range(len(classes))):
         d, b = divmod(b, strides[k])
@@ -772,7 +836,8 @@ class RelevanceResult:
     within the budget, ``infeasible`` when none was and no point reached a
     residual below ``tol``, else ``tolerance-limited``: the budget ran out,
     or the points reached gave no exact model.  ``evaluations``, at most the
-    budget, counts class tuples screened, float points and snaps tried."""
+    budget, counts class tuples decided (screened, or ruled out by arc
+    consistency), float points and snaps tried."""
 
     value: Fraction
     status: str
@@ -921,7 +986,7 @@ def relevance_degree(
     """The least value of alpha at the exact models of the theory found within
     ``options.budget`` evaluations, the pool's on ties (see ``RelevanceResult``),
     from two sources: ``PoolSearch(alpha, theory.members).least``, one
-    evaluation per class tuple; and ``_descent`` on the budget left, whose
+    evaluation per class tuple decided; and ``_descent`` on the budget left, whose
     strict point gives each atom the exact disk points of ``_snaps``, each
     tuple of their product tried with ``is_model_of`` at tolerance 0 as one
     evaluation.  Raises ``ValueError`` for options that ``validate`` rejects."""

@@ -238,6 +238,145 @@ def test_least_matches_the_reference_on_random_searches():
     assert found >= 30
 
 
+def _arc_case(rng):
+    """A random objective and theory over 3-4 atoms, with members over one
+    atom (pins between constants), two (implications, and random pairs
+    that may read only one of them) and three; and a share of the class
+    tuples at which to cut the budget below their count.  Each atom of
+    four is pinned to a quarter of the disk, which keeps its hits few
+    enough to list."""
+    names = rng.sample(("p", "q", "x0", "picks"), rng.randint(3, 4))
+
+    def pin(name, c):
+        return rng.choice((Bin(IMPLIES, Atom(name), Const(c)), Bin(IMPLIES, Const(c), Atom(name))))
+
+    if len(names) == 4:
+        members = [rng.choice((Bin(IMPLIES, Const(_CONST_POOL[5]), Atom(name)), Bin(IMPLIES, Atom(name), Const(_CONST_POOL[3]))))
+                   for name in names]
+    else:
+        members = [pin(name, rng.choice(_CONST_POOL[2:])) for name in names if rng.random() < 0.3]
+    for _ in range(rng.randint(1, 4)):
+        over = rng.sample(names, rng.choice((2, 2, 3)))
+        if len(over) == 2 and rng.random() < 0.5:
+            members.append(Bin(IMPLIES, Atom(over[0]), Atom(over[1])))
+        else:
+            members.append(Bin(IMPLIES, random_formula(rng, over, 2), random_formula(rng, over, 2)))
+    rng.shuffle(members)
+    return random_formula(rng, names, 2), members, rng.random()
+
+
+def _pool_answers(objective, members, cut):
+    """``least`` and ``hits`` of the search for the objective, at budgets of 1,
+    below the class tuples' count and above it; then ``sample_models`` and
+    ``consistency_probe`` of the theory."""
+    search = PoolSearch(objective, members)
+    m = search._class_tuples(least=False)[-1]
+    answers = []
+    for budget in (1, 1 + int(cut * (m - 1)), m + 1):
+        answers += [search.least(budget), list(search.hits(budget)), search.screened]
+    theory = Theory(members)
+    try:
+        answers.append(sample_models(theory, 5, seed=3))
+    except RuntimeError as exc:
+        answers.append(str(exc))
+    return answers + [consistency_probe(theory)]
+
+
+def _unnarrowed(monkeypatch):
+    monkeypatch.setattr(PoolSearch, "_arc_consistent", lambda self, firsts: [range(len(ps)) for ps in firsts])
+
+
+def test_arc_consistency_changes_no_answer(monkeypatch):
+    # Against the same search screening every class tuple.
+    rng = random.Random(1403)
+    cases = [_arc_case(rng) for _ in range(40)]
+    narrowed = 0
+    consistent = PoolSearch._arc_consistent
+
+    def counted(self, firsts):
+        nonlocal narrowed
+        kept = consistent(self, firsts)
+        narrowed += math.prod(map(len, kept)) < math.prod(map(len, firsts))
+        return kept
+
+    monkeypatch.setattr(PoolSearch, "_arc_consistent", counted)
+    answers, cases_narrowed = [], 0
+    for case in cases:
+        before = narrowed
+        answers.append(_pool_answers(*case))
+        cases_narrowed += narrowed > before
+    _unnarrowed(monkeypatch)
+    for case, answer in zip(cases, answers):
+        assert answer == _pool_answers(*case), case
+    assert cases_narrowed >= 15
+
+
+def _screen_sizes(monkeypatch) -> list[int]:
+    """The class tuples each generated screen of ``PoolSearch.least`` is asked to run on (its ``m``)."""
+    sizes = []
+    evaluators = semantics._evaluators
+
+    def spied(objective, members, pos, den=None, least=False):
+        generated = evaluators(objective, members, pos, den, least)
+        if least:
+            evaluate = generated.evaluate
+            generated.evaluate = lambda m, pool, picks: sizes.append(m) or evaluate(m, pool, picks)
+        return generated
+
+    monkeypatch.setattr(semantics, "_evaluators", spied)
+    return sizes
+
+
+CHAIN = ("13/16 -> t", "t -> w", "w -> x", "x -> y")
+
+
+@pytest.mark.parametrize(
+    "members, objective, kept, whole",
+    [
+        (CHAIN, "y", 5**4, 29160),
+        (CHAIN[::-1], "y", 5**4, 29160),
+        (("3/4 -> p", "p -> q", "q . r -> p"), "?q + r", 1824, 5856),
+    ],
+)
+def test_relevance_screens_only_the_arc_consistent_class_tuples(monkeypatch, members, objective, kept, whole):
+    # The chain keeps 5 classes of each atom's value, those from 13/16 up;
+    # without the arcs its screen would run on 5 * 18**3 class tuples.
+    # Reversed, each pass over its arcs carries the bound one link on.
+    sizes = _screen_sizes(monkeypatch)
+    theory = Theory(map(parse, members))
+    result = semantics.relevance_degree(theory, parse(objective))
+    assert sizes == [kept]
+    _unnarrowed(monkeypatch)
+    assert semantics.relevance_degree(theory, parse(objective)) == result
+    assert sizes == [kept, whole]
+
+
+def test_the_arcs_of_one_source_are_compiled_once(monkeypatch):
+    # The chain's three arcs read the values of two atoms in one way: one
+    # source, besides the single-atom narrowing of t and the screen.
+    sources = []
+    compile_source = semantics._compile
+    monkeypatch.setattr(semantics, "_compile", lambda source, reads: sources.append(source) or compile_source(source, reads))
+    PoolSearch(parse("y"), map(parse, CHAIN)).least(DEFAULT_BUDGET)
+    assert len(sources) == len(set(sources)) == 3
+
+
+def test_an_empty_domain_means_no_model_in_the_pool(monkeypatch):
+    # q is at least p, which is at least 3/4, yet q . q -> !p needs q at most 1/2.
+    sizes = _screen_sizes(monkeypatch)
+    theory = Theory(map(parse, ("3/4 -> p", "p -> q", "q . q -> !p")))
+    with_r = Theory((*theory.members, parse("q -> r")))
+    result = semantics.relevance_degree(theory, parse("r"))
+    answers = _pool_answers(parse("?r"), with_r.members, 0.5)
+    assert sizes == []
+    assert result.witness is None and result.value == 1
+    assert consistency_probe(with_r).verdict == "no-model-at-budget"
+    _unnarrowed(monkeypatch)
+    assert semantics.relevance_degree(theory, parse("r")) == result
+    assert _pool_answers(parse("?r"), with_r.members, 0.5) == answers
+    assert sizes != []
+
+
 def test_the_pool_has_16_values_of_each_component():
     pool = semantics._rational_disk_pool()
     assert len(pool) == 61
