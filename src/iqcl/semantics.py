@@ -972,10 +972,12 @@ def _convergents(x: float, count: int) -> list[Fraction]:
 
 def _snaps(u: float, w: float) -> list[tuple[Fraction, Fraction]]:
     """Exact disk points near (u, w): its coordinates' first convergents, and
-    within 1e-9 of the circle, the circle points at tan(θ/2)'s first two."""
-    points = [(_convergents(u, 1)[0], _convergents(w, 1)[0])]
+    within 1e-9 of the circle, unless that point lies on it, the circle
+    points at tan(θ/2)'s first two."""
+    cu, cw = _convergents(u, 1)[0], _convergents(w, 1)[0]
+    points = [(cu, cw)]
     r3, r2 = 1.0 - 2.0 * u, 1.0 - 2.0 * w
-    if abs(math.hypot(r3, r2) - 1.0) <= 1e-9:
+    if abs(math.hypot(r3, r2) - 1.0) <= 1e-9 and (1 - 2 * cu) ** 2 + (1 - 2 * cw) ** 2 != 1:
         points += map(_circle_point, _convergents(math.tan(math.atan2(r2, r3) / 2.0), 2))
     return [point for point in dict.fromkeys(points) if _in_disk(*point, Fraction(0))]
 

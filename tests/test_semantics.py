@@ -899,6 +899,23 @@ def test_relevance_snaps_irrational_optima_to_exact_models(grid):
         assert eval_prob(result.witness, parse(formula))[0] == result.value
 
 
+def test_a_snapped_point_on_the_circle_is_its_atoms_only_candidate(monkeypatch):
+    # (1, 1/2) is on the circle at θ = π, where tan(θ/2) is about 1.6e16;
+    # the circle point there has u just below 1, so it is no model of p.
+    assert semantics._snaps(1.0, 0.5) == [(Fraction(1), Fraction(1, 2))]
+    assert semantics._snaps(0.1, 0.2) == [(Fraction(1, 10), Fraction(1, 5))]
+    # Off the circle, within 1e-9 of it, the circle points are tried too.
+    near = semantics._snaps((1 - math.cos(1.0)) / 2, (1 - math.sin(1.0)) / 2)
+    assert len(near) > 1 and all(_in_disk(u, w, Fraction(0)) for u, w in near)
+    # So the product of trials for four atoms at (1, 1/2) is one candidate.
+    tried = []
+    check = semantics.is_model_of
+    monkeypatch.setattr(semantics, "is_model_of", lambda model, theory: tried.append(model) or check(model, theory))
+    result = relevance_degree(Theory.from_text("p\nq\nr\ns"), parse("?p + ?q + ?r + ?s"))
+    assert (result.value, result.status, result.evaluations) == (1, "feasible", 17494)
+    assert len(tried) == 1 and tried[0] == result.witness
+
+
 def test_relevance_without_a_rational_model_reports_no_value():
     # p . p = 1/2 holds only at the irrational u = 1/sqrt 2: the descent
     # reaches it in floats, but no exact model exists to report.
