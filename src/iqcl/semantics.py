@@ -657,16 +657,13 @@ class PoolSearch:
                 columns = [_Column(firsts[a], 1, cb), _Column(firsts[b], ca, 1)]
                 arcs.append((a, b, [(i % ca, i // ca) for i in arc.evaluate(ca * cb, self.lifted, columns)]))
         domains = [set(range(len(points))) for points in firsts]
-        changed = bool(arcs)
-        while changed:
-            changed = False
-            for index, (a, b, supported) in enumerate(arcs):
-                supported = [(x, y) for x, y in supported if x in domains[a] and y in domains[b]]
-                arcs[index] = a, b, supported
-                for k, side in ((a, {x for x, _ in supported}), (b, {y for _, y in supported})):
-                    if len(side) < len(domains[k]):
-                        domains[k], changed = side, True
-        return [sorted(domain) for domain in domains]
+        while True:
+            sizes = list(map(len, domains))
+            for a, b, supported in arcs:
+                live = [(x, y) for x, y in supported if x in domains[a] and y in domains[b]]
+                domains[a], domains[b] = {x for x, _ in live}, {y for _, y in live}
+            if list(map(len, domains)) == sizes:
+                return [sorted(domain) for domain in domains]
 
     def _sweep(self, budget: int):
         """Yield the hits of the product of the atoms' narrowed points in

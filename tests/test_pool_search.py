@@ -246,17 +246,14 @@ def _arc_case(rng):
     four is pinned to a quarter of the disk, which keeps its hits few
     enough to list."""
     names = rng.sample(("p", "q", "x0", "picks"), rng.randint(3, 4))
-
-    def pin(name, c):
-        return rng.choice((Bin(IMPLIES, Atom(name), Const(c)), Bin(IMPLIES, Const(c), Atom(name))))
-
     if len(names) == 4:
-        members = [rng.choice((Bin(IMPLIES, Const(_CONST_POOL[5]), Atom(name)), Bin(IMPLIES, Atom(name), Const(_CONST_POOL[3]))))
-                   for name in names]
+        members = [parse(rng.choice((f"3/4 -> {name}", f"{name} -> 1/4"))) for name in names]
     else:
-        members = [pin(name, rng.choice(_CONST_POOL[2:])) for name in names if rng.random() < 0.3]
+        pins = ("{c} -> {a}", "{a} -> {c}")
+        members = [parse(rng.choice(pins).format(a=name, c=rng.choice(("1/2", "1/4", "3/8", "3/4", "7/16"))))
+                   for name in names if rng.random() < 0.5]
     for _ in range(rng.randint(1, 4)):
-        over = rng.sample(names, rng.choice((2, 2, 3)))
+        over = rng.sample(names, rng.choice((2, 2, 2, 3)))
         if len(over) == 2 and rng.random() < 0.5:
             members.append(Bin(IMPLIES, Atom(over[0]), Atom(over[1])))
         else:
@@ -308,7 +305,7 @@ def test_arc_consistency_changes_no_answer(monkeypatch):
     _unnarrowed(monkeypatch)
     for case, answer in zip(cases, answers):
         assert answer == _pool_answers(*case), case
-    assert cases_narrowed >= 15
+    assert cases_narrowed >= 20
 
 
 def _screen_sizes(monkeypatch) -> list[int]:
