@@ -24,6 +24,8 @@ assembles fully checkable proofs.
 
 from __future__ import annotations
 
+import functools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
@@ -300,6 +302,10 @@ def format_proof(proof: Proof) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The head of a step line: its number, and the colon and spaces after it.
+_STEP_HEAD_RE = re.compile(r"\s*([0-9]+):\s*")
+
+
 def _step_fields(line: str) -> tuple[str, int, int, str] | None:
     r"""The step number, formula span and justification of a step line, or None.
 
@@ -309,13 +315,10 @@ def _step_fields(line: str) -> tuple[str, int, int, str] | None:
     ``]``; it opens at the first ``[`` after the ``]`` before that, which
     ``str.rfind`` and ``str.find`` place without a trial at every character.
     """
-    colon = line.find(":")
-    number = line[:colon].lstrip()
-    if colon < 0 or not (number.isascii() and number.isdigit()):
+    head = _STEP_HEAD_RE.match(line)
+    if head is None:
         return None
-    start = colon + 1
-    while start < len(line) and line[start].isspace():
-        start += 1
+    start = head.end()
     close = len(line.rstrip()) - 1
     if close < start or line[close] != "]":
         return None
@@ -325,7 +328,7 @@ def _step_fields(line: str) -> tuple[str, int, int, str] | None:
     end = opening
     while end > start and line[end - 1].isspace():
         end -= 1
-    return number, start, end, line[opening + 1 : close]
+    return head[1], start, end, line[opening + 1 : close]
 
 
 def _is_number(token: str) -> bool:
@@ -345,6 +348,7 @@ def parse_proof(text: str) -> Proof:
     """
     steps: list[ProofStep] = []
     reader = SpanReader()  # one node table and one span table for the file
+    axioms: dict[str, AxiomRef] = {}  # one justification per schema named
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         if not line.strip():
@@ -363,7 +367,8 @@ def parse_proof(text: str) -> Proof:
             raise ProofError(None, f"line {lineno}: empty justification")
         tag = tokens[0]
         if tag == "axiom" and len(tokens) == 2:
-            justification: Justification = AxiomRef(tokens[1])
+            schema = tokens[1]
+            justification: Justification = axioms.get(schema) or axioms.setdefault(schema, AxiomRef(schema))
         elif tag == "hyp" and len(tokens) in (1, 2) and all(map(_is_number, tokens[1:])):
             justification = MemberRef(int(tokens[1]) if len(tokens) == 2 else None)
         elif tag == "mp" and len(tokens) == 3 and all(map(_is_number, tokens[1:])):
@@ -450,19 +455,40 @@ def _nested(alpha: Formula, f: Formula, n: int) -> Formula:
     return f
 
 
+def _lemma(method):
+    """``method`` run once per builder and distinct arguments.
+
+    Steps are deduplicated by formula, so a repeated call would emit no
+    step and return the index it returned the first time.  The builder's
+    memo returns that index without building the lemma's formulas again.
+    """
+
+    @functools.wraps(method)
+    def lemma(self, *args):
+        key = (method, *args)
+        found = self._lemmas.get(key)
+        if found is None:
+            found = self._lemmas[key] = method(self, *args)
+        return found
+
+    return lemma
+
+
 class ProofBuilder:
     """Accumulates axiom/member/MP steps; lemma methods return the index
     (1-based) of the step proving their schematic conclusion.
 
     Steps are deduplicated by formula, so shared sub-derivations are
-    emitted once.  Contraction is unavailable in this calculus; nothing
-    here assumes it.
+    emitted once, and a lemma called again with equal arguments returns
+    its step from a memo, without building it again.  Contraction is
+    unavailable in this calculus; nothing here assumes it.
     """
 
     def __init__(self, theory: Theory | None = None):
         self.theory = theory or Theory()
         self.steps: list[ProofStep] = []
         self._index: dict[Formula, int] = {}
+        self._lemmas: dict[tuple, int] = {}  # see _lemma
 
     def proof(self) -> Proof:
         return Proof(tuple(self.steps))
@@ -487,12 +513,15 @@ class ProofBuilder:
         Deduplication can leave the goal step in the middle of the
         sequence; a proof may restate a formula, so the duplicate simply
         reuses the original justification (its references stay earlier).
+        The formula's step is then the new one, so the lemma memo, which
+        may hold the old one, is cleared.
         """
         step = self.steps[index - 1]
         if self.steps[-1].formula == step.formula:
             return len(self.steps)
         self.steps.append(step)
         self._index[step.formula] = len(self.steps)
+        self._lemmas.clear()
         return len(self.steps)
 
     def member(self, formula: Formula) -> int:
@@ -510,17 +539,21 @@ class ProofBuilder:
 
     # -- axiom instance shorthands ------------------------------------
 
+    @_lemma
     def w1(self, a: Formula, b: Formula) -> int:
         return self.axiom(_imp(a, _imp(b, a)), "W1")
 
+    @_lemma
     def w2(self, a: Formula, b: Formula, c: Formula) -> int:
         return self.axiom(
             _imp(_imp(a, b), _imp(_imp(b, c), _imp(a, c))), "W2"
         )
 
+    @_lemma
     def w3(self, a: Formula, b: Formula) -> int:
         return self.axiom(_imp(_imp(Neg(a), Neg(b)), _imp(b, a)), "W3")
 
+    @_lemma
     def w4(self, a: Formula, b: Formula) -> int:
         return self.axiom(
             _imp(_imp(_imp(a, b), b), _imp(_imp(b, a), a)), "W4"
@@ -536,6 +569,7 @@ class ProofBuilder:
         step = self.mp(i_ab, self.w2(a, b, c))
         return self.mp(i_bc, step)
 
+    @_lemma
     def identity(self, a: Formula) -> int:
         """Self-implication A->A."""
         theta = _imp(a, _imp(a, a))
@@ -551,6 +585,7 @@ class ProofBuilder:
         s10 = self.mp(s8, s9)
         return self.mp(s7, s10)
 
+    @_lemma
     def assertion(self, b: Formula, c: Formula) -> int:
         """B -> ((B->C)->C)."""
         s1 = self.w1(b, _imp(c, b))
@@ -559,6 +594,7 @@ class ProofBuilder:
         s4 = self.w4(c, b)  # ((c->b)->b) -> ((b->c)->c)
         return self.mp(s4, s3)
 
+    @_lemma
     def exchange_thm(self, a: Formula, b: Formula, c: Formula) -> int:
         """(A->(B->C)) -> (B->(A->C))."""
         t_a = self.w2(a, _imp(b, c), c)
@@ -572,16 +608,19 @@ class ProofBuilder:
         a, inner = f.left, f.right
         return self.mp(i, self.exchange_thm(a, inner.left, inner.right))
 
+    @_lemma
     def prefix_thm(self, a: Formula, b: Formula, c: Formula) -> int:
         """(B->C) -> ((A->B)->(A->C))."""
         return self.exchange(self.w2(a, b, c))
 
     # -- negation and constants ---------------------------------------
 
+    @_lemma
     def not_bot(self) -> int:
         """!bot, from bot -> bot by E3."""
         return self.mp(self.identity(BOT), self.axiom(_imp(_imp(BOT, BOT), Neg(BOT)), "E3"))
 
+    @_lemma
     def bot_elim(self, a: Formula) -> int:
         """bot -> A."""
         s = self.mp(self.not_bot(), self.w1(Neg(BOT), Neg(a)))  # !a -> !bot
@@ -590,6 +629,7 @@ class ProofBuilder:
     def top_intro(self) -> int:
         return self.mp(self.not_bot(), self.axiom(_imp(Neg(BOT), TOP), "E6"))
 
+    @_lemma
     def dne_elim(self, a: Formula) -> int:
         """!!A -> A, through the ->bot unfolding of negation."""
         s_a = self.axiom(_imp(Neg(Neg(a)), _imp(Neg(a), BOT)), "E3")
@@ -602,11 +642,13 @@ class ProofBuilder:
         g = self.exchange(e)
         return self.mp(self.bot_elim(a), g)
 
+    @_lemma
     def dne_intro(self, a: Formula) -> int:
         """A -> !!A."""
         d = self.dne_elim(Neg(a))
         return self.mp(d, self.w3(Neg(Neg(a)), a))
 
+    @_lemma
     def contrap_thm(self, x: Formula, y: Formula) -> int:
         """(X->Y) -> (!Y->!X)."""
         s1 = self.w2(Neg(Neg(x)), x, y)
@@ -617,6 +659,7 @@ class ProofBuilder:
         s6 = self.w3(Neg(x), Neg(y))
         return self.compose(s5, s6)
 
+    @_lemma
     def contra_b(self, x: Formula, y: Formula) -> int:
         """(X->!Y) -> (Y->!X)."""
         c1 = self.contrap_thm(x, Neg(y))
@@ -886,7 +929,5 @@ def finite_support(theory: Theory, proof: Proof) -> Theory:
     """The members of the theory actually used by the proof; the proof
     re-checks against exactly this finite subtheory."""
     check_proof(theory, proof)
-    used = [
-        step.formula for step in proof.steps if isinstance(step.justification, MemberRef)
-    ]
+    used = {step.formula for step in proof.steps if isinstance(step.justification, MemberRef)}
     return Theory(m for m in theory.members if m in used)

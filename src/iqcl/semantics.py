@@ -212,12 +212,18 @@ def eval_bloch(assignment: dict[str, Qmix], f: Formula) -> float:
 
 @dataclass(frozen=True)
 class Theory:
-    """A finite ordered set of formulas; structural duplicates removed."""
+    """A finite ordered set of formulas; structural duplicates removed.
+
+    Beside ``members`` it keeps them as dict keys, outside the fields, so
+    that membership is one lookup.
+    """
 
     members: tuple[Formula, ...]
 
     def __init__(self, members=()):
-        object.__setattr__(self, "members", tuple(dict.fromkeys(members)))
+        keys = dict.fromkeys(members)
+        object.__setattr__(self, "members", tuple(keys))
+        object.__setattr__(self, "_keys", keys)
 
     @classmethod
     def from_text(cls, text: str) -> "Theory":
@@ -236,7 +242,7 @@ class Theory:
         return len(self.members)
 
     def __contains__(self, f: Formula) -> bool:
-        return f in self.members
+        return f in self._keys
 
 
 def is_model_of(model: ReducedModel, theory: Theory, tol: Fraction = Fraction(0)) -> bool:

@@ -67,8 +67,11 @@ class _Compound:
     """Base of the compound nodes.
 
     Each works out its structural hash once, from its children's stored
-    hashes, so hashing a formula never walks it.  Pickling rebuilds a node
-    from its fields, so a process that loads one works the hash out anew.
+    hashes, so hashing a formula never walks it.  The constructors set
+    the slots directly, and ``==`` tries identity, then the stored hash,
+    then the fields, so two shared or differently hashed nodes compare
+    without a walk.  Pickling rebuilds a node from its fields, so a
+    process that loads one works the hash out anew.
     """
 
     __slots__ = ()
@@ -77,45 +80,84 @@ class _Compound:
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class Neg(_Compound):
     arg: "Formula"
     _hash: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((Neg, self.arg)))
+    def __init__(self, arg: "Formula"):
+        _set_neg_arg(self, arg)
+        _set_neg_hash(self, hash((Neg, arg)))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not Neg:
+            return NotImplemented
+        return self._hash == other._hash and self.arg == other.arg
 
     def __hash__(self):
         return self._hash
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class Sqrt(_Compound):
     arg: "Formula"
     _hash: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((Sqrt, self.arg)))
+    def __init__(self, arg: "Formula"):
+        _set_sqrt_arg(self, arg)
+        _set_sqrt_hash(self, hash((Sqrt, arg)))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not Sqrt:
+            return NotImplemented
+        return self._hash == other._hash and self.arg == other.arg
 
     def __hash__(self):
         return self._hash
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class Bin(_Compound):
     op: str
     left: "Formula"
     right: "Formula"
     _hash: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.op not in BINARY_OPS:
-            raise ValueError(f"unknown binary connective: {self.op!r}")
-        object.__setattr__(self, "_hash", hash((self.op, self.left, self.right)))
+    def __init__(self, op: str, left: "Formula", right: "Formula"):
+        if op not in BINARY_OPS:
+            raise ValueError(f"unknown binary connective: {op!r}")
+        _set_bin_op(self, op)
+        _set_bin_left(self, left)
+        _set_bin_right(self, right)
+        _set_bin_hash(self, hash((op, left, right)))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not Bin:
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.op == other.op
+            and self.left == other.left
+            and self.right == other.right
+        )
 
     def __hash__(self):
         return self._hash
 
+
+# The frozen classes refuse ``setattr``, so each constructor sets its
+# slots through their descriptors.
+_set_neg_arg, _set_neg_hash = (Neg.__dict__[name].__set__ for name in ("arg", "_hash"))
+_set_sqrt_arg, _set_sqrt_hash = (Sqrt.__dict__[name].__set__ for name in ("arg", "_hash"))
+_set_bin_op, _set_bin_left, _set_bin_right, _set_bin_hash = (
+    Bin.__dict__[name].__set__ for name in ("op", "left", "right", "_hash")
+)
 
 Formula = Union[Atom, Const, Neg, Sqrt, Bin]
 

@@ -1,9 +1,11 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from iqcl.algebra import SConstant, mv_implies, mv_odot, pmv_product
+from iqcl import calculus
 from iqcl.calculus import (
     _EQUATIONS,
     _PLAIN_SCHEMATA,
@@ -605,6 +607,95 @@ def test_parse_proof_shares_nodes_across_lines(workloads):
     assert parsed == built
     assert len(node_ids(*(step.formula for step in parsed.steps))) <= 2000
     check_proof(theory, parsed, built.conclusion)
+
+
+class _Forgetting(dict):
+    """A lemma memo cleared before every lookup, so that no lemma call,
+    nested or not, is ever answered from it."""
+
+    def get(self, key, default=None):
+        self.clear()
+        return default
+
+
+class ReferenceBuilder(ProofBuilder):
+    """A ``ProofBuilder`` that builds every lemma call in full."""
+
+    def __init__(self, theory=None):
+        super().__init__(theory)
+        self._lemmas = _Forgetting()
+
+
+# (method, number of formula arguments) of the lemma library
+_LEMMAS = (
+    ("identity", 1), ("assertion", 2), ("exchange_thm", 3), ("prefix_thm", 3),
+    ("not_bot", 0), ("bot_elim", 1), ("dne_elim", 1), ("dne_intro", 1),
+    ("contrap_thm", 2), ("contra_b", 2), ("w1", 2), ("w2", 3), ("w3", 2), ("w4", 2),
+    ("top_intro", 0), ("rr1", 3), ("rr2", 3), ("l5", 3), ("l6", 3), ("l2", 2),
+    ("pair_intro", 2), ("mul_comm", 2), ("mul_mono", 3),
+)
+
+
+def test_lemma_memo_changes_no_step():
+    rng = random.Random(423)
+    for trial in range(12):
+        pool = [random_formula(rng, ("p", "q"), depth=2) for _ in range(3)]
+        builders = ProofBuilder(), ReferenceBuilder()
+        calls = []
+        for _ in range(14):
+            name, arity = rng.choice(_LEMMAS)
+            # equal arguments, often as distinct objects, so the memo is hit by value
+            args = [parse(print_formula(rng.choice(pool))) for _ in range(arity)]
+            calls.append((name, args))
+            assert getattr(builders[0], name)(*args) == getattr(builders[1], name)(*args), name
+            if rng.random() < 0.3:
+                b, phi, psi = rng.randint(1, 2), *(rng.choice(pool) for _ in range(2))
+                results = [builder.pull_out(pool[0], b, phi, psi) for builder in builders]
+                results += [builder.distribute(pool[0], b - 1, phi, psi) for builder in builders]
+                assert results[0] == results[1] and results[2] == results[3]
+            if len(calls) == 7:
+                # restate an earlier conclusion, then ask for it again: its step is the new one
+                name, args = rng.choice(calls)
+                index = getattr(builders[1], name)(*args)
+                assert builders[0].restate_last(index) == builders[1].restate_last(index)
+                assert getattr(builders[0], name)(*args) == getattr(builders[1], name)(*args), name
+        assert builders[0].steps == builders[1].steps
+        assert format_proof(builders[0].proof()) == format_proof(builders[1].proof())
+        check_proof(Theory(), builders[0].proof())
+
+
+# sha256 of format_proof of the built proof for hypothesis uses 1-6, as
+# each lemma call built in full gives it
+_BUILT_DIGESTS = {
+    1: "45a3a81a9be93e2a51dff0f0f263bb1bddcd897c8cba863fc53547a796eb2ed8",
+    2: "2c6ea3eb841338c2accc27836453040995758baa2f394f923d9889ba77ed8dca",
+    3: "93b482c694052cb53b3513952c0e024398777e47d25fbacd69a5db7283e2e3cc",
+    4: "9c86d20ce3d633d11a50643b5c47783b6f4a08dd5cb12d86eced7d146681a4e2",
+    5: "7c208bb2e6f05f9cfb66a2c4b2c985dc9bae2949bd88bfbc5f9772aa89cfa6c9",
+    6: "72e7b85e62e4a2a757424b9512f23e3a1d783dc465d61b849cedb7a949032a5f",
+}
+
+
+@pytest.mark.parametrize("uses", range(1, 7))
+def test_built_proofs_are_those_of_the_memo_free_builder(workloads, monkeypatch, uses):
+    alpha, beta = Atom("p"), Atom("q")
+    theory, proof = workloads._input_proof(alpha, beta, uses)
+    text = format_proof(deduction_transform(theory, alpha, proof)[1])
+    assert hashlib.sha256(text.encode()).hexdigest() == _BUILT_DIGESTS[uses]
+    monkeypatch.setattr(calculus, "ProofBuilder", ReferenceBuilder)
+    assert format_proof(deduction_transform(theory, alpha, proof)[1]) == text
+
+
+def test_four_use_build_adds_each_lemma_once(workloads, monkeypatch):
+    # A count, not a time: each lemma's formulas are built and offered to
+    # _add once per distinct argument tuple, 1 736 offers without the memo.
+    offers = []
+    add = ProofBuilder._add
+    monkeypatch.setattr(ProofBuilder, "_add", lambda self, *args: offers.append(1) or add(self, *args))
+    alpha = Atom("p")
+    theory, proof = workloads._input_proof(alpha, Atom("q"), 4)
+    n, built = deduction_transform(theory, alpha, proof)
+    assert (n, len(built), len(offers)) == (4, 1097, 1126)
 
 
 @pytest.mark.parametrize("index", [1, 7, 0, -2])

@@ -637,16 +637,22 @@ def test_readme_library_use_runs():
     exec(compile(block, "README.md", "exec"), {})
 
 
-def test_benchmark_selftest_passes():
+def test_benchmark_selftest_passes(tmp_path):
     # The benchmark's answer checks run on this library; a change that
-    # breaks them fails here, not only when the benchmark runs.
+    # breaks them fails here, not only when the benchmark runs.  Like the
+    # traced run below, it runs from a directory that holds only a link to
+    # src/, so the record of its deliberately wrong run stays out of the
+    # checkout.
+    (tmp_path / "src").symlink_to(ROOT / "src")
     result = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "selftest.py")],
         capture_output=True,
         text=True,
-        cwd=ROOT,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
     )
     assert result.returncode == 0, result.stderr
+    assert (tmp_path / ".perfbench-out" / "wrong-seed1-trace0.json").is_file()
 
 
 @pytest.mark.parametrize("workload", ["taut-session", "relevance-closed-form", "oracle-sim"])

@@ -132,6 +132,15 @@ def test_theory_dedup_and_text():
     assert len(Theory([parse("p . q"), Bin(".", Atom("p"), Atom("q"))])) == 1
 
 
+def test_theory_membership_repr_and_equality_go_by_the_members():
+    T = Theory.from_text("p -> q\nq\n")
+    assert Bin("->", Atom("p"), Atom("q")) in T and parse("q") in T
+    assert parse("q -> p") not in T and parse("p") not in T
+    same = Theory([Bin("->", Atom("p"), Atom("q")), parse("q"), parse("q")])
+    assert T == same and hash(T) == hash(same) and T != Theory([parse("q"), parse("p -> q")])
+    assert repr(T) == "Theory(members=(Bin(op='->', left=Atom(name='p'), right=Atom(name='q')), Atom(name='q')))"
+
+
 def test_tautology_examples():
     assert check_tautology(parse("p -> (q -> p)")).is_tautology
     report = check_tautology(parse("p"))

@@ -212,6 +212,72 @@ def test_ast_value_semantics():
         assert again == f and hash(again) == hash(f)
 
 
+def structurally_equal(f, g) -> bool:
+    """The reference for ``==`` on formulas: one node type and equal fields, all the way down."""
+    if type(f) is not type(g):
+        return False
+    if isinstance(f, (Neg, Sqrt)):
+        return structurally_equal(f.arg, g.arg)
+    if isinstance(f, Bin):
+        return f.op == g.op and structurally_equal(f.left, g.left) and structurally_equal(f.right, g.right)
+    return f == g  # a leaf
+
+
+def rebuilt(f):
+    """A copy of ``f`` that shares no compound node with it."""
+    if isinstance(f, (Neg, Sqrt)):
+        return type(f)(rebuilt(f.arg))
+    if isinstance(f, Bin):
+        return Bin(f.op, rebuilt(f.left), rebuilt(f.right))
+    return f
+
+
+def changed_deep(rng, f):
+    """``f`` with its deepest leaf on a random path swapped for another leaf."""
+    if isinstance(f, (Neg, Sqrt)):
+        return type(f)(changed_deep(rng, f.arg))
+    if isinstance(f, Bin):
+        if rng.random() < 0.5:
+            return Bin(f.op, changed_deep(rng, f.left), f.right)
+        return Bin(f.op, f.left, changed_deep(rng, f.right))
+    return Atom("r") if f != Atom("r") else Atom("s")
+
+
+def compound_nodes(f):
+    if isinstance(f, (Neg, Sqrt)):
+        yield f
+        yield from compound_nodes(f.arg)
+    elif isinstance(f, Bin):
+        yield f
+        yield from compound_nodes(f.left)
+        yield from compound_nodes(f.right)
+
+
+def test_compound_nodes_hash_and_compare_by_structure():
+    rng = random.Random(12)
+    trees = [random_formula(rng, ("p", "q"), depth=6) for _ in range(150)]
+    for f in trees:
+        for node in compound_nodes(f):
+            if isinstance(node, Bin):
+                assert hash(node) == hash((node.op, node.left, node.right))
+            else:
+                assert hash(node) == hash((type(node), node.arg))
+    p = Atom("p")
+    collided = Bin(ODOT, p, Atom("q"))
+    Bin.__dict__["_hash"].__set__(collided, hash(Bin(ODOT, p, p)))
+    pairs = [(Bin(ODOT, p, p), collided), (Bin(IMPLIES, p, p), (IMPLIES, p, p)), (Neg(p), (Neg, p)),
+             (Neg(p), Sqrt(p)), (Neg(p), p), (Bin(OPLUS, p, p), p), (Sqrt(p), Const(SConstant(1, 1)))]
+    for f in trees:
+        pairs += [(f, f), (f, rebuilt(f)), (f, changed_deep(rng, f)), (f, rng.choice(trees)), (f, p)]
+    equal = 0
+    for f, g in pairs:
+        same = structurally_equal(f, g)
+        assert (f == g) is same and (g == f) is same, (f, g)
+        assert (f != g) is (not same) and (g != f) is (not same), (f, g)
+        equal += same
+    assert 300 <= equal < len(pairs) - 300
+
+
 def test_ast_nodes_are_immutable():
     f = parse("!(p . q)")
     for node, name, value in ((f, "arg", Atom("p")), (f.arg, "op", "*"), (f.arg.left, "name", "r"),
