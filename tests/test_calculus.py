@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from iqcl.algebra import SConstant, mv_implies, mv_odot, pmv_product
 from iqcl import calculus
+from iqcl.algebra import SConstant, mv_implies, mv_odot, pmv_product
 from iqcl.calculus import (
     _EQUATIONS,
     _PLAIN_SCHEMATA,
