@@ -348,7 +348,6 @@ def parse_proof(text: str) -> Proof:
     """
     steps: list[ProofStep] = []
     reader = SpanReader()  # one node table and one span table for the file
-    axioms: dict[str, AxiomRef] = {}  # one justification per schema named
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         if not line.strip():
@@ -367,8 +366,7 @@ def parse_proof(text: str) -> Proof:
             raise ProofError(None, f"line {lineno}: empty justification")
         tag = tokens[0]
         if tag == "axiom" and len(tokens) == 2:
-            schema = tokens[1]
-            justification: Justification = axioms.get(schema) or axioms.setdefault(schema, AxiomRef(schema))
+            justification: Justification = AxiomRef(tokens[1])
         elif tag == "hyp" and len(tokens) in (1, 2) and all(map(_is_number, tokens[1:])):
             justification = MemberRef(int(tokens[1]) if len(tokens) == 2 else None)
         elif tag == "mp" and len(tokens) == 3 and all(map(_is_number, tokens[1:])):

@@ -212,18 +212,12 @@ def eval_bloch(assignment: dict[str, Qmix], f: Formula) -> float:
 
 @dataclass(frozen=True)
 class Theory:
-    """A finite ordered set of formulas; structural duplicates removed.
-
-    Beside ``members`` it keeps them as dict keys, outside the fields, so
-    that membership is one lookup.
-    """
+    """A finite ordered set of formulas; structural duplicates removed."""
 
     members: tuple[Formula, ...]
 
     def __init__(self, members=()):
-        keys = dict.fromkeys(members)
-        object.__setattr__(self, "members", tuple(keys))
-        object.__setattr__(self, "_keys", keys)
+        object.__setattr__(self, "members", tuple(dict.fromkeys(members)))
 
     @classmethod
     def from_text(cls, text: str) -> "Theory":
@@ -242,7 +236,7 @@ class Theory:
         return len(self.members)
 
     def __contains__(self, f: Formula) -> bool:
-        return f in self._keys
+        return f in self.members
 
 
 def is_model_of(model: ReducedModel, theory: Theory, tol: Fraction = Fraction(0)) -> bool:
