@@ -32,12 +32,11 @@ from typing import Callable, Union
 
 from .algebra import mv_implies, mv_odot, pmv_product, s_above_q5_bound
 from .semantics import (
-    PoolSearch,
     RelevanceOptions,
-    RelevanceResult,
-    ReducedModel,
+    SearchResult,
     Theory,
     eval_prob,
+    first_hit,
     relevance_degree,
     sample_models,
 )
@@ -865,29 +864,17 @@ def deduction_transform(
 # Consistency, proof degree, compactness
 
 
-@dataclass(frozen=True)
-class ProbeResult:
-    model: ReducedModel | None
-
-    @property
-    def verdict(self) -> str:
-        return "model-found" if self.model is not None else "no-model-at-budget"
-
-
-def consistency_probe(theory: Theory, budget: int = 100_000) -> ProbeResult:
-    """The first exact model of the theory in sweep order among the
-    candidates of the first ``budget`` class tuples of a ``PoolSearch``;
+def consistency_probe(theory: Theory, budget: int = 100_000) -> SearchResult:
+    """The ``first_hit`` exact model of the theory, with no objective;
     finding one certifies consistency, failing to is inconclusive."""
-    search = PoolSearch(None, theory.members)
-    hit = next(search.hits(budget), None)
-    return ProbeResult(None if hit is None else ReducedModel(search.pairs(hit[1])))
+    return first_hit(None, theory.members, budget, "model-found", "no-model-at-budget")
 
 
 @dataclass
 class ProofDegreeReport:
     lower_bound: Fraction
     certified: list[tuple[Fraction, Proof]]
-    numeric: RelevanceResult
+    numeric: SearchResult
     defects: list[str]
 
 

@@ -25,7 +25,9 @@ from pathlib import Path
 
 from . import calculus, qmix, semantics, translation
 from .algebra import SConstant, fraction
-from .syntax import ParseError, is_atom_name, parse, parse_theory_text, print_formula
+# parse_theory_text is unused here but stays a module attribute, as the
+# traced benchmark run (perfbench/tracing.py) wraps it by name.
+from .syntax import ParseError, is_atom_name, parse, parse_theory_text, print_formula  # noqa: F401
 
 
 def __getattr__(name: str):
@@ -60,13 +62,10 @@ def _emit(fields: list[tuple[str, object]], fmt: str):
             print(f"{key}: {value}")
 
 
-def _model_fields(model: semantics.ReducedModel) -> list[tuple[str, object]]:
-    fields = []
-    for name in sorted(model.assignment):
-        u, w = model.assignment[name]
-        fields.append((f"model.{name}.u", u))
-        fields.append((f"model.{name}.w", w))
-    return fields
+def _model_fields(model: semantics.ReducedModel | None) -> list[tuple[str, object]]:
+    """Each atom's u and w lines, in atom order; none without a model."""
+    pairs = {} if model is None else model.assignment
+    return [(f"model.{name}.{key}", x) for name in sorted(pairs) for key, x in zip("uw", pairs[name])]
 
 
 # The options that more than one command reads, each declared once.
@@ -119,29 +118,20 @@ def _cmd_eval(args) -> int:
 
 def _cmd_taut(args) -> int:
     f = parse(args.formula)
-    report = semantics.check_tautology(f, budget=args.budget)
-    fields: list[tuple[str, object]] = [("verdict", report.verdict)]
-    if report.counterexample is not None:
-        fields += _model_fields(report.counterexample)
-    _emit(fields, args.format)
-    return 0 if report.is_tautology else 1
+    result = semantics.check_tautology(f, budget=args.budget)
+    _emit([("verdict", result.status)] + _model_fields(result.witness), args.format)
+    return 0 if result.witness is None else 1
 
 
 def _cmd_relevance(args) -> int:
-    theory = semantics.Theory(parse_theory_text(_read(args.theory)))
+    theory = semantics.Theory.from_text(_read(args.theory))
     f = parse(args.formula)
     options = semantics.RelevanceOptions(
         grid=args.grid, tol=args.tol, budget=args.budget, seed=args.seed
     )
     result = semantics.relevance_degree(theory, f, options)
-    fields: list[tuple[str, object]] = [
-        ("value", result.value),
-        ("status", result.status),
-        ("evaluations", result.evaluations),
-    ]
-    if result.witness is not None:
-        fields += _model_fields(result.witness)
-    _emit(fields, args.format)
+    fields = [("value", result.value), ("status", result.status), ("evaluations", result.evaluations)]
+    _emit(fields + _model_fields(result.witness), args.format)
     return 0
 
 
@@ -149,7 +139,7 @@ def _cmd_translate(args) -> int:
     if (args.formula is None) == (args.theory is None):
         raise ValueError("provide either a formula or --theory")
     if args.theory is not None:
-        theory = semantics.Theory(parse_theory_text(_read(args.theory)))
+        theory = semantics.Theory.from_text(_read(args.theory))
         for member in translation.translate_theory(theory):
             print(print_formula(member))
         return 0
@@ -185,7 +175,7 @@ def _cmd_tq5(args) -> int:
 
 
 def _cmd_proof(args) -> int:
-    theory = semantics.Theory(parse_theory_text(_read(args.theory)))
+    theory = semantics.Theory.from_text(_read(args.theory))
     proof = calculus.parse_proof(_read(args.proof))
     goal = parse(args.goal)
     try:

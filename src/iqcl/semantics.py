@@ -20,6 +20,8 @@ f's value over models giving every member of T value 1.  The search
 reports the least value it finds at an exact model, taken from the pool
 search's least objective over its class tuples and from the end point
 of a float multi-start coordinate descent, snapped to exact disk points.
+Every search reports one ``SearchResult``: an exact witness or none, the
+objective's value there, a status and an evaluation count.
 
 Both searches evaluate through functions generated per call from one
 template table of the connectives: in exact integers over a common
@@ -471,19 +473,27 @@ def _compile(source: str, reads: tuple[int, ...]) -> types.SimpleNamespace:
 
 
 @dataclass(frozen=True)
-class TautologyReport:
-    counterexample: ReducedModel | None
+class SearchResult:
+    """What a search reports.  ``witness`` is an exact model, or None, and
+    ``value`` is the objective's exact value at it: 1 with no witness or no
+    objective.  ``status`` is the search's verdict, one of
+
+    - ``counterexample`` or ``tautology-no-counterexample`` for
+      ``check_tautology`` and ``consequence``;
+    - ``model-found`` or ``no-model-at-budget`` for
+      ``calculus.consistency_probe``;
+    - ``feasible``, ``infeasible`` or ``tolerance-limited`` for
+      ``relevance_degree``.
+
+    ``evaluations`` counts the candidates a first-hit search (``first_hit``)
+    decided; for ``relevance_degree``, at most its budget, the class tuples
+    decided (screened, or ruled out by arc consistency), float points and
+    snaps tried."""
+
+    value: Fraction
+    status: str
+    witness: ReducedModel | None
     evaluations: int
-
-    @property
-    def is_tautology(self) -> bool:
-        return self.counterexample is None
-
-    @property
-    def verdict(self) -> str:
-        if self.counterexample is None:
-            return "tautology-no-counterexample"
-        return "counterexample"
 
 
 @functools.cache
@@ -780,23 +790,29 @@ def _extend(walk, points, classes, stride, class_stride, live):
                 yield j, offset + dc, (point, *picks)
 
 
-def check_tautology(f: Formula, budget: int = 100_000) -> TautologyReport:
-    """Search the per-atom disk for a model giving f a value below 1.
-
-    The candidates are those of a ``PoolSearch`` with no members, so
-    the pool is the fixed 61 points; ``budget`` (at least 1) caps the
-    class tuples screened.  ``evaluations`` counts the candidates decided:
-    up to the first counterexample in sweep order, else those of the
-    screened class tuples.  A counterexample is exact; a
-    no-counterexample verdict is only as strong as the budget.
-    """
-    search = PoolSearch(f)
+def first_hit(objective: Formula | None, members, budget: int, found: str, missed: str) -> SearchResult:
+    """The first hit of ``PoolSearch(objective, members)`` in sweep order
+    among the candidates of the first ``budget`` (at least 1) class tuples,
+    with status ``found``, else no witness and status ``missed``.
+    ``evaluations`` counts the candidates decided: up to the hit, else those
+    of the screened class tuples.  A hit is exact; a miss is only as strong
+    as the budget."""
+    search = PoolSearch(objective, members)
     for i, picks in search.hits(budget):
-        return TautologyReport(ReducedModel(search.pairs(picks)), i + 1)
-    return TautologyReport(None, search.screened)
+        witness = ReducedModel(search.pairs(picks))
+        value = Fraction(1) if objective is None else eval_prob(witness, objective)[0]
+        return SearchResult(value, found, witness, i + 1)
+    return SearchResult(Fraction(1), missed, None, search.screened)
 
 
-def consequence(alpha: Formula, beta: Formula, budget: int = 100_000) -> TautologyReport:
+def check_tautology(f: Formula, budget: int = 100_000) -> SearchResult:
+    """Search the per-atom disk for a model giving f a value below 1: the
+    ``first_hit`` of a ``PoolSearch`` with no members, whose pool is the
+    fixed 61 points."""
+    return first_hit(f, (), budget, "counterexample", "tautology-no-counterexample")
+
+
+def consequence(alpha: Formula, beta: Formula, budget: int = 100_000) -> SearchResult:
     """Semantic consequence check: alpha entails beta iff alpha -> beta is
     a tautology, searched as ``check_tautology`` does within ``budget``."""
     return check_tautology(Bin(IMPLIES, alpha, beta), budget=budget)
@@ -824,22 +840,6 @@ class RelevanceOptions:
             raise ValueError(f"grid must be in [2**-52, 1], got {_six_digits(self.grid)}")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
-
-
-@dataclass
-class RelevanceResult:
-    """``value`` is the least value found at an exact model, ``witness``, or
-    1 with no witness.  ``status`` is ``feasible`` when a model was found
-    within the budget, ``infeasible`` when none was and no point reached a
-    residual below ``tol``, else ``tolerance-limited``: the budget ran out,
-    or the points reached gave no exact model.  ``evaluations``, at most the
-    budget, counts class tuples decided (screened, or ruled out by arc
-    consistency), float points and snaps tried."""
-
-    value: Fraction
-    status: str
-    witness: ReducedModel | None
-    evaluations: int
 
 
 # Only a point of residual at most this is snapped to exact models.
@@ -981,14 +981,18 @@ def _snaps(u: float, w: float) -> list[tuple[Fraction, Fraction]]:
 
 def relevance_degree(
     theory: Theory, alpha: Formula, options: RelevanceOptions | None = None
-) -> RelevanceResult:
+) -> SearchResult:
     """The least value of alpha at the exact models of the theory found within
-    ``options.budget`` evaluations, the pool's on ties (see ``RelevanceResult``),
-    from two sources: ``PoolSearch(alpha, theory.members).least``, one
-    evaluation per class tuple decided; and ``_descent`` on the budget left, whose
-    strict point gives each atom the exact disk points of ``_snaps``, each
-    tuple of their product tried with ``is_model_of`` at tolerance 0 as one
-    evaluation.  Raises ``ValueError`` for options that ``validate`` rejects."""
+    ``options.budget`` evaluations, the pool's on ties, from two sources:
+    ``PoolSearch(alpha, theory.members).least``, one evaluation per class
+    tuple decided; and ``_descent`` on the budget left, whose strict point
+    gives each atom the exact disk points of ``_snaps``, each tuple of their
+    product tried with ``is_model_of`` at tolerance 0 as one evaluation.
+    The status is ``feasible`` when a model was found within the budget,
+    ``infeasible`` when none was and no point reached a residual below
+    ``tol``, else ``tolerance-limited``: the budget ran out, or the points
+    reached gave no exact model.  Raises ``ValueError`` for options that
+    ``validate`` rejects."""
     opts = options or RelevanceOptions()
     opts.validate()
     search = PoolSearch(alpha, theory.members)
@@ -1008,9 +1012,9 @@ def relevance_degree(
             found.append(model)
     if found:
         value, witness = min(((eval_prob(model, alpha)[0], model) for model in found), key=lambda vm: vm[0])
-        return RelevanceResult(value, "tolerance-limited" if exhausted else "feasible", witness, evals)
+        return SearchResult(value, "tolerance-limited" if exhausted else "feasible", witness, evals)
     status = "tolerance-limited" if exhausted or least_residual < opts.tol else "infeasible"
-    return RelevanceResult(Fraction(1), status, None, evals)
+    return SearchResult(Fraction(1), status, None, evals)
 
 
 # ---------------------------------------------------------------------------

@@ -136,7 +136,7 @@ def test_every_schema_is_matched_and_tautological():
             inst = random_instance(rng, sid)
             assert sid in {m for m, _ in match_axiom(inst)}, (sid, print_formula(inst))
             report = check_tautology(inst, budget=200)
-            assert report.is_tautology, (sid, print_formula(inst))
+            assert report.witness is None, (sid, print_formula(inst))
 
 
 def test_non_axioms_do_not_match():
@@ -351,7 +351,7 @@ def test_deduction_needs_power_two():
     assert out.conclusion == Bin(IMPLIES, formula_power(p, 2), q)
     # n = 1 would be unsound here: p -> q fails at u_p = 1/2
     report = check_tautology(parse("(p -> (p -> q)) -> (p -> q)"))
-    assert not report.is_tautology
+    assert report.witness is not None
 
 
 def random_small_proof(rng, theory, alpha):
@@ -442,14 +442,14 @@ def test_soundness_under_sampled_models():
 
 def test_consistency_probe_examples():
     found = consistency_probe(Theory([parse("p")]))
-    assert found.verdict == "model-found"
-    assert is_model_of(found.model, Theory([parse("p")]))
+    assert found.status == "model-found"
+    assert is_model_of(found.witness, Theory([parse("p")]))
 
     clash = consistency_probe(Theory([parse("p"), parse("!p")]))
-    assert clash.verdict == "no-model-at-budget"
+    assert clash.status == "no-model-at-budget"
 
     const = consistency_probe(Theory([parse("3/8")]))
-    assert const.verdict == "no-model-at-budget"
+    assert const.status == "no-model-at-budget"
 
 
 def test_consistency_probe_finds_a_sparse_model():
@@ -457,18 +457,18 @@ def test_consistency_probe_finds_a_sparse_model():
     # !q and !r narrow it to 61 candidates.
     sparse = Theory.from_text("p + q + r + s\n!p\n!q\n!r")
     found = consistency_probe(sparse)
-    assert found.verdict == "model-found"
-    assert is_model_of(found.model, sparse, Fraction(0))
+    assert found.status == "model-found"
+    assert is_model_of(found.witness, sparse, Fraction(0))
 
 
 def test_consistency_probe_honours_budget():
     # Candidate 0 puts p at pool point (1, 1/2), where !p is 0; candidate 1
     # puts it at (0, 1/2), the first model.
     T = Theory([parse("!p")])
-    assert consistency_probe(T, budget=1).verdict == "no-model-at-budget"
+    assert consistency_probe(T, budget=1).status == "no-model-at-budget"
     found = consistency_probe(T, budget=2)
-    assert found.verdict == "model-found"
-    assert found.model == ReducedModel({"p": _rational_disk_pool()[1]})
+    assert found.status == "model-found"
+    assert found.witness == ReducedModel({"p": _rational_disk_pool()[1]})
     with pytest.raises(ValueError):
         consistency_probe(T, budget=0)
 
@@ -512,7 +512,7 @@ def test_proof_degree_flags_a_certificate_above_the_relevance_value(monkeypatch)
     # only come from a defect; one strictly above it is flagged, with the
     # value printed exactly, and one equal to it is not.
     from iqcl import calculus
-    from iqcl.semantics import RelevanceResult
+    from iqcl.semantics import SearchResult
 
     T = Theory([parse("7/8 -> p")])
     cert = Proof((ProofStep(parse("7/8 -> p"), MemberRef()),))
@@ -520,7 +520,7 @@ def test_proof_degree_flags_a_certificate_above_the_relevance_value(monkeypatch)
         (Fraction(13, 16), ["certificate bound 7/8 exceeds relevance value 13/16"]),
         (Fraction(7, 8), []),
     ):
-        result = RelevanceResult(value, "feasible", None, 1)
+        result = SearchResult(value, "feasible", None, 1)
         monkeypatch.setattr(calculus, "relevance_degree", lambda *args, result=result: result)
         report = proof_degree(T, parse("p"), [cert])
         assert (report.lower_bound, report.numeric, report.defects) == (Fraction(7, 8), result, defects)

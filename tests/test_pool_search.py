@@ -111,9 +111,9 @@ def pool_search_text(workloads) -> str:
     lines = []
     for f, budget in tautology_cases(workloads):
         report = check_tautology(parse(f), budget)
-        line = f"taut {f} budget={budget}: {report.verdict} evaluations={report.evaluations}"
-        if report.counterexample is not None:
-            line += f" at {_model_text(report.counterexample)}"
+        line = f"taut {f} budget={budget}: {report.status} evaluations={report.evaluations}"
+        if report.witness is not None:
+            line += f" at {_model_text(report.witness)}"
         lines.append(line)
     for members in THEORIES:
         theory = Theory(map(parse, members))
@@ -130,8 +130,8 @@ def pool_search_text(workloads) -> str:
                 continue
             lines.append(f"sample_models {name} seed={seed}: {' | '.join(map(_model_text, models))}")
         probe = consistency_probe(theory)
-        found = "" if probe.model is None else f" at {_model_text(probe.model)}"
-        lines.append(f"consistency_probe {name}: {probe.verdict}{found}")
+        found = "" if probe.witness is None else f" at {_model_text(probe.witness)}"
+        lines.append(f"consistency_probe {name}: {probe.status}{found}")
     return "".join(f"{line}\n" for line in lines)
 
 
@@ -367,7 +367,7 @@ def test_an_empty_domain_means_no_model_in_the_pool(monkeypatch):
     answers = _pool_answers(parse("?r"), with_r.members, 0.5)
     assert sizes == []
     assert result.witness is None and result.value == 1
-    assert consistency_probe(with_r).verdict == "no-model-at-budget"
+    assert consistency_probe(with_r).status == "no-model-at-budget"
     _unnarrowed(monkeypatch)
     assert semantics.relevance_degree(theory, parse("r")) == result
     assert _pool_answers(parse("?r"), with_r.members, 0.5) == answers
@@ -383,11 +383,11 @@ def test_the_pool_has_16_values_of_each_component():
 def test_a_tautology_screens_each_class_tuple_and_expands_nothing(monkeypatch):
     # q -> (!x -> q) reads u of both atoms: 16 * 16 class tuples, not 61 * 61 candidates.
     screened, extended = counting(monkeypatch)
-    assert check_tautology(parse("q -> (!x -> q)")) == semantics.TautologyReport(None, 3721)
+    assert check_tautology(parse("q -> (!x -> q)")) == semantics.SearchResult(1, "tautology-no-counterexample", None, 3721)
     assert screened == [256]
     assert extended == []
     chain = parse("(p -> q) -> ((q -> r) -> (p -> r))")
-    assert check_tautology(chain, 61**3) == semantics.TautologyReport(None, 61**3)
+    assert check_tautology(chain, 61**3) == semantics.SearchResult(1, "tautology-no-counterexample", None, 61**3)
     assert screened == [256, 16**3]
     assert extended == []
 
@@ -398,7 +398,7 @@ def test_a_counterexample_walks_to_the_first_hit(monkeypatch):
         budget = 61 ** len(semantics.formula_atoms(f))
         report = check_tautology(f, budget)
         assert report == reference_check_tautology(f, budget)
-        assert not report.is_tautology
+        assert report.witness is not None
     assert screened == [256, 16**3]
     assert len(extended) == 2 + 3  # one level per atom
 
@@ -412,7 +412,7 @@ def test_a_capped_sweep_screens_the_first_budget_class_tuples(monkeypatch, budge
     report = check_tautology(f, budget)
     assert report == reference_check_tautology(f, budget)
     chain = parse("(p -> q) -> ((q -> r) -> (p -> r))")
-    assert check_tautology(chain, budget).is_tautology
+    assert check_tautology(chain, budget).witness is None
     assert screened == [min(budget, 16**2), min(budget, 16**3)]
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from iqcl import semantics
 from iqcl.algebra import SConstant
 from iqcl.calculus import deduction_transform
-from iqcl.semantics import ReducedModel, TautologyReport, eval_prob, random_rational_model
+from iqcl.semantics import ReducedModel, SearchResult, eval_prob, random_rational_model
 from iqcl.syntax import (
     BINARY_OPS,
     Atom,
@@ -224,16 +224,17 @@ def reference_hits(objective, members=(), budget=100_000):
     return count
 
 
-def reference_check_tautology(f, budget=100_000) -> TautologyReport:
+def reference_check_tautology(f, budget=100_000) -> SearchResult:
     """The per-candidate reference of ``check_tautology``: the first hit of
     ``reference_hits`` as a model, else every decided candidate counted."""
     hits = reference_hits(f, (), budget)
     try:
         i, picks = next(hits)
     except StopIteration as stop:
-        return TautologyReport(None, stop.value)
+        return SearchResult(Fraction(1), "tautology-no-counterexample", None, stop.value)
     pool = reference_pool()
-    return TautologyReport(ReducedModel({name: pool[j] for name, j in zip(sorted(atoms(f)), picks)}), i + 1)
+    witness = ReducedModel({name: pool[j] for name, j in zip(sorted(atoms(f)), picks)})
+    return SearchResult(eval_prob(witness, f)[0], "counterexample", witness, i + 1)
 
 
 def counting(monkeypatch):
