@@ -13,7 +13,8 @@ counterexample when the objective is below 1.  Candidates that agree on
 every coordinate the formulas read get the same verdict, so one sweep of
 the product screens each distinct tuple of those coordinates, a class
 tuple, once, save those that arc consistency over the two-atom members
-rules out; the budget caps the class tuples decided.
+rules out; the budget caps the class tuples decided.  Every answer is
+read off the passing class tuples, without listing their candidates.
 
 The relevance degree of a theory T over a formula f is the infimum of
 f's value over models giving every member of T value 1.  The search
@@ -472,6 +473,11 @@ def _compile(source: str, reads: tuple[int, ...]) -> types.SimpleNamespace:
 # Exact pool search: tautology, models
 
 
+def _picks(h: int, firsts, strides) -> list[int]:
+    """The first point of each atom's class in class tuple h."""
+    return [ps[h // stride % len(ps)] for ps, stride in zip(firsts, strides)]
+
+
 @dataclass(frozen=True)
 class SearchResult:
     """What a search reports.  ``witness`` is an exact model, or None, and
@@ -485,10 +491,10 @@ class SearchResult:
     - ``feasible``, ``infeasible`` or ``tolerance-limited`` for
       ``relevance_degree``.
 
-    ``evaluations`` counts the candidates a first-hit search (``first_hit``)
-    decided; for ``relevance_degree``, at most its budget, the class tuples
-    decided (screened, or ruled out by arc consistency), float points and
-    snaps tried."""
+    ``evaluations`` counts, for ``first_hit``, the candidates in sweep order
+    up to its hit, else those of the class tuples decided; for
+    ``relevance_degree``, at most its budget, the class tuples decided
+    (screened, or ruled out by arc consistency), float points and snaps tried."""
 
     value: Fraction
     status: str
@@ -568,17 +574,23 @@ def _constants(f: Formula) -> set[Fraction]:
 
 class PoolSearch:
     """Exact search for candidate models of ``members`` at which the
-    objective, if any, is below 1 (``hits``) or least (``least``).
+    objective, if any, is below 1 (``first``, ``model_classes``) or least
+    (``least``).
 
     A candidate gives each atom of the formulas, in sorted order, a point
     of a pool of exact rational disk points: the fixed 61 of
     ``_rational_disk_pool``, then, for the members' constants c, the disk
-    points with coordinates among c, 1 - c and 1/2.  Candidates are
-    screened by one function generated per run, in exact integers over a
-    common denominator of the pool and the constants.  With three or more
-    atoms, the class tuples that arc consistency rules out are decided
-    without being screened (``_arc_consistent``); every count is that of
-    the class tuples decided, as if each were screened.
+    points with coordinates among c, 1 - c and 1/2.  The sweep runs over
+    the product of the atoms' points, first atom varying fastest, each atom
+    narrowed to where its single-atom members are 1 when there are two or
+    more.  A candidate passes exactly when its class tuple does: its
+    atoms' classes of points that agree on every coordinate the screen
+    reads, numbered by first occurrence.  Class tuples are screened by one
+    function generated per run, in exact integers over a common
+    denominator of the pool and the constants.  With three or more atoms,
+    the class tuples that arc consistency rules out are decided without
+    being screened (``_arc_consistent``); every count is that of the class
+    tuples decided, as if each were screened.
     """
 
     def __init__(self, objective: Formula | None, members=()):
@@ -591,38 +603,50 @@ class PoolSearch:
         # Indexed by ``root``: u numerators, then w numerators, over den.
         self.lifted = (tuple(x * lift for x in pool_u), tuple(x * lift for x in pool_w))
 
-    def hits(self, budget: int):
-        """Yield ``(i, picks)``, picks holding each atom's pool index, for
-        each passing candidate i whose class tuple is among the first
-        ``budget`` (at least 1) that the sweep decides.
-
-        With two or more atoms, each is first narrowed to the points where
-        its single-atom members are exactly 1.  The product of the narrowed
-        points is swept in order, first atom varying fastest (see
-        ``_sweep``).  ``screened`` counts the candidates whose class tuple
-        was decided, screened or ruled out by arc consistency: the whole
-        product when the budget covers its tuples.
-        """
-        if budget < 1:
-            raise ValueError(f"budget must be at least 1, got {budget}")
-        self.screened = 0
-        self.screened = yield from self._sweep(budget)
+    def first(self, budget: int) -> tuple[int, dict[str, tuple[Fraction, Fraction]] | None]:
+        """The first passing candidate in sweep order among those of the
+        first ``budget`` (at least 1) class tuples, as (its index + 1, its
+        pairs); else (the count of those candidates, None).  It is the first
+        point of each class of the first passing tuple: each earlier
+        candidate's tuple comes before that one, because a lower class first
+        occurs earlier, and so failed the screen or arc consistency."""
+        passing, b, allowed, classes, firsts, strides, m = self._class_tuples(budget, least=False)
+        h = next(passing, None)
+        if h is None:
+            return math.prod(map(len, allowed)) if b == m else _candidates_below(b, classes, strides), None
+        picks = _picks(h, firsts, strides)
+        scales = [math.prod(map(len, allowed[:k])) for k in range(len(allowed))]
+        return 1 + sum(points.index(j) * scale for points, j, scale in zip(allowed, picks, scales)), self.pairs(picks)
 
     def least(self, budget: int) -> tuple[int, dict[str, tuple[Fraction, Fraction]] | None]:
-        """The class tuples decided, the first ``budget``, and the pairs of
-        the first model among them of least objective (perhaps 1), or None.
-        Only the tuples that arc consistency keeps are screened."""
-        screen, _, _, firsts, strides, kept, m = self._class_tuples(least=True)
-        b, h = min(budget, m), None
-        for h in _screen_kept(screen, self.lifted, firsts, strides, kept, b):
+        """The class tuples decided, the first ``budget`` (at least 1), and
+        the pairs of the first model among them of least objective (perhaps
+        1), or None.  Only the tuples that arc consistency keeps are screened."""
+        passing, b, _, _, firsts, strides, _ = self._class_tuples(budget, least=True)
+        h = None
+        for h in passing:
             pass
-        return b, None if h is None else self.pairs(ps[h // stride % len(ps)] for ps, stride in zip(firsts, strides))
+        return b, None if h is None else self.pairs(_picks(h, firsts, strides))
 
-    def _class_tuples(self, least: bool):
-        """The generated screen; each atom's points, narrowed to where its single-atom
-        members are 1 when there are two or more atoms; each point's class, each
-        class's first point, the strides, the classes that arc consistency keeps
-        with three or more atoms (``_arc_consistent``), and the tuple count."""
+    def model_classes(self, budget: int) -> list[list[list[int]]]:
+        """Each passing class tuple among the first ``budget`` (at least 1),
+        in order, as each atom's points in its class: the tuple's
+        candidates, all of them passing, are the product of those points."""
+        passing, _, allowed, classes, firsts, strides, _ = self._class_tuples(budget, least=False)
+        groups = [{} for _ in allowed]  # each class's points, under its first point
+        for group, points, cs, ps in zip(groups, allowed, classes, firsts):
+            for j, c in zip(points, cs):
+                group.setdefault(ps[c], []).append(j)
+        return [list(map(dict.__getitem__, groups, _picks(h, firsts, strides))) for h in passing]
+
+    def _class_tuples(self, budget: int, least: bool):
+        """The indices of the passing class tuples among the first ``budget`` (at least
+        1), yielded as the screen runs (``_screen_kept``), and the count b of those
+        decided; each atom's points, narrowed to where its single-atom members are 1
+        when there are two or more atoms; each point's class, each class's first point,
+        the strides, and the tuple count m."""
+        if budget < 1:
+            raise ValueError(f"budget must be at least 1, got {budget}")
         size, n = len(self.pool), len(self.names)
         allowed = [range(size)] * n
         for k, name in enumerate(self.names if n > 1 else ()):
@@ -644,7 +668,8 @@ class PoolSearch:
         strides = [math.prod(counts[:k]) for k in range(len(counts))]
         # With two atoms the arcs would decide the product the screen does.
         kept = self._arc_consistent(firsts) if n > 2 and m else [range(count) for count in counts]
-        return screen, allowed, classes, firsts, strides, kept, m
+        b = min(budget, m)
+        return _screen_kept(screen, self.lifted, firsts, strides, kept, b), b, allowed, classes, firsts, strides, m
 
     def _arc_consistent(self, firsts) -> list[list[int]]:
         """Each atom's classes, in order, that arc consistency over the
@@ -674,49 +699,6 @@ class PoolSearch:
                 domains[a], domains[b] = {x for x, _ in live}, {y for _, y in live}
             if list(map(len, domains)) == sizes:
                 return [sorted(domain) for domain in domains]
-
-    def _sweep(self, budget: int):
-        """Yield the hits of the product of the atoms' narrowed points in
-        sweep order among the candidates of its first ``budget`` class
-        tuples, and return the number of those candidates.
-
-        The screen's verdict on a candidate depends only on the coordinates
-        it reads (``screen.reads``).  So each atom's points fall into
-        classes of equal read coordinates, numbered in order of first
-        occurrence, and the screen runs once per tuple of classes that arc
-        consistency keeps, in the sweep's order; a tuple it rules out does
-        not pass.  The walk extends candidates atom by atom, from the
-        last (slowest) to the first, keeping a point only if its class,
-        with the classes already chosen, begins a passing tuple.
-
-        No candidate before the first one of the first passing tuple
-        passes: each earlier candidate's tuple comes before it, because a
-        lower class first occurs earlier.  So the walk yields that first
-        hit before the remaining tuples are screened; the rest of the walk
-        then sees them all.
-        """
-        screen, allowed, classes, firsts, strides, kept, m = self._class_tuples(least=False)
-        if not m:
-            return 0
-        b = min(budget, m)
-        passing = _screen_kept(screen, self.lifted, firsts, strides, kept, b)
-        screened = math.prod(map(len, allowed)) if b == m else _candidates_below(b, classes, strides)
-        h = next(passing, None)
-        if h is None:
-            return screened
-        # live[k]: the class offsets over atoms k, k + 1, ... of the passing tuples screened so far.
-        live = [{h - h % stride} for stride in strides]
-        walk = iter([(0, 0, ())])
-        for k in reversed(range(len(allowed))):
-            walk = _extend(walk, allowed[k], classes[k], math.prod(map(len, allowed[:k])), strides[k], live[k])
-        i, _, picks = next(walk)
-        yield i, picks
-        for h in passing:
-            for offsets, stride in zip(live, strides):
-                offsets.add(h - h % stride)
-        for i, _, picks in walk:
-            yield i, picks
-        return screened
 
     def pairs(self, picks) -> dict[str, tuple[Fraction, Fraction]]:
         """Each atom's disk point at a candidate's picks."""
@@ -779,30 +761,16 @@ def _candidates_below(b: int, classes, strides) -> int:
     return count
 
 
-def _extend(walk, points, classes, stride, class_stride, live):
-    """The candidates of ``walk``, each ``(i, class offset, picks)`` over
-    the atoms after this one, extended by each of this atom's points in
-    order whose class offset is in ``live``."""
-    offsets = [c * class_stride for c in classes]
-    for i, offset, picks in walk:
-        for j, point, dc in zip(range(i, i + len(points) * stride, stride), points, offsets):
-            if offset + dc in live:
-                yield j, offset + dc, (point, *picks)
-
-
 def first_hit(objective: Formula | None, members, budget: int, found: str, missed: str) -> SearchResult:
-    """The first hit of ``PoolSearch(objective, members)`` in sweep order
-    among the candidates of the first ``budget`` (at least 1) class tuples,
-    with status ``found``, else no witness and status ``missed``.
-    ``evaluations`` counts the candidates decided: up to the hit, else those
-    of the screened class tuples.  A hit is exact; a miss is only as strong
-    as the budget."""
-    search = PoolSearch(objective, members)
-    for i, picks in search.hits(budget):
-        witness = ReducedModel(search.pairs(picks))
-        value = Fraction(1) if objective is None else eval_prob(witness, objective)[0]
-        return SearchResult(value, found, witness, i + 1)
-    return SearchResult(Fraction(1), missed, None, search.screened)
+    """``PoolSearch(objective, members).first(budget)`` as a result: its
+    hit with status ``found``, else no witness and status ``missed``.  A hit
+    is exact; a miss is only as strong as the budget."""
+    evaluations, pairs = PoolSearch(objective, members).first(budget)
+    if pairs is None:
+        return SearchResult(Fraction(1), missed, None, evaluations)
+    witness = ReducedModel(pairs)
+    value = Fraction(1) if objective is None else eval_prob(witness, objective)[0]
+    return SearchResult(value, found, witness, evaluations)
 
 
 def check_tautology(f: Formula, budget: int = 100_000) -> SearchResult:
@@ -1037,25 +1005,26 @@ def random_rational_model(
 
 
 def sample_models(theory: Theory, count: int, seed: int = 0, extra_atoms=()) -> list[ReducedModel]:
-    """``count`` exact models of the theory: seeded choices, with repeats,
-    among the first size**3 models a ``PoolSearch`` finds in its first
-    size**3 class tuples, size being the theory's pool.  That sweeps the
-    whole product of up to three atoms, and of more when their class
-    tuples fit.  Atoms of ``extra_atoms`` outside the theory get seeded
-    fixed-pool points.  Raises ``RuntimeError`` if the search finds no
-    model, also for an atom-free theory with a member below 1.
+    """``count`` exact models of the theory, seeded draws with repeats,
+    uniform over the models a ``PoolSearch`` finds in its first size**3
+    class tuples, size being the theory's pool.  That covers the whole
+    product of up to three atoms, and of more when their class tuples fit.
+    A draw picks a passing class tuple with weight its candidate count,
+    then a point of each of its classes.  Atoms of ``extra_atoms`` outside
+    the theory get seeded fixed-pool points.  Raises ``RuntimeError`` if the
+    search finds no model, also for an atom-free theory with a member below 1.
     """
     search = PoolSearch(None, theory.members)
-    limit = len(search.pool) ** 3
-    found = [picks for _, picks in itertools.islice(search.hits(limit), limit)]
+    found = search.model_classes(len(search.pool) ** 3)
     if not found:
         raise RuntimeError("the pool search found no exact model of the theory")
+    weights = [math.prod(map(len, groups)) for groups in found]
     pool = _rational_disk_pool()
     free = sorted(set(extra_atoms) - theory.atoms())
     rng = random.Random(seed)
     models = []
-    for _ in range(count):
-        pairs = search.pairs(rng.choice(found))
+    for groups in rng.choices(found, weights, k=count):
+        pairs = search.pairs(map(rng.choice, groups))
         pairs.update((name, rng.choice(pool)) for name in free)
         models.append(ReducedModel(pairs))
     return models

@@ -12,16 +12,19 @@ purpose only, with
 
     PYTHONPATH=src python3 tests/test_pool_search.py
 
-which first checks every tautology answer and every theory's hits
-against the reference ``util.reference_hits``.
+which first checks every tautology answer and every theory's first
+model and models against the reference ``util.reference_hits``.
 """
 
 import ast
+import collections
+import itertools
 import math
 import random
 import re
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -45,6 +48,7 @@ from util import (
     counting,
     random_formula,
     reference_check_tautology,
+    reference_first,
     reference_hits,
     reference_pool,
 )
@@ -119,9 +123,11 @@ def pool_search_text(workloads) -> str:
         theory = Theory(map(parse, members))
         name = "{" + ", ".join(map(print_formula, theory.members)) + "}"
         search = PoolSearch(None, theory.members)
-        hits = [i for i, _ in search.hits(len(search.pool) ** 3)]
-        first = f" first={hits[0]} last={hits[-1]}" if hits else ""
-        lines.append(f"hits {name}: pool={len(search.pool)} hits={len(hits)} screened={search.screened}{first}")
+        budget = len(search.pool) ** 3
+        hits = sum(math.prod(map(len, groups)) for groups in search.model_classes(budget))
+        evaluations, pairs = search.first(budget)
+        first = f" screened={evaluations}" if pairs is None else f" first={evaluations - 1}"
+        lines.append(f"hits {name}: pool={len(search.pool)} hits={hits}{first}")
         for seed in SAMPLE_SEEDS:
             try:
                 models = sample_models(theory, SAMPLE_COUNT, seed)
@@ -136,28 +142,23 @@ def pool_search_text(workloads) -> str:
 
 
 def check_against_reference(workloads) -> None:
-    """Every tautology answer and every theory's hits equal the reference."""
+    """Every tautology answer, and every theory's first model and models,
+    equal the reference."""
     for f, budget in tautology_cases(workloads):
         assert check_tautology(parse(f), budget) == reference_check_tautology(parse(f), budget), f
     for members in THEORIES:
         theory = Theory(map(parse, members))
         search = PoolSearch(None, theory.members)
         for budget in (len(search.pool) ** 3, DEFAULT_BUDGET):
-            assert list(search.hits(budget)) == list(reference_hits(None, theory.members, budget)), members
+            assert search.first(budget) == reference_first(None, theory.members, budget), members
+            models = (picks for groups in search.model_classes(budget) for picks in itertools.product(*groups))
+            # In sweep order, first atom varying fastest.
+            expected = [picks for _, picks in reference_hits(None, theory.members, budget)]
+            assert sorted(models, key=lambda picks: picks[::-1]) == expected, members
 
 
 def test_pool_search_matches_fixture(workloads):
     assert pool_search_text(workloads).encode() == POOL_FIXTURE.read_bytes()
-
-
-def _drain(generator):
-    """The items a generator yields, and the value it returns."""
-    items = []
-    while True:
-        try:
-            items.append(next(generator))
-        except StopIteration as stop:
-            return items, stop.value
 
 
 def _formula(rng, names, depth):
@@ -189,26 +190,25 @@ def _search_case(rng):
     return objective, [member() for _ in range(rng.randint(0, 3))]
 
 
-def test_hits_match_the_reference_on_random_searches(monkeypatch):
-    # Same hits, same order, same count of candidates, whether the budget
-    # stops the sweep short of the class tuples' product or covers it.
-    capped = []
-    below = semantics._candidates_below
-    monkeypatch.setattr(semantics, "_candidates_below", lambda *args: capped.append(args) or below(*args))
+def test_first_matches_the_reference_on_random_searches():
+    # The first hit's index + 1 and pairs, or on a miss the count of
+    # candidates decided, whether the budget stops the sweep short of the
+    # class tuples' product or covers it.
     rng = random.Random(1401)
-    full = large = 0
+    capped = capped_misses = full = large = 0
     for _ in range(200):
         objective, members = _search_case(rng)
         search = PoolSearch(objective, members)
         budget = rng.choice((1, 7, 61, 300, 3721, 4000))
-        before = len(capped)
-        hits = list(search.hits(budget))
-        expected, count = _drain(reference_hits(objective, members, budget))
+        first = search.first(budget)
         assert list(search.pool) == reference_pool(members)
-        assert (hits, search.screened) == (expected, count), (objective, members, budget)
-        full += len(search.names) > 1 and len(capped) == before
+        assert first == reference_first(objective, members, budget), (objective, members, budget)
+        m = search._class_tuples(1, least=False)[-1]
+        capped += budget < m
+        capped_misses += budget < m and first[1] is None
+        full += len(search.names) > 1 and budget >= m
         large += len(search.names) > 2 and budget > 300
-    assert len(capped) >= 20 and full >= 20 and large >= 10
+    assert capped >= 20 and capped_misses >= 10 and full >= 20 and large >= 10
 
 
 def test_least_matches_the_reference_on_random_searches():
@@ -263,14 +263,14 @@ def _arc_case(rng):
 
 
 def _pool_answers(objective, members, cut):
-    """``least`` and ``hits`` of the search for the objective, at budgets of 1,
-    below the class tuples' count and above it; then ``sample_models`` and
-    ``consistency_probe`` of the theory."""
+    """``least``, ``first`` and ``model_classes`` of the search for the
+    objective, at budgets of 1, below the class tuples' count and above it;
+    then ``sample_models`` and ``consistency_probe`` of the theory."""
     search = PoolSearch(objective, members)
-    m = search._class_tuples(least=False)[-1]
+    m = search._class_tuples(1, least=False)[-1]
     answers = []
     for budget in (1, 1 + int(cut * (m - 1)), m + 1):
-        answers += [search.least(budget), list(search.hits(budget)), search.screened]
+        answers += [search.least(budget), search.first(budget), search.model_classes(budget)]
     theory = Theory(members)
     try:
         answers.append(sample_models(theory, 5, seed=3))
@@ -382,32 +382,32 @@ def test_the_pool_has_16_values_of_each_component():
 
 def test_a_tautology_screens_each_class_tuple_and_expands_nothing(monkeypatch):
     # q -> (!x -> q) reads u of both atoms: 16 * 16 class tuples, not 61 * 61 candidates.
-    screened, extended = counting(monkeypatch)
+    screened = counting(monkeypatch)
     assert check_tautology(parse("q -> (!x -> q)")) == semantics.SearchResult(1, "tautology-no-counterexample", None, 3721)
     assert screened == [256]
-    assert extended == []
     chain = parse("(p -> q) -> ((q -> r) -> (p -> r))")
     assert check_tautology(chain, 61**3) == semantics.SearchResult(1, "tautology-no-counterexample", None, 61**3)
     assert screened == [256, 16**3]
-    assert extended == []
 
 
-def test_a_counterexample_walks_to_the_first_hit(monkeypatch):
-    screened, extended = counting(monkeypatch)
+def test_a_counterexample_is_read_off_its_class_tuple(monkeypatch):
+    # The screen stops at the first passing class tuple; the counterexample
+    # is the first point of each of its classes, and its index is counted
+    # from those points' places in the sweep.
+    screened = counting(monkeypatch)
     for f in (parse("q -> (!x . q)"), parse("(r | !r) | (p & !p) | (q & !q)")):
         budget = 61 ** len(semantics.formula_atoms(f))
         report = check_tautology(f, budget)
         assert report == reference_check_tautology(f, budget)
         assert report.witness is not None
     assert screened == [256, 16**3]
-    assert len(extended) == 2 + 3  # one level per atom
 
 
 @pytest.mark.parametrize("budget", [1, 2, 17, 255, 256, 257, DEFAULT_BUDGET])
 def test_a_capped_sweep_screens_the_first_budget_class_tuples(monkeypatch, budget):
     # Tautologies, so the screen runs to its end.  q -> (!x -> q) reads u
     # of both atoms, 16 * 16 class tuples; the chain reads u of three, 16**3.
-    screened, _ = counting(monkeypatch)
+    screened = counting(monkeypatch)
     f = parse("q -> (!x -> q)")
     report = check_tautology(f, budget)
     assert report == reference_check_tautology(f, budget)
@@ -416,24 +416,40 @@ def test_a_capped_sweep_screens_the_first_budget_class_tuples(monkeypatch, budge
     assert screened == [min(budget, 16**2), min(budget, 16**3)]
 
 
-def test_sample_models_keeps_at_most_size_cubed_hits(monkeypatch):
-    # The chain's 16**4 class tuples fit under 61**3, but the models among
-    # its 61**4 candidates are more than 61**3: only that many are drawn.
-    drawn = 0
-    hits = PoolSearch.hits
-
-    def counted_hits(self, budget):
-        nonlocal drawn
-        for hit in hits(self, budget):
-            drawn += 1
-            yield hit
-
-    monkeypatch.setattr(PoolSearch, "hits", counted_hits)
+def test_sample_models_screens_its_class_tuples_once(monkeypatch):
+    # The chain's 16**4 class tuples fit under 61**3, and its models among
+    # the 61**4 candidates are more than 61**3: one screen runs on the
+    # class tuples, and each model is drawn from a passing one.
+    screened = counting(monkeypatch)
     theory = Theory.from_text("p -> q\nq -> r\nr -> s")
     models = sample_models(theory, 50, seed=4)
-    assert drawn == 61**3
+    assert screened == [16**4]
     assert len(models) == 50
     assert all(is_model_of(model, theory) for model in models)
+
+
+def test_sample_models_draws_each_model_uniformly():
+    # The theory has 106 models in its pool product.  Over 20 000 draws
+    # each is drawn about 189 times, within 5 standard deviations.
+    theory = Theory.from_text("13/16 -> u\nu -> x")
+    pool = reference_pool(theory.members)
+    expected = {tuple(pool[j] for j in picks) for _, picks in reference_hits(None, theory.members, len(pool) ** 3)}
+    draws = collections.Counter(
+        (model.pair("u"), model.pair("x")) for model in sample_models(theory, 20_000, seed=11))
+    assert len(expected) == 106 and set(draws) == expected
+    assert all(is_model_of(ReducedModel(dict(zip("ux", pairs))), theory, Fraction(0)) for pairs in draws)
+    mean = 20_000 / 106
+    spread = 5 * math.sqrt(mean * (1 - 1 / 106))
+    assert all(abs(n - mean) < spread for n in draws.values())
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_every_pool_search_rejects_a_budget_below_one(budget):
+    # ``least`` gave (0, None) for a budget of 0 before.
+    search = PoolSearch(parse("?p"), [parse("p -> q")])
+    for answer in (search.first, search.least, search.model_classes):
+        with pytest.raises(ValueError, match=f"budget must be at least 1, got {budget}"):
+            answer(budget)
 
 
 def _read_coordinates(source: str) -> list[int]:
@@ -445,7 +461,7 @@ def _read_coordinates(source: str) -> list[int]:
 def test_the_search_groups_by_the_coordinates_the_source_reads(monkeypatch):
     # The screen runs once per tuple of classes of points that agree on
     # the coordinates named in its source, counted here from those names.
-    screened, _ = counting(monkeypatch)
+    screened = counting(monkeypatch)
     pool = semantics._rational_disk_pool()
     rng = random.Random(1402)
     for _ in range(60):
@@ -456,7 +472,7 @@ def test_the_search_groups_by_the_coordinates_the_source_reads(monkeypatch):
         coordinates = _read_coordinates(source)
         assert list(reads) == coordinates
         classes = [{tuple(point[c % 2] for c in coordinates if c // 2 == k) for point in pool} for k in range(len(pos))]
-        next(PoolSearch(objective).hits(61 ** len(pos)), None)
+        PoolSearch(objective).first(61 ** len(pos))
         assert screened.pop() == math.prod(map(len, classes)), source
 
 

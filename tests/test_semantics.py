@@ -1,4 +1,5 @@
 import ast
+import itertools
 import math
 import random
 import re
@@ -292,7 +293,7 @@ def test_tautology_matches_reference_around_exhaustive_threshold(budget):
 
 @pytest.mark.parametrize("budget", [1, 2, 17, 60])
 def test_tautology_one_atom_budget_below_pool(budget, monkeypatch):
-    screened, _ = counting(monkeypatch)
+    screened = counting(monkeypatch)
     for f in (parse("p + !p"), parse("p | !p"), parse("?p | !?p | 3/4"), parse("3/8")):
         report = check_tautology(f, budget)
         assert report == reference_check_tautology(f, budget)
@@ -1016,12 +1017,15 @@ def test_sample_models_pinned_and_sparse_theories(text):
 
 def test_pool_search_narrowing_keeps_every_model():
     # Narrowing q by its single-atom members must neither lose nor add a
-    # model: the hits are exactly the models in the theory's pool product.
+    # model: the models are exactly those in the theory's pool product.
     T = Theory.from_text("q -> 3/16\n3/16 -> q\np -> q")
     search = PoolSearch(None, T.members)
     pool = search.pool
-    found = [search.pairs(picks) for _, picks in search.hits(len(pool) ** 2)]
-    assert search.screened < len(pool) ** 2
+    classes = search.model_classes(len(pool) ** 2)
+    # Sweep order: p varies fastest, and the narrowed points keep the pool's order.
+    found = [search.pairs(picks) for picks in sorted(
+        (picks for groups in classes for picks in itertools.product(*groups)), key=lambda picks: picks[::-1])]
+    assert math.prod(map(len, search._class_tuples(1, least=False)[2])) < len(pool) ** 2
     expected = [
         {"p": a, "q": b}
         for b in pool for a in pool

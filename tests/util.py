@@ -166,7 +166,7 @@ def reference_hits(objective, members=(), budget=100_000):
     ``reference_pool(members)``, for every candidate i among those the
     search decides at which each member is exactly 1 and the objective,
     if any, is below 1; returns the number of candidates decided.  The
-    candidates are those of ``PoolSearch.hits``: with two or more atoms
+    candidates are those ``PoolSearch`` sweeps: with two or more atoms
     each is first narrowed to the points where its single-atom members
     are 1, and the product is swept with the first atom varying fastest.
     Each atom's points fall into classes of equal read components,
@@ -224,24 +224,34 @@ def reference_hits(objective, members=(), budget=100_000):
     return count
 
 
-def reference_check_tautology(f, budget=100_000) -> SearchResult:
-    """The per-candidate reference of ``check_tautology``: the first hit of
-    ``reference_hits`` as a model, else every decided candidate counted."""
-    hits = reference_hits(f, (), budget)
+def reference_first(objective, members=(), budget=100_000):
+    """The per-candidate reference of ``PoolSearch.first``: the first hit
+    of ``reference_hits`` as (its index + 1, its pairs), else (every
+    decided candidate counted, None)."""
+    hits = reference_hits(objective, members, budget)
     try:
         i, picks = next(hits)
     except StopIteration as stop:
-        return SearchResult(Fraction(1), "tautology-no-counterexample", None, stop.value)
-    pool = reference_pool()
-    witness = ReducedModel({name: pool[j] for name, j in zip(sorted(atoms(f)), picks)})
-    return SearchResult(eval_prob(witness, f)[0], "counterexample", witness, i + 1)
+        return stop.value, None
+    names = sorted(set().union(*map(atoms, (*members, *(() if objective is None else (objective,))))))
+    pool = reference_pool(members)
+    return i + 1, {name: pool[j] for name, j in zip(names, picks)}
+
+
+def reference_check_tautology(f, budget=100_000) -> SearchResult:
+    """The per-candidate reference of ``check_tautology``: ``reference_first``
+    with no members, its hit as the counterexample."""
+    evaluations, pairs = reference_first(f, (), budget)
+    if pairs is None:
+        return SearchResult(Fraction(1), "tautology-no-counterexample", None, evaluations)
+    witness = ReducedModel(pairs)
+    return SearchResult(eval_prob(witness, f)[0], "counterexample", witness, evaluations)
 
 
 def counting(monkeypatch):
-    """Record the class tuples each generated screen is asked to run on
-    (its ``m``), and the arguments of each level of the hits walk."""
-    screened, extended = [], []
-    evaluators, extend = semantics._evaluators, semantics._extend
+    """Record the class tuples each generated screen is asked to run on (its ``m``)."""
+    screened = []
+    evaluators = semantics._evaluators
 
     def counted_evaluators(*args):
         generated = evaluators(*args)
@@ -249,10 +259,5 @@ def counting(monkeypatch):
         generated.evaluate = lambda m, pool, picks: screened.append(m) or evaluate(m, pool, picks)
         return generated
 
-    def counted_extend(*args):
-        extended.append(args)
-        return extend(*args)
-
     monkeypatch.setattr(semantics, "_evaluators", counted_evaluators)
-    monkeypatch.setattr(semantics, "_extend", counted_extend)
-    return screened, extended
+    return screened
