@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Union
 
@@ -35,6 +35,7 @@ from .semantics import (
     RelevanceOptions,
     SearchResult,
     Theory,
+    certifies_no_model,
     eval_prob,
     first_hit,
     relevance_degree,
@@ -865,9 +866,15 @@ def deduction_transform(
 
 
 def consistency_probe(theory: Theory, budget: int = 100_000) -> SearchResult:
-    """The ``first_hit`` exact model of the theory, with no objective;
-    finding one certifies consistency, failing to is inconclusive."""
-    return first_hit(None, theory.members, budget, "model-found", "no-model-at-budget")
+    """The ``first_hit`` exact model of the theory, with no objective:
+    ``model-found`` certifies consistency.  Without one, ``inconsistent``
+    when ``certifies_no_model`` proves that the theory has no model at all,
+    at the pool's evaluation count; else ``no-model-at-budget``, which is
+    inconclusive."""
+    result = first_hit(None, theory.members, budget, "model-found", "no-model-at-budget")
+    if result.witness is None and certifies_no_model(theory.members):
+        return replace(result, status="inconsistent")
+    return result
 
 
 @dataclass

@@ -18,9 +18,14 @@ read off the passing class tuples, without listing their candidates.
 
 The relevance degree of a theory T over a formula f is the infimum of
 f's value over models giving every member of T value 1.  The search
-reports the least value it finds at an exact model, taken from the pool
-search's least objective over its class tuples and from the end point
-of a float multi-start coordinate descent, snapped to exact disk points.
+reports the least value it finds at an exact model, taken first from the
+pool search's least objective over its class tuples.  Interval
+contraction on the formula trees (HC4, with bisection) then tries to
+prove that no model lies below that value, or that there is no model at
+all; when it does, the pool's answer is the infimum and the search ends
+there.  Otherwise the end point of a float multi-start coordinate
+descent, snapped to exact disk points, may improve it.  The same
+contraction lets the consistency probe certify a theory inconsistent.
 Every search reports one ``SearchResult``: an exact witness or none, the
 objective's value there, a status and an evaluation count.
 
@@ -37,6 +42,7 @@ best point; the descent and its choice of starts stay in Python.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import math
 import random
@@ -46,6 +52,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 from .algebra import (
+    HALF,
     fraction,
     mv_implies,
     mv_join,
@@ -486,7 +493,8 @@ class SearchResult:
 
     - ``counterexample`` or ``tautology-no-counterexample`` for
       ``check_tautology`` and ``consequence``;
-    - ``model-found`` or ``no-model-at-budget`` for
+    - ``model-found``, ``inconsistent`` (certified by interval
+      contraction) or ``no-model-at-budget`` for
       ``calculus.consistency_probe``;
     - ``feasible``, ``infeasible`` or ``tolerance-limited`` for
       ``relevance_degree``.
@@ -494,7 +502,8 @@ class SearchResult:
     ``evaluations`` counts, for ``first_hit``, the candidates in sweep order
     up to its hit, else those of the class tuples decided; for
     ``relevance_degree``, at most its budget, the class tuples decided
-    (screened, or ruled out by arc consistency), float points and snaps tried."""
+    (screened, or ruled out by arc consistency), float points and snaps tried.
+    The boxes of ``certifies_no_model`` are not evaluations."""
 
     value: Fraction
     status: str
@@ -590,7 +599,8 @@ class PoolSearch:
     denominator of the pool and the constants.  With three or more atoms,
     the class tuples that arc consistency rules out are decided without
     being screened (``_arc_consistent``); every count is that of the class
-    tuples decided, as if each were screened.
+    tuples decided, as if each were screened.  Each search sets
+    ``tuples``, the count of all the class tuples.
     """
 
     def __init__(self, objective: Formula | None, members=()):
@@ -669,6 +679,7 @@ class PoolSearch:
         # With two atoms the arcs would decide the product the screen does.
         kept = self._arc_consistent(firsts) if n > 2 and m else [range(count) for count in counts]
         b = min(budget, m)
+        self.tuples = m
         return _screen_kept(screen, self.lifted, firsts, strides, kept, b), b, allowed, classes, firsts, strides, m
 
     def _arc_consistent(self, firsts) -> list[list[int]]:
@@ -947,6 +958,201 @@ def _snaps(u: float, w: float) -> list[tuple[Fraction, Fraction]]:
     return [point for point in dict.fromkeys(points) if _in_disk(*point, Fraction(0))]
 
 
+# ---------------------------------------------------------------------------
+# Interval contraction
+
+# The most boxes that one contraction search narrows before it gives up.
+_BOXES = 16
+
+
+def _sqrt_up(x: Fraction) -> Fraction:
+    """A dyadic at or above the square root of x >= 0, at most 2**-63 above it."""
+    n = -((-x.numerator << 128) // x.denominator)  # x * 4**64, rounded up
+    r = math.isqrt(n)
+    return Fraction(r + (r * r < n), 1 << 64)
+
+
+def _short(q: Fraction, rounding) -> Fraction:
+    """q, or past a 64-bit denominator q rounded by ``math.floor`` or
+    ``math.ceil`` to a multiple of 2**-64."""
+    return q if q.denominator <= 2**64 else Fraction(rounding(q * 2**64), 2**64)
+
+
+def _reads(g: Formula, k: int = 0) -> set[tuple[str, int]]:
+    """The coordinates (atom, 0 for u or 2 for w) that g's value (k = 0) or root (k = 2) reads."""
+    if isinstance(g, Atom):
+        return {(g.name, k)}
+    if isinstance(g, Neg):
+        return _reads(g.arg, k)
+    if isinstance(g, Sqrt):
+        return _reads(g.arg, 2 - k)
+    if isinstance(g, Bin) and k == 0:
+        return _reads(g.left) | _reads(g.right)
+    return set()
+
+
+def _image(g: Formula, box, memo: dict) -> list:
+    """g's interval pair [value lo, value hi, root lo, root hi] over the box
+    (atom -> the same list for its u and w), forward from the leaves; each
+    subterm's pair is kept in ``memo``, an atom's being its box list."""
+    iv = memo.get(g)
+    if iv is None:
+        if isinstance(g, Atom):
+            iv = box[g.name]
+        elif isinstance(g, Const):
+            iv = [g.value.value, g.value.value, HALF, HALF]
+        elif isinstance(g, Neg):
+            a = _image(g.arg, box, memo)
+            iv = [1 - a[1], 1 - a[0], 1 - a[3], 1 - a[2]]
+        elif isinstance(g, Sqrt):
+            a = _image(g.arg, box, memo)
+            iv = [a[2], a[3], 1 - a[1], 1 - a[0]]
+        else:
+            x, y, op = _image(g.left, box, memo), _image(g.right, box, memo), _PAIR_OPS[g.op]
+            # Every connective rises in each operand but the left of ->, which falls.
+            low, high = (x[1], x[0]) if g.op == IMPLIES else (x[0], x[1])
+            iv = [op(low, y[0]), op(high, y[1]), HALF, HALF]
+        memo[g] = iv
+    return iv
+
+
+def _operands(op: str, zl, zh, xl, xh, yl, yh):
+    """The operand intervals of ``x op y`` narrowed to where its value can lie in [zl, zh]."""
+    if op == OPLUS:  # z = min(1, x + y)
+        xl, yl = max(xl, zl - yh), max(yl, zl - xh)
+        if zh < 1:
+            xh, yh = min(xh, zh - yl), min(yh, zh - xl)
+    elif op == ODOT:  # z = max(0, x + y - 1)
+        xh, yh = min(xh, zh + 1 - yl), min(yh, zh + 1 - xl)
+        if zl > 0:
+            xl, yl = max(xl, zl + 1 - yh), max(yl, zl + 1 - xh)
+    elif op == IMPLIES:  # z = min(1, 1 - x + y)
+        xh, yl = min(xh, 1 - zl + yh), max(yl, zl - 1 + xl)
+        if zh < 1:
+            xl, yh = max(xl, 1 - zh + yl), min(yh, zh - 1 + xh)
+    elif op == PRODUCT:  # z = x y, both operands in [0, 1]
+        if zl:  # each operand is at least zl over the other's upper end
+            if not (xh and yh):
+                return 1, 0, 1, 0
+            xl, yl = max(xl, zl / yh), max(yl, zl / xh)
+        if yl:
+            xh = min(xh, zh / yl)
+        if xl:
+            yh = min(yh, zh / xl)
+    elif op == MEET:  # z = min(x, y)
+        xl, yl = max(xl, zl), max(yl, zl)
+        if yl > zh:
+            xh = min(xh, zh)
+        if xl > zh:
+            yh = min(yh, zh)
+    else:  # z = max(x, y)
+        xh, yh = min(xh, zh), min(yh, zh)
+        if yh < zl:
+            xl = max(xl, zl)
+        if xh < zl:
+            yl = max(yl, zl)
+    return xl, xh, yl, yh
+
+
+def _revise(g: Formula, memo: dict, k: int, lo, hi) -> bool:
+    """Narrow g's value (k = 0) or root (k = 2) interval in ``memo`` to
+    [lo, hi], then its operands', down to the atoms' boxes (HC4-revise);
+    False when an interval empties."""
+    iv = memo[g]
+    if isinstance(g, Atom):  # the box keeps short fractions, its ends rounded outward
+        lo, hi = _short(lo, math.floor), _short(hi, math.ceil)
+    lo, hi = max(lo, iv[k]), min(hi, iv[k + 1])
+    if lo > hi:
+        return False
+    if lo == iv[k] and hi == iv[k + 1]:
+        return True
+    iv[k], iv[k + 1] = lo, hi
+    if isinstance(g, Neg):
+        return _revise(g.arg, memo, k, 1 - hi, 1 - lo)
+    if isinstance(g, Sqrt):
+        return _revise(g.arg, memo, 2, lo, hi) if k == 0 else _revise(g.arg, memo, 0, 1 - hi, 1 - lo)
+    if isinstance(g, Bin) and k == 0:
+        x, y = memo[g.left], memo[g.right]
+        xl, xh, yl, yh = _operands(g.op, lo, hi, x[0], x[1], y[0], y[1])
+        return _revise(g.left, memo, 0, xl, xh) and _revise(g.right, memo, 0, yl, yh)
+    return True
+
+
+def _disk(iv: list) -> bool:
+    """Narrow an atom's box to the disk: |1 - 2u| is at most the root of 1
+    less the least (1 - 2w)**2, rounded up, and likewise w by u; False when
+    the box empties."""
+    for k in (0, 2):
+        low, high = 1 - 2 * iv[3 - k], 1 - 2 * iv[2 - k]
+        if low > 0 or high < 0:  # else the partner may be 1/2, which leaves [0, 1]
+            reach = _sqrt_up(1 - min(low * low, high * high)) / 2
+            iv[k], iv[k + 1] = max(iv[k], HALF - reach), min(iv[k + 1], HALF + reach)
+            if iv[k] > iv[k + 1]:
+                return False
+    return True
+
+
+def _contract(box, targets) -> bool:
+    """Narrow the box to each target formula's interval, and to the disk,
+    over up to 8 passes or until a pass changes nothing; False when it empties."""
+    for _ in range(8):
+        before = [tuple(iv) for iv in box.values()]
+        for g, lo, hi in targets:
+            memo: dict = {}
+            _image(g, box, memo)
+            if not _revise(g, memo, 0, lo, hi):
+                return False
+        if not all(map(_disk, box.values())):
+            return False
+        if [tuple(iv) for iv in box.values()] == before:
+            break
+    return True
+
+
+def certifies_no_model(members, objective: Formula | None = None, below: Fraction | None = None) -> bool:
+    """True when interval contraction proves that no model of ``members``
+    gives ``objective`` a value below ``below``; with ``below`` None, that
+    the members have no model at all.  False proves nothing.
+
+    Each atom gets a box, an interval for u and one for w, narrowed by
+    ``_contract``: forward interval evaluation, backward from each member's
+    target 1 (and the objective's [0, below]), HC4-style (Benhamou et al.,
+    "Revising hull and box consistency", ICLP 1999), and by the disk with
+    its square root rounded outward.  A box that empties, or whose objective
+    interval starts at ``below`` or above, is dropped; the rest are bisected
+    at their widest coordinate, the least objective bound first (Moore,
+    *Interval Analysis*, 1966).  True when every box is dropped among the
+    first ``_BOXES`` narrowed."""
+    targets = [(beta, Fraction(1), Fraction(1)) for beta in members]
+    if below is not None:
+        targets.append((objective, Fraction(0), below))
+    formulas = [g for g, _, _ in targets]
+    reads = sorted(set().union(*map(_reads, formulas)))
+    boxes, order = 0, itertools.count()
+    heap: list = []
+
+    def narrow(box) -> None:
+        nonlocal boxes
+        boxes += 1
+        if _contract(box, targets):
+            low = 0 if below is None else _image(objective, box, {})[0]
+            if below is None or low < below:
+                heapq.heappush(heap, (low, next(order), box))
+
+    narrow({name: [Fraction(0), Fraction(1)] * 2 for name in set().union(*map(formula_atoms, formulas))})
+    while heap and boxes + 2 <= _BOXES:
+        box = heapq.heappop(heap)[2]
+        width, name, k = max(((box[name][k + 1] - box[name][k], name, k) for name, k in reads), default=(0, "", 0))
+        if not width:
+            return False
+        middle = (box[name][k] + box[name][k + 1]) / 2
+        for end in (k + 1, k):
+            half = {atom: list(iv) for atom, iv in box.items()}
+            half[name][end] = middle
+            narrow(half)
+    return not heap
+
+
 def relevance_degree(
     theory: Theory, alpha: Formula, options: RelevanceOptions | None = None
 ) -> SearchResult:
@@ -956,16 +1162,28 @@ def relevance_degree(
     tuple decided; and ``_descent`` on the budget left, whose strict point
     gives each atom the exact disk points of ``_snaps``, each tuple of their
     product tried with ``is_model_of`` at tolerance 0 as one evaluation.
-    The status is ``feasible`` when a model was found within the budget,
-    ``infeasible`` when none was and no point reached a residual below
-    ``tol``, else ``tolerance-limited``: the budget ran out, or the points
-    reached gave no exact model.  Raises ``ValueError`` for options that
-    ``validate`` rejects."""
+
+    When the pool has decided every class tuple, ``certifies_no_model``
+    runs first.  If it proves that no model gives alpha a value below the
+    pool's, that value is the infimum: the answer is the pool's, status
+    ``feasible``, at the pool's count, and no descent runs.  If the pool
+    found no model and it proves there is none, the status is
+    ``infeasible``, likewise.  Otherwise the status is ``feasible`` when a
+    model was found within the budget, ``infeasible`` when none was and no
+    point reached a residual below ``tol``, else ``tolerance-limited``: the
+    budget ran out, or the points reached gave no exact model.  Raises
+    ``ValueError`` for options that ``validate`` rejects."""
     opts = options or RelevanceOptions()
     opts.validate()
     search = PoolSearch(alpha, theory.members)
     evals, pairs = search.least(opts.budget)
     found = [] if pairs is None else [ReducedModel(pairs)]
+    # Certified: no model, or none below the pool's least value; else the descent looks further.
+    if evals == search.tuples:
+        if not found and certifies_no_model(theory.members):
+            return SearchResult(Fraction(1), "infeasible", None, evals)
+        if found and certifies_no_model(theory.members, alpha, value := eval_prob(found[0], alpha)[0]):
+            return SearchResult(value, "feasible", found[0], evals)
     # An atom-free theory and formula have one class tuple, which decides them.
     descent = _descent(alpha, theory.members, search.names, opts, opts.budget - evals) if search.names else None
     used, exhausted, strict_x, least_residual = descent or (0, False, None, math.inf)

@@ -446,10 +446,23 @@ def test_consistency_probe_examples():
     assert is_model_of(found.witness, Theory([parse("p")]))
 
     clash = consistency_probe(Theory([parse("p"), parse("!p")]))
-    assert clash.status == "no-model-at-budget"
+    assert clash.status == "inconsistent"
 
     const = consistency_probe(Theory([parse("3/8")]))
-    assert const.status == "no-model-at-budget"
+    assert const.status == "inconsistent"
+
+
+def test_consistency_probe_certifies_inconsistent_theories():
+    # Interval contraction empties every box of these theories, after the
+    # pool search has found no model.  In !p & p . q the product is met
+    # after !p has pinned p to 0 in the same pass, so the product's rule
+    # must see the empty operand without dividing by it.  The only models
+    # of p . p = 1/2 are irrational, so its box never empties.
+    for text in ("p\n!p", "q . q\n!q", "1/2 -> p\np -> 1/4", "3/8", "!p & p . q"):
+        result = consistency_probe(Theory.from_text(text))
+        assert (result.value, result.status, result.witness) == (1, "inconsistent", None), text
+    irrational = consistency_probe(Theory.from_text("p . p -> 1/2\n1/2 -> p . p"))
+    assert (irrational.status, irrational.evaluations) == ("no-model-at-budget", 61)
 
 
 def test_consistency_probe_finds_a_sparse_model():

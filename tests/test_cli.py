@@ -659,8 +659,10 @@ def test_benchmark_selftest_passes(tmp_path):
 def test_benchmark_traced_run_passes(tmp_path, workload):
     # The traced run reads a span of each simulator and qmix function that
     # sim calls; one missing span fails it, as does a relevance answer that
-    # a change to the search gets wrong.  It runs from a directory that
-    # holds only a link to src/, so its records stay out of the checkout.
+    # a change to the search gets wrong.  ``correct`` forgives a failure on
+    # a row of KNOWN_WRONG_RELEVANCE, so every operation must pass as well.
+    # It runs from a directory that holds only a link to src/, so its
+    # records stay out of the checkout.
     (tmp_path / "src").symlink_to(ROOT / "src")
     result = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"),
@@ -673,6 +675,7 @@ def test_benchmark_traced_run_passes(tmp_path, workload):
     assert result.returncode == 0, result.stderr
     record = json.loads(result.stdout.splitlines()[-1])
     assert record["correct"] is True
+    assert record["failed"] == 0
     names = ("qmix.iand_us", "nqubit_sim.and_gate_us", "nqubit_sim.partial_trace_us", "nqubit_sim.bloch_embed_us")
     assert set(names) <= set(record["metrics"]), sorted(record["metrics"])
 

@@ -367,7 +367,7 @@ def test_an_empty_domain_means_no_model_in_the_pool(monkeypatch):
     answers = _pool_answers(parse("?r"), with_r.members, 0.5)
     assert sizes == []
     assert result.witness is None and result.value == 1
-    assert consistency_probe(with_r).status == "no-model-at-budget"
+    assert consistency_probe(with_r).status == "inconsistent"
     _unnarrowed(monkeypatch)
     assert semantics.relevance_degree(theory, parse("r")) == result
     assert _pool_answers(parse("?r"), with_r.members, 0.5) == answers

@@ -26,7 +26,7 @@ from util import random_formula
 STATUSES = {
     "check_tautology": {"counterexample", "tautology-no-counterexample"},
     "consequence": {"counterexample", "tautology-no-counterexample"},
-    "consistency_probe": {"model-found", "no-model-at-budget"},
+    "consistency_probe": {"model-found", "no-model-at-budget", "inconsistent"},
     "relevance_degree": {"feasible", "infeasible", "tolerance-limited"},
 }
 
@@ -76,4 +76,4 @@ def test_consistency_probe_counts_candidates_as_check_tautology_does():
     found = consistency_probe(Theory.from_text("p -> q\nq -> p\n!(p . q)"))
     assert (found.status, found.evaluations) == ("model-found", 63)
     clash = consistency_probe(Theory([parse("p"), parse("!p")]))
-    assert (clash.status, clash.evaluations) == ("no-model-at-budget", 61)
+    assert (clash.status, clash.evaluations) == ("inconsistent", 61)
