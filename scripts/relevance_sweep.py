@@ -17,13 +17,12 @@ def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--steps", type=int, default=8)
     parser.add_argument("--budget", type=int, default=100_000)
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
     # s = k / steps must be dyadic, the only constants the formula language has.
     if args.steps < 1 or args.steps & (args.steps - 1):
         parser.error(f"--steps must be a positive power of two, got {args.steps}")
 
-    options = RelevanceOptions(budget=args.budget, seed=args.seed)
+    options = RelevanceOptions(budget=args.budget)
     try:
         options.validate()
     except ValueError as exc:

@@ -71,14 +71,13 @@ def _model_fields(model: semantics.ReducedModel | None) -> list[tuple[str, objec
 # The options that more than one command reads, each declared once.
 _SHARED_OPTIONS = {
     "--format": {"choices": ("plain", "machine"), "default": "plain"},
-    "--seed": {"type": int, "default": 0},
     "--budget": {"type": int, "default": 100_000},
 }
 
 
-def _add_options(parser: argparse.ArgumentParser, *flags: str, **extra):
+def _add_options(parser: argparse.ArgumentParser, *flags: str):
     for flag in flags:
-        parser.add_argument(flag, **_SHARED_OPTIONS[flag], **extra)
+        parser.add_argument(flag, **_SHARED_OPTIONS[flag])
 
 
 class _CommandParser(argparse.ArgumentParser):
@@ -126,9 +125,7 @@ def _cmd_taut(args) -> int:
 def _cmd_relevance(args) -> int:
     theory = semantics.Theory.from_text(_read(args.theory))
     f = parse(args.formula)
-    options = semantics.RelevanceOptions(
-        grid=args.grid, tol=args.tol, budget=args.budget, seed=args.seed
-    )
+    options = semantics.RelevanceOptions(grid=args.grid, tol=args.tol, budget=args.budget)
     result = semantics.relevance_degree(theory, f, options)
     fields = [("value", result.value), ("status", result.status), ("evaluations", result.evaluations)]
     _emit(fields + _model_fields(result.witness), args.format)
@@ -262,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rel.add_argument("formula")
     p_rel.add_argument("--grid", type=fraction, default=Fraction(1, 32))
     p_rel.add_argument("--tol", type=float, default=1e-6)
-    _add_options(p_rel, "--format", "--seed", "--budget")
+    _add_options(p_rel, "--format", "--budget")
     p_rel.set_defaults(run=_cmd_relevance)
 
     p_tr = sub.add_parser("translate", help="PMV-translate a formula or theory")
@@ -292,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("operands", nargs="*")
     p_sim.add_argument("--trials", type=int, default=100, action=_Prop34Option)
     _add_options(p_sim, "--format")
-    _add_options(p_sim, "--seed", action=_Prop34Option)
+    p_sim.add_argument("--seed", type=int, default=0, action=_Prop34Option)
     p_sim.set_defaults(run=_cmd_sim, prop34_flags=())
 
     return parser

@@ -22,10 +22,12 @@ reports the least value it finds at an exact model, taken first from the
 pool search's least objective over its class tuples.  Interval
 contraction on the formula trees (HC4, with bisection) then tries to
 prove that no model lies below that value, or that there is no model at
-all; when it does, the pool's answer is the infimum and the search ends
-there.  Otherwise the end point of a float multi-start coordinate
-descent, snapped to exact disk points, may improve it.  The same
-contraction lets the consistency probe certify a theory inconsistent.
+all; a status comes from such a proof or from the budget, never from a
+float.  Without a pool model the search ends there.  A pool model proved
+least is the infimum; otherwise the end point of a float multi-start
+coordinate descent, snapped to exact disk points, may improve its value.
+The same contraction lets the consistency probe certify a theory
+inconsistent.
 Every search reports one ``SearchResult``: an exact witness or none, the
 objective's value there, a status and an evaluation count.
 
@@ -277,16 +279,14 @@ _TEMPLATES = {
 # _evaluator_source: one line search of coordinate ci, and the seed
 # screen.  Each evaluation of the point x runs _POINT: it returns None for
 # a spent budget ``left``, then keeps the least objective among points of
-# residual at most _STRICT_RESIDUAL with a copy of the point, (sobj, sx),
-# and the least residual of any point, lres.  {at2} and {at3} are
-# evaluations at that depth.
+# residual at most _STRICT_RESIDUAL with a copy of the point, (sobj, sx).
+# {at2} and {at3} are evaluations at that depth.
 _POINT = """\
-if used == left: return used, None, (sobj, sx, lres)
+if used == left: return used, None, (sobj, sx)
 used += 1
 {coords}= x
 {body}
-if r <= {strict!r} and (sx is None or o < sobj): sobj, sx = o, x.copy()
-if r < lres: lres = r"""
+if r <= {strict!r} and (sx is None or o < sobj): sobj, sx = o, x.copy()"""
 
 # A line search scores the point x[ci] = v lexicographically.  In phase A
 # the centring tie-break moves toward 1/2 where the residual is flat, so
@@ -303,7 +303,7 @@ else: s0, s1, s2 = 1.0, r, 0.0"""
 # whose (r, o) it returns.  A point replaces best_v only when it scores less.
 _LINE_SEARCH = """\
 def line_search(x, ci, lo, hi, phase_a, guard, left, tol, records):
-    sobj, sx, lres = records
+    sobj, sx = records
     used = stage = 0
     width = hi - lo
     candidates = [min(max(x[ci], lo), hi)]
@@ -313,7 +313,7 @@ def line_search(x, ci, lo, hi, phase_a, guard, left, tol, records):
             if used == 1 or s0 < b0 or s0 == b0 and (s1 < b1 or s1 == b1 and s2 < b2):
                 b0, b1, b2, best_v = s0, s1, s2, v
         if stage == 2:
-            return used, (r, o), (sobj, sx, lres)
+            return used, (r, o), (sobj, sx)
         if stage == 1:
             lo = max(lo, best_v - step)
             hi = min(hi, best_v + step)
@@ -328,12 +328,12 @@ def line_search(x, ci, lo, hi, phase_a, guard, left, tol, records):
 
 _SCREEN = """\
 def screen(seeds, scored, left, records):
-    sobj, sx, lres = records
+    sobj, sx = records
     used = 0
     for x in seeds:
         {at2}
         scored.append((r, o, used - 1))
-    return used, (r, o), (sobj, sx, lres)
+    return used, (r, o), (sobj, sx)
 """
 
 
@@ -368,8 +368,8 @@ def _evaluator_source(
     - ``screen(seeds, scored, left, records)`` appends (r, o, index)
       to ``scored`` for each seed in order.
 
-    Both evaluate at most ``left`` points, keep the records ``(sobj, sx,
-    lres)`` of ``_POINT``, and return (evaluations, last, records): ``last``
+    Both evaluate at most ``left`` points, keep the records ``(sobj, sx)``
+    of ``_POINT``, and return (evaluations, last, records): ``last``
     is the (r, o) of the last point evaluated, which for ``line_search`` is
     the final x, or None once ``left`` is spent.
 
@@ -496,8 +496,8 @@ class SearchResult:
     - ``model-found``, ``inconsistent`` (certified by interval
       contraction) or ``no-model-at-budget`` for
       ``calculus.consistency_probe``;
-    - ``feasible``, ``infeasible`` or ``tolerance-limited`` for
-      ``relevance_degree``.
+    - ``feasible``, ``infeasible`` (certified by interval contraction) or
+      ``tolerance-limited`` for ``relevance_degree``.
 
     ``evaluations`` counts, for ``first_hit``, the candidates in sweep order
     up to its hit, else those of the class tuples decided; for
@@ -599,8 +599,7 @@ class PoolSearch:
     denominator of the pool and the constants.  With three or more atoms,
     the class tuples that arc consistency rules out are decided without
     being screened (``_arc_consistent``); every count is that of the class
-    tuples decided, as if each were screened.  Each search sets
-    ``tuples``, the count of all the class tuples.
+    tuples decided, as if each were screened.
     """
 
     def __init__(self, objective: Formula | None, members=()):
@@ -620,10 +619,10 @@ class PoolSearch:
         point of each class of the first passing tuple: each earlier
         candidate's tuple comes before that one, because a lower class first
         occurs earlier, and so failed the screen or arc consistency."""
-        passing, b, allowed, classes, firsts, strides, m = self._class_tuples(budget, least=False)
+        passing, b, allowed, classes, firsts, strides, _ = self._class_tuples(budget, least=False)
         h = next(passing, None)
         if h is None:
-            return math.prod(map(len, allowed)) if b == m else _candidates_below(b, classes, strides), None
+            return _candidates_below(b, classes, strides), None
         picks = _picks(h, firsts, strides)
         scales = [math.prod(map(len, allowed[:k])) for k in range(len(allowed))]
         return 1 + sum(points.index(j) * scale for points, j, scale in zip(allowed, picks, scales)), self.pairs(picks)
@@ -679,7 +678,6 @@ class PoolSearch:
         # With two atoms the arcs would decide the product the screen does.
         kept = self._arc_consistent(firsts) if n > 2 and m else [range(count) for count in counts]
         b = min(budget, m)
-        self.tuples = m
         return _screen_kept(screen, self.lifted, firsts, strides, kept, b), b, allowed, classes, firsts, strides, m
 
     def _arc_consistent(self, firsts) -> list[list[int]]:
@@ -746,7 +744,7 @@ def _screen_kept(screen, lifted, firsts, strides, kept, b: int):
     whole = math.prod(map(len, firsts))
     if m == whole:
         return screen.evaluate(b, lifted, columns)
-    passing = screen.evaluate(m if b == whole else _candidates_below(b, kept, strides), lifted, columns)
+    passing = screen.evaluate(_candidates_below(b, kept, strides), lifted, columns)
     return (sum(cs[h // s % len(cs)] * stride for cs, s, stride in zip(kept, inner, strides)) for h in passing)
 
 
@@ -760,16 +758,20 @@ def _classes(points, columns):
 
 
 def _candidates_below(b: int, classes, strides) -> int:
-    """The candidates whose class tuple is below b, for b below the
+    """The candidates whose class tuple is below b, for b at most the
     product of the class counts: a sum over b's mixed-radix digits, from
     the slowest atom.  With each atom's kept classes for its points'
-    classes, the kept class tuples below b."""
+    classes, the kept class tuples below b.  Once b is 0 the digits left
+    are 0, and no class lies below 0, so an empty product counts 0.  With
+    no atoms there is no digit, and b, 0 or 1, counts their one candidate."""
     count, above = 0, 1
     for k in reversed(range(len(classes))):
+        if not b:
+            break
         d, b = divmod(b, strides[k])
         count += above * sum(c < d for c in classes[k]) * math.prod(map(len, classes[:k]))
         above *= classes[k].count(d)
-    return count
+    return count + above * b
 
 
 def first_hit(objective: Formula | None, members, budget: int, found: str, missed: str) -> SearchResult:
@@ -806,7 +808,6 @@ class RelevanceOptions:
     grid: Fraction = Fraction(1, 32)
     tol: float = 1e-6
     budget: int = 100_000
-    seed: int = 0
 
     def validate(self) -> None:
         """Raise ``ValueError`` unless budget >= 1, 2**-52 <= grid <= 1 (a
@@ -863,16 +864,18 @@ def _disk_interval(partner: float) -> tuple[float, float]:
 
 def _descent(alpha: Formula, members, names, opts: RelevanceOptions, budget: int):
     """The float search within ``budget`` evaluations, in the functions
-    ``_evaluators`` generates: seeds from a per-atom grid (pitch
-    ``opts.grid``) and boundary samples, then coordinate descent from the
-    best, first of the residual 1 - min over members, then of alpha without
-    leaving it.  A coordinate no formula reads is set to 1/2, in every disk
-    interval, without evaluation.  Returns (evaluations, whether the budget
+    ``_evaluators`` generates, run only to improve on a pool model that
+    the contraction did not prove least: seeds from a per-atom grid (pitch
+    ``opts.grid``) and boundary samples, with two or more atoms also 128
+    drawn from them by ``random.Random(0)``, then coordinate descent from
+    the best, first of the residual 1 - min over members, then of alpha
+    without leaving it.  A coordinate no formula reads is set to 1/2, in
+    every disk interval, without evaluation.  Returns (evaluations, whether the budget
     ran out, the point of least objective among those of residual at most
-    ``_STRICT_RESIDUAL`` or None, the least residual of any point)."""
+    ``_STRICT_RESIDUAL`` or None)."""
     pos = {name: 2 * k for k, name in enumerate(names)}
     search, tol = _evaluators(alpha, members, pos), opts.tol
-    evals, records = 0, (None, None, math.inf)
+    evals, records = 0, (None, None)
 
     def sweep(x: list[float], phase_a: bool, guard: float, last: tuple[float, float]):
         # A line search per coordinate read, within the disk its partner allows, from
@@ -916,7 +919,7 @@ def _descent(alpha: Formula, members, names, opts: RelevanceOptions, budget: int
     pool = _float_pool(opts.grid, budget + 1)
     seeds = [list(point) * len(names) for point in pool]
     if len(names) > 1 and len(pool) <= budget:
-        rng = random.Random(opts.seed)
+        rng = random.Random(0)
         seeds += [[c for _ in names for c in pool[rng.randrange(len(pool))]] for _ in range(128)]
 
     scored: list[tuple[float, float, int]] = []
@@ -928,8 +931,7 @@ def _descent(alpha: Formula, members, names, opts: RelevanceOptions, budget: int
         starts = dict.fromkeys(idx for *_, idx in by_residual + by_objective)
         # all() stops at the first descent that spends the budget.
         exhausted = not all(descend(list(seeds[idx]), *scored[idx][:2]) for idx in starts)
-    _, strict_x, least_residual = records
-    return evals, exhausted, strict_x, least_residual
+    return evals, exhausted, records[1]
 
 
 def _convergents(x: float, count: int) -> list[Fraction]:
@@ -1157,36 +1159,33 @@ def relevance_degree(
     theory: Theory, alpha: Formula, options: RelevanceOptions | None = None
 ) -> SearchResult:
     """The least value of alpha at the exact models of the theory found within
-    ``options.budget`` evaluations, the pool's on ties, from two sources:
-    ``PoolSearch(alpha, theory.members).least``, one evaluation per class
-    tuple decided; and ``_descent`` on the budget left, whose strict point
-    gives each atom the exact disk points of ``_snaps``, each tuple of their
-    product tried with ``is_model_of`` at tolerance 0 as one evaluation.
+    ``options.budget`` evaluations, the pool's on ties, and a status that a
+    certificate or the budget decides.
 
-    When the pool has decided every class tuple, ``certifies_no_model``
-    runs first.  If it proves that no model gives alpha a value below the
-    pool's, that value is the infimum: the answer is the pool's, status
-    ``feasible``, at the pool's count, and no descent runs.  If the pool
-    found no model and it proves there is none, the status is
-    ``infeasible``, likewise.  Otherwise the status is ``feasible`` when a
-    model was found within the budget, ``infeasible`` when none was and no
-    point reached a residual below ``tol``, else ``tolerance-limited``: the
-    budget ran out, or the points reached gave no exact model.  Raises
-    ``ValueError`` for options that ``validate`` rejects."""
+    ``PoolSearch(alpha, theory.members).least`` runs first, one evaluation
+    per class tuple decided, and ``certifies_no_model`` then tries to prove
+    its answer, whatever part of the budget the pool spent.  With no pool
+    model the value is 1, without a witness, at the pool's count: status
+    ``infeasible`` when the contraction proves there is no model, else
+    ``tolerance-limited``.  A pool model proved least is the infimum, status
+    ``feasible`` at the pool's count.  Otherwise ``_descent`` looks for a
+    lower exact value on the budget left: its strict point gives each atom
+    the exact disk points of ``_snaps``, each tuple of their product tried
+    with ``is_model_of`` at tolerance 0 as one evaluation.  The status is
+    then ``feasible``, or ``tolerance-limited`` when the budget ran out.
+    Raises ``ValueError`` for options that ``validate`` rejects."""
     opts = options or RelevanceOptions()
     opts.validate()
     search = PoolSearch(alpha, theory.members)
     evals, pairs = search.least(opts.budget)
-    found = [] if pairs is None else [ReducedModel(pairs)]
-    # Certified: no model, or none below the pool's least value; else the descent looks further.
-    if evals == search.tuples:
-        if not found and certifies_no_model(theory.members):
-            return SearchResult(Fraction(1), "infeasible", None, evals)
-        if found and certifies_no_model(theory.members, alpha, value := eval_prob(found[0], alpha)[0]):
-            return SearchResult(value, "feasible", found[0], evals)
-    # An atom-free theory and formula have one class tuple, which decides them.
-    descent = _descent(alpha, theory.members, search.names, opts, opts.budget - evals) if search.names else None
-    used, exhausted, strict_x, least_residual = descent or (0, False, None, math.inf)
+    if pairs is None:
+        status = "infeasible" if certifies_no_model(theory.members) else "tolerance-limited"
+        return SearchResult(Fraction(1), status, None, evals)
+    found = [ReducedModel(pairs)]
+    if certifies_no_model(theory.members, alpha, value := eval_prob(found[0], alpha)[0]):
+        return SearchResult(value, "feasible", found[0], evals)
+    # Atom-free formulas are always certified, so the descent has an atom to move.
+    used, exhausted, strict_x = _descent(alpha, theory.members, search.names, opts, opts.budget - evals)
     evals += used
     snapped = () if strict_x is None else itertools.product(*map(_snaps, strict_x[::2], strict_x[1::2]))
     for points in snapped:
@@ -1196,11 +1195,8 @@ def relevance_degree(
         model = ReducedModel(dict(zip(search.names, points)))
         if is_model_of(model, theory):
             found.append(model)
-    if found:
-        value, witness = min(((eval_prob(model, alpha)[0], model) for model in found), key=lambda vm: vm[0])
-        return SearchResult(value, "tolerance-limited" if exhausted else "feasible", witness, evals)
-    status = "tolerance-limited" if exhausted or least_residual < opts.tol else "infeasible"
-    return SearchResult(Fraction(1), status, None, evals)
+    value, witness = min(((eval_prob(model, alpha)[0], model) for model in found), key=lambda vm: vm[0])
+    return SearchResult(value, "tolerance-limited" if exhausted else "feasible", witness, evals)
 
 
 # ---------------------------------------------------------------------------

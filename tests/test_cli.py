@@ -132,7 +132,7 @@ def test_relevance(tmp_path, capsys):
 def test_relevance_machine_output_deterministic(tmp_path, capsys):
     theory = tmp_path / "t.thy"
     theory.write_text("3/4 -> p\n")
-    args = ["relevance", str(theory), "p", "--format", "machine", "--seed", "1"]
+    args = ["relevance", str(theory), "p", "--format", "machine"]
     _, first, _ = run_cli(args, capsys)
     _, second, _ = run_cli(args, capsys)
     assert first == second
@@ -369,7 +369,7 @@ OPTION_TABLE = {
     ("fmt",): {"format"},
     ("eval",): {"model", "format"},
     ("taut",): {"format", "budget"},
-    ("relevance",): {"format", "seed", "grid", "tol", "budget"},
+    ("relevance",): {"format", "grid", "tol", "budget"},
     ("translate",): {"theory", "format"},
     ("tq5",): {"atoms", "s", "t5", "t5_s"},
     ("proof", "check"): {"format"},
@@ -395,7 +395,7 @@ def _options(parser: argparse.ArgumentParser) -> dict[str, object]:
 def test_each_command_declares_only_the_options_it_reads():
     parser = build_parser()
     assert {command: set(_options(_subcommand(parser, *command))) for command in OPTION_TABLE} == OPTION_TABLE
-    assert sum(map(len, OPTION_TABLE.values())) == 20
+    assert sum(map(len, OPTION_TABLE.values())) == 19
 
 
 def test_kept_options_keep_their_defaults():
@@ -423,6 +423,7 @@ DROPPED_OPTIONS = [
     ["proof", "check", "t.thy", "p.proof", "p", "--budget", "10"],
     ["sim", "prop34", "--tol", "nan"],
     ["taut", "p -> p", "--seed", "3"],
+    ["relevance", "t.thy", "p", "--seed", "1"],
 ]
 
 

@@ -211,6 +211,23 @@ def test_first_matches_the_reference_on_random_searches():
     assert capped >= 20 and capped_misses >= 10 and full >= 20 and large >= 10
 
 
+@pytest.mark.parametrize(
+    "objective, members, count",
+    [
+        ("top", [], 1),  # no atoms: one class tuple, of one candidate
+        (None, ["p", "!p", "q"], 0),  # p, the fastest atom, keeps no point
+        (None, ["p", "q", "!q", "r"], 0),  # q, in the middle
+        (None, ["p", "q", "r", "!r"], 0),  # r, the slowest
+    ],
+)
+def test_a_miss_over_the_whole_product_counts_each_candidate(objective, members, count):
+    # One count rule for a miss at every budget: an empty product and the
+    # product of no atoms are its edges.
+    objective, members = None if objective is None else parse(objective), [parse(m) for m in members]
+    for budget in (1, 10, 10**6):
+        assert PoolSearch(objective, members).first(budget) == (count, None) == reference_first(objective, members, budget)
+
+
 def test_least_matches_the_reference_on_random_searches():
     # The least objective over the models among the candidates of the first
     # ``budget`` class tuples.  The reference decides the same candidates

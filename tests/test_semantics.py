@@ -447,10 +447,17 @@ def test_relevance_atom_free():
 
 
 def test_relevance_budget_limited():
+    # The budget stops the pool search at 40 of its 61 class tuples, after
+    # its model p = (1, 1/2); the contraction proves that model least.
     opts = RelevanceOptions(budget=40)
     r = relevance_degree(Theory([parse("p")]), parse("?p"), opts)
-    assert r.status == "tolerance-limited"
-    assert r.evaluations <= 40
+    assert (r.value, r.status, r.evaluations) == (Fraction(1, 2), "feasible", 40)
+    r = relevance_degree(Theory([parse("half -> p . q")]), parse("p"), RelevanceOptions(budget=30))
+    assert (r.value, r.status, r.evaluations) == (Fraction(1, 2), "feasible", 30)
+    # A certificate needs no pool search to its end: the contraction empties
+    # {p . q, !(p . q)} after one class tuple.
+    r = relevance_degree(Theory([parse("p . q"), parse("!(p . q)")]), parse("q"), RelevanceOptions(budget=1))
+    assert (r.value, r.status, r.witness, r.evaluations) == (1, "infeasible", None, 1)
 
 
 def test_relevance_monotone_in_theory():
@@ -580,7 +587,7 @@ def test_float_evaluator_bit_identical_to_closures():
                 x += [u, (1.0 - c) / 2.0 + c * rng.random()]
             x = [rng.choice(special) if rng.random() < 0.3 else c for c in x]
             scored = []
-            screen([x], scored, 1, (None, None, math.inf))
+            screen([x], scored, 1, (None, None))
             assert list(map(_hex, scored[0][:2])) == list(map(_hex, reference(x))), (objective, members, x)
 
 
@@ -600,7 +607,7 @@ def test_generated_source_holds_no_formula_text():
         "x", "d", "r", "o", "i", "m", "pool", "picks", "zip", "range", "map",
         "ci", "lo", "hi", "phase_a", "guard", "left", "tol", "records", "seeds", "scored",
         "used", "stage", "width", "step", "candidates", "k", "v", "best_v",
-        "sobj", "sx", "lres", "lobj", "lx", "s0", "s1", "s2", "b0", "b1", "b2",
+        "sobj", "sx", "s0", "s1", "s2", "b0", "b1", "b2",
         "min", "max", "abs", "round",
     }
     rng = random.Random(214)
@@ -642,17 +649,15 @@ def reference_descent(theory, alpha, names, opts, budget):
 
     evals = 0
     best_strict = None  # (objective, x)
-    least_residual = math.inf
 
     def evaluate(x):
-        nonlocal evals, best_strict, least_residual
+        nonlocal evals, best_strict
         if evals >= budget:
             raise _BudgetExhausted
         evals += 1
         residual, obj = values(x)
         if residual <= _STRICT_RESIDUAL and (best_strict is None or obj < best_strict[0]):
             best_strict = (obj, list(x))
-        least_residual = min(least_residual, residual)
         return residual, obj
 
     def line_search(x, ci, phase_a, guard):
@@ -715,7 +720,7 @@ def reference_descent(theory, alpha, names, opts, budget):
     for point in pool:
         seeds.append([c for _ in names for c in point])
     if len(names) > 1:
-        rng = random.Random(opts.seed)
+        rng = random.Random(0)
         for _ in range(128):
             seed_x = []
             for _ in names:
@@ -743,7 +748,7 @@ def reference_descent(theory, alpha, names, opts, budget):
             descend(list(seeds[idx]))
     except _BudgetExhausted:
         exhausted = True
-    return evals, exhausted, None if best_strict is None else best_strict[1], least_residual
+    return evals, exhausted, None if best_strict is None else best_strict[1]
 
 
 def _assert_matches_reference(theory, alpha, options):
@@ -781,7 +786,7 @@ def test_relevance_random_theories_match_closure_reference():
         names = ("p", "q", "r")[: rng.randint(1, 3)]
         members = [random_formula(rng, names, depth=rng.randint(0, 3)) for _ in range(rng.randint(0, 3))]
         alpha = random_formula(rng, names, depth=rng.randint(1, 4))
-        options = RelevanceOptions(grid=Fraction(1, 16), tol=rng.choice((1e-6, 1e-2, 1e-1)), seed=rng.randrange(4))
+        options = RelevanceOptions(grid=Fraction(1, 16), tol=rng.choice((1e-6, 1e-2, 1e-1)))
         statuses.add(_assert_matches_reference(Theory(members), alpha, options).status)
     assert statuses == {"feasible", "infeasible"}
 
@@ -801,16 +806,17 @@ def test_relevance_budget_limited_matches_closure_reference():
     # budget the screen leaves, at the first seed, at the last seed, one
     # past the seeds, at each point of the first line search and into its
     # second round, and deep in the descent; and one short of the whole search.
-    # The contraction certifies the pool's answer on the last two rows, so
-    # from the budget that lets the pool decide every class tuple they are
-    # feasible at that count, and no descent runs.
+    # The contraction certifies the pool's answer on the last two rows at
+    # any budget, so no descent runs: they are feasible at the pool's count
+    # once the pool has met a model (at budget 1 for {p}, not for
+    # half -> p . q), and tolerance-limited, without a model, before.
     grid = Fraction(1, 32)
     rows = [
-        (Theory([parse("3/4 -> p"), parse("p -> q"), parse("q . r -> p")]), parse("?q + r"), False),
-        (Theory([parse("half -> p . q")]), parse("p"), True),
-        (Theory([parse("p")]), parse("?p"), True),
+        (Theory([parse("3/4 -> p"), parse("p -> q"), parse("q . r -> p")]), parse("?q + r"), False, "tolerance-limited"),
+        (Theory([parse("half -> p . q")]), parse("p"), True, "tolerance-limited"),
+        (Theory([parse("p")]), parse("?p"), True, "feasible"),
     ]
-    for theory, alpha, certified in rows:
+    for theory, alpha, certified, at_one in rows:
         full = relevance_degree(theory, alpha, RelevanceOptions(grid=grid)).evaluations
         screened = PoolSearch(alpha, theory.members).least(full)[0]
         assert (full == screened) == certified
@@ -818,11 +824,13 @@ def test_relevance_budget_limited_matches_closure_reference():
         descent = (1, seeds, *range(seeds + 1, seeds + 14), 3000)
         for budget in (1, screened, *(screened + b for b in descent), full - 1, full):
             result = _assert_matches_reference(theory, alpha, RelevanceOptions(grid=grid, budget=budget))
-            if certified and budget >= screened:
-                assert (result.status, result.evaluations) == ("feasible", screened)
-                continue
-            assert result.evaluations == budget
-            assert result.status == ("tolerance-limited" if budget < full else "feasible")
+            if budget == 1:
+                assert (result.status, result.evaluations) == (at_one, 1)
+            elif certified:
+                assert (result.value, result.status, result.evaluations) == (Fraction(1, 2), "feasible", min(budget, screened))
+            else:
+                assert result.evaluations == budget
+                assert result.status == ("tolerance-limited" if budget < full else "feasible")
 
 
 @pytest.mark.parametrize(
@@ -942,29 +950,48 @@ def test_a_snapped_point_on_the_circle_is_its_atoms_only_candidate(monkeypatch):
     assert len(tried) == 1 and tried[0] == result.witness
 
 
-def test_relevance_without_a_rational_model_reports_no_value():
-    # p . p = 1/2 holds only at the irrational u = 1/sqrt 2: the descent
-    # reaches it in floats, but no exact model exists to report.
-    theory = Theory([parse("p . p -> 1/2"), parse("1/2 -> p . p")])
-    for grid in (Fraction(1, 32), Fraction(1, 64)):
-        result = relevance_degree(theory, parse("p"), RelevanceOptions(grid=grid))
-        assert (result.value, result.status, result.witness) == (Fraction(1), "tolerance-limited", None)
+def test_relevance_without_a_rational_model_reports_no_value(monkeypatch):
+    # p . p = 1/2 holds only at the irrational u = 1/sqrt 2, and 3p >= 1 with
+    # 2p <= 1 - p only at p = 1/3, off the pool: neither has a pool model,
+    # and the contraction empties neither.  So there is no exact model to
+    # report, nothing certifies that none exists, and the descent, which
+    # only improves on a pool model, does not run.
+    calls = []
+    monkeypatch.setattr(semantics, "_descent", lambda *args: calls.append(args))
+    for lines in (["p . p -> 1/2", "1/2 -> p . p"], ["p + p + p", "p + p -> !p"]):
+        theory = Theory([parse(line) for line in lines])
+        pool = PoolSearch(parse("p"), theory.members).least(100_000)
+        assert pool[1] is None and not certifies_no_model(theory.members), lines
+        for grid in (Fraction(1, 32), Fraction(1, 64)):
+            result = relevance_degree(theory, parse("p"), RelevanceOptions(grid=grid))
+            assert (result.value, result.status, result.witness, result.evaluations) == (1, "tolerance-limited", None, pool[0])
+    assert calls == []
 
 
-def test_relevance_value_is_an_exact_fraction_on_every_path():
+def test_relevance_value_is_an_exact_fraction_on_every_path(monkeypatch):
     # Random theories, at budgets that run out in the pool screen, in the
     # descent and not at all, and atom-free ones: the value is a Fraction,
     # the value at its witness, an exact model; without one it is 1.
+    # infeasible is always a certificate, and the descent runs only from a
+    # pool model.
+    calls = []
+    descent = semantics._descent
+    monkeypatch.setattr(semantics, "_descent", lambda *args: calls.append(args) or descent(*args))
     rng = random.Random(223)
     cases = [(Theory([parse("top")]), parse("3/8"), 100), (Theory([parse("3/8")]), parse("1/4"), 100)]
     for _ in range(60):
         names = ("p", "q", "r")[: rng.randint(1, 3)]
         members = [random_formula(rng, names, depth=rng.randint(0, 3)) for _ in range(rng.randint(0, 3))]
         cases.append((Theory(members), random_formula(rng, names, depth=rng.randint(1, 4)), rng.choice((1, 60, 3000, 100_000))))
-    statuses = set()
+    statuses, descended = set(), 0
     for theory, alpha, budget in cases:
         result = relevance_degree(theory, alpha, RelevanceOptions(grid=Fraction(1, 16), budget=budget))
         assert type(result.value) is Fraction and result.evaluations <= budget, (theory, alpha, budget)
+        assert result.status != "infeasible" or certifies_no_model(theory.members), (theory, alpha, budget)
+        if calls:
+            assert PoolSearch(alpha, theory.members).least(budget)[1] is not None, (theory, alpha, budget)
+            descended += 1
+            calls.clear()
         if result.witness is None:
             assert result.value == 1
         else:
@@ -973,6 +1000,7 @@ def test_relevance_value_is_an_exact_fraction_on_every_path():
             assert eval_prob(result.witness, alpha)[0] == result.value
         statuses.add(result.status)
     assert statuses == {"feasible", "infeasible", "tolerance-limited"}
+    assert descended == 2  # the rows the contraction leaves open
 
 
 def _random_row(rng):
@@ -1028,7 +1056,7 @@ def test_a_certificate_never_meets_a_model_below_it():
     for _ in range(150):
         names, members, alpha = _random_row(rng)
         theory = Theory(members)
-        _, _, strict_x, _ = reference_descent(theory, alpha, names, options, options.budget)
+        _, _, strict_x = reference_descent(theory, alpha, names, options, options.budget)
         snapped = [] if strict_x is None else [
             ReducedModel(dict(zip(names, points))) for points in itertools.product(*map(_snaps, strict_x[::2], strict_x[1::2]))
         ]
