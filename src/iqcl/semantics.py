@@ -32,7 +32,8 @@ Every search reports one ``SearchResult``: an exact witness or none, the
 objective's value there, a status and an evaluation count.
 
 Both searches evaluate through functions generated per call from one
-template table of the connectives: in exact integers over a common
+template table of the connectives, and compiled once per distinct
+source: in exact integers over a common
 denominator for the pool search; in floats for the descent, computing
 the constraint residual and f's value together, bit-identical to the
 pair recursion in floats.  In floats the seed screen and each line
@@ -55,6 +56,8 @@ from fractions import Fraction
 
 from .algebra import (
     HALF,
+    ONE,
+    ZERO,
     fraction,
     mv_implies,
     mv_join,
@@ -470,10 +473,29 @@ def _evaluators(
 
 
 def _compile(source: str, reads: tuple[int, ...]) -> types.SimpleNamespace:
+    """The functions that ``source`` defines, and ``reads``, in a new namespace.
+
+    A search's source depends only on its formulas' shapes, so searches
+    repeat sources: each source is compiled once, and its functions kept
+    in an LRU memo of ``_COMPILED`` sources.  The functions keep no state
+    between calls, so searches can share them; the namespace is each
+    call's own, so that a caller may replace a function in it (as the tests
+    do, to count the class tuples screened) without touching another search."""
+    return types.SimpleNamespace(**_functions(source), reads=reads)
+
+
+# The most sources whose compiled functions are kept; one benchmark cycle
+# of relevance or tautology queries compiles fewer than 30.
+_COMPILED = 128
+
+
+@functools.lru_cache(maxsize=_COMPILED)
+def _functions(source: str) -> dict:
+    """The functions that ``source`` defines, by name; see ``_compile``."""
     namespace: dict = {}
     exec(source, namespace)
     del namespace["__builtins__"]
-    return types.SimpleNamespace(**namespace, reads=reads)
+    return namespace
 
 
 # ---------------------------------------------------------------------------
@@ -687,16 +709,15 @@ class PoolSearch:
         each such member of its atom is 1 at it and at some kept class of
         the other atom.  A class agrees on every coordinate the screen
         reads, so a member is decided once per pair of classes, at their
-        first points, by a generated function compiled once per distinct
-        source.  No class tuple holding a dropped class passes the screen;
-        an empty domain means the pool holds no model."""
-        compiled = functools.cache(_compile)
+        first points, by a generated function (``_compile``).  No class
+        tuple holding a dropped class passes the screen; an empty domain
+        means the pool holds no model."""
         arcs = []
         for beta in self.members:
             pair = sorted(formula_atoms(beta))
             if len(pair) == 2:
                 a, b = map(self.names.index, pair)
-                arc = compiled(*_evaluator_source(None, [beta], {pair[0]: 0, pair[1]: 2}, self.den))
+                arc = _compile(*_evaluator_source(None, [beta], {pair[0]: 0, pair[1]: 2}, self.den))
                 ca, cb = len(firsts[a]), len(firsts[b])
                 columns = [_Column(firsts[a], 1, cb), _Column(firsts[b], ca, 1)]
                 arcs.append((a, b, [(i % ca, i // ca) for i in arc.evaluate(ca * cb, self.lifted, columns)]))
@@ -934,29 +955,32 @@ def _descent(alpha: Formula, members, names, opts: RelevanceOptions, budget: int
     return evals, exhausted, records[1]
 
 
-def _convergents(x: float, count: int) -> list[Fraction]:
-    """The first ``count`` continued-fraction convergents of x within 1e-12
-    of it; the last convergent is x itself."""
+def _convergents(x: float, count: int, within: float = 1e-12) -> list[Fraction]:
+    """The first ``count`` continued-fraction convergents of x within
+    ``within`` of it; the last convergent is x itself."""
     n, d = x.as_integer_ratio()
     h0, h1, k0, k1 = 0, 1, 1, 0
     near: list[Fraction] = []
     while d and len(near) < count:
         a, (n, d) = n // d, (d, n % d)
         h0, h1, k0, k1 = h1, a * h1 + h0, k1, a * k1 + k0
-        if abs(h1 / k1 - x) <= 1e-12:
+        if abs(h1 / k1 - x) <= within:
             near.append(Fraction(h1, k1))
     return near
 
 
-def _snaps(u: float, w: float) -> list[tuple[Fraction, Fraction]]:
-    """Exact disk points near (u, w): its coordinates' first convergents, and
-    within 1e-9 of the circle, unless that point lies on it, the circle
-    points at tan(θ/2)'s first two."""
+def _snaps(u: float, w: float, tol: float) -> list[tuple[Fraction, Fraction]]:
+    """Exact disk points near (u, w): its coordinates' first convergents
+    within 1e-12; within 1e-9 of the circle, unless that point lies on it,
+    the circle points at tan(θ/2)'s first two; and, as the descent stops
+    within ``tol`` of an optimum, its coordinates' first convergents within
+    ``tol``, such as 1/3 for a u of 0.3333333364."""
     cu, cw = _convergents(u, 1)[0], _convergents(w, 1)[0]
     points = [(cu, cw)]
     r3, r2 = 1.0 - 2.0 * u, 1.0 - 2.0 * w
     if abs(math.hypot(r3, r2) - 1.0) <= 1e-9 and (1 - 2 * cu) ** 2 + (1 - 2 * cw) ** 2 != 1:
         points += map(_circle_point, _convergents(math.tan(math.atan2(r2, r3) / 2.0), 2))
+    points.append((_convergents(u, 1, tol)[0], _convergents(w, 1, tol)[0]))
     return [point for point in dict.fromkeys(points) if _in_disk(*point, Fraction(0))]
 
 
@@ -967,17 +991,13 @@ def _snaps(u: float, w: float) -> list[tuple[Fraction, Fraction]]:
 _BOXES = 16
 
 
-def _sqrt_up(x: Fraction) -> Fraction:
-    """A dyadic at or above the square root of x >= 0, at most 2**-63 above it."""
-    n = -((-x.numerator << 128) // x.denominator)  # x * 4**64, rounded up
-    r = math.isqrt(n)
-    return Fraction(r + (r * r < n), 1 << 64)
+class _Empty(Exception):
+    """A contraction emptied an interval: no point of the box meets its targets."""
 
 
 def _short(q: Fraction, rounding) -> Fraction:
-    """q, or past a 64-bit denominator q rounded by ``math.floor`` or
-    ``math.ceil`` to a multiple of 2**-64."""
-    return q if q.denominator <= 2**64 else Fraction(rounding(q * 2**64), 2**64)
+    """q rounded by ``math.floor`` or ``math.ceil`` to a multiple of 2**-64."""
+    return Fraction(rounding(q * 2**64), 2**64)
 
 
 def _reads(g: Formula, k: int = 0) -> set[tuple[str, int]]:
@@ -1005,10 +1025,10 @@ def _image(g: Formula, box, memo: dict) -> list:
             iv = [g.value.value, g.value.value, HALF, HALF]
         elif isinstance(g, Neg):
             a = _image(g.arg, box, memo)
-            iv = [1 - a[1], 1 - a[0], 1 - a[3], 1 - a[2]]
+            iv = [ONE - a[1], ONE - a[0], ONE - a[3], ONE - a[2]]
         elif isinstance(g, Sqrt):
             a = _image(g.arg, box, memo)
-            iv = [a[2], a[3], 1 - a[1], 1 - a[0]]
+            iv = [a[2], a[3], ONE - a[1], ONE - a[0]]
         else:
             x, y, op = _image(g.left, box, memo), _image(g.right, box, memo), _PAIR_OPS[g.op]
             # Every connective rises in each operand but the left of ->, which falls.
@@ -1029,9 +1049,9 @@ def _operands(op: str, zl, zh, xl, xh, yl, yh):
         if zl > 0:
             xl, yl = max(xl, zl + 1 - yh), max(yl, zl + 1 - xh)
     elif op == IMPLIES:  # z = min(1, 1 - x + y)
-        xh, yl = min(xh, 1 - zl + yh), max(yl, zl - 1 + xl)
+        xh, yl = min(xh, ONE - zl + yh), max(yl, zl - 1 + xl)
         if zh < 1:
-            xl, yh = max(xl, 1 - zh + yl), min(yh, zh - 1 + xh)
+            xl, yh = max(xl, ONE - zh + yl), min(yh, zh - 1 + xh)
     elif op == PRODUCT:  # z = x y, both operands in [0, 1]
         if zl:  # each operand is at least zl over the other's upper end
             if not (xh and yh):
@@ -1058,56 +1078,93 @@ def _operands(op: str, zl, zh, xl, xh, yl, yh):
 
 def _revise(g: Formula, memo: dict, k: int, lo, hi) -> bool:
     """Narrow g's value (k = 0) or root (k = 2) interval in ``memo`` to
-    [lo, hi], then its operands', down to the atoms' boxes (HC4-revise);
-    False when an interval empties."""
+    [lo, hi], then its operands', down to the atoms' boxes (HC4-revise).
+    True when an atom's box narrowed; raises ``_Empty`` when an interval
+    empties.  An atom's box keeps short fractions: an end that moves past
+    a 64-bit denominator is rounded outward by ``_short``."""
     iv = memo[g]
-    if isinstance(g, Atom):  # the box keeps short fractions, its ends rounded outward
-        lo, hi = _short(lo, math.floor), _short(hi, math.ceil)
-    lo, hi = max(lo, iv[k]), min(hi, iv[k + 1])
-    if lo > hi:
+    atom = isinstance(g, Atom)
+    if lo <= iv[k]:
+        lo = iv[k]
+    elif atom and lo.denominator > 2**64:
+        lo = max(iv[k], _short(lo, math.floor))
+    if hi >= iv[k + 1]:
+        hi = iv[k + 1]
+    elif atom and hi.denominator > 2**64:
+        hi = min(iv[k + 1], _short(hi, math.ceil))
+    # max and min return the box's own end on a tie, so an end moved iff it is new.
+    if lo is iv[k] and hi is iv[k + 1]:
         return False
-    if lo == iv[k] and hi == iv[k + 1]:
-        return True
+    if lo > hi:
+        raise _Empty
     iv[k], iv[k + 1] = lo, hi
+    if atom:
+        return True
     if isinstance(g, Neg):
-        return _revise(g.arg, memo, k, 1 - hi, 1 - lo)
+        return _revise(g.arg, memo, k, ONE - hi, ONE - lo)
     if isinstance(g, Sqrt):
-        return _revise(g.arg, memo, 2, lo, hi) if k == 0 else _revise(g.arg, memo, 0, 1 - hi, 1 - lo)
+        return _revise(g.arg, memo, 2, lo, hi) if k == 0 else _revise(g.arg, memo, 0, ONE - hi, ONE - lo)
     if isinstance(g, Bin) and k == 0:
         x, y = memo[g.left], memo[g.right]
         xl, xh, yl, yh = _operands(g.op, lo, hi, x[0], x[1], y[0], y[1])
-        return _revise(g.left, memo, 0, xl, xh) and _revise(g.right, memo, 0, yl, yh)
-    return True
+        return _revise(g.left, memo, 0, xl, xh) | _revise(g.right, memo, 0, yl, yh)
+    return False
 
 
 def _disk(iv: list) -> bool:
-    """Narrow an atom's box to the disk: |1 - 2u| is at most the root of 1
-    less the least (1 - 2w)**2, rounded up, and likewise w by u; False when
-    the box empties."""
+    """Narrow an atom's box [u lo, u hi, w lo, w hi] to the disk: |1 - 2u|
+    is at most the root of 1 - m**2, rounded up to a multiple of 2**-64,
+    m being the least |1 - 2w| over w's interval, and likewise w by u.
+    True when an end moved; raises ``_Empty`` when the box empties.
+
+    Where the partner's interval holds 1/2, m is 0 and nothing narrows.
+    Else, with a/b its end nearest 1/2, 1 - m**2 = 4a(b - a)/b**2, and the
+    rounded root r/2**64 gives the ends 1/2 -+ r/2**65.  All of it is
+    integer arithmetic on numerators and denominators, and a ``Fraction``
+    is built only for an end that moves."""
+    moved = False
     for k in (0, 2):
-        low, high = 1 - 2 * iv[3 - k], 1 - 2 * iv[2 - k]
-        if low > 0 or high < 0:  # else the partner may be 1/2, which leaves [0, 1]
-            reach = _sqrt_up(1 - min(low * low, high * high)) / 2
-            iv[k], iv[k + 1] = max(iv[k], HALF - reach), min(iv[k + 1], HALF + reach)
-            if iv[k] > iv[k + 1]:
-                return False
-    return True
+        low, high = iv[2 - k], iv[3 - k]
+        if 2 * high.numerator < high.denominator:
+            a, b = high.numerator, high.denominator
+        elif 2 * low.numerator > low.denominator:
+            a, b = low.numerator, low.denominator
+        else:
+            continue
+        n = -((-4 * a * (b - a) << 128) // (b * b))  # (1 - m**2) * 4**64, rounded up
+        r = math.isqrt(n)
+        r += r * r < n
+        lo, hi = iv[k], iv[k + 1]
+        up = lo.numerator << 65 < (2**64 - r) * lo.denominator
+        down = hi.numerator << 65 > (2**64 + r) * hi.denominator
+        if up:
+            iv[k] = Fraction(2**64 - r, 2**65)
+        if down:
+            iv[k + 1] = Fraction(2**64 + r, 2**65)
+        if (up or down) and iv[k] > iv[k + 1]:
+            raise _Empty
+        moved = moved or up or down
+    return moved
 
 
 def _contract(box, targets) -> bool:
     """Narrow the box to each target formula's interval, and to the disk,
-    over up to 8 passes or until a pass changes nothing; False when it empties."""
-    for _ in range(8):
-        before = [tuple(iv) for iv in box.values()]
-        for g, lo, hi in targets:
-            memo: dict = {}
-            _image(g, box, memo)
-            if not _revise(g, memo, 0, lo, hi):
-                return False
-        if not all(map(_disk, box.values())):
-            return False
-        if [tuple(iv) for iv in box.values()] == before:
-            break
+    over up to 8 passes or until a pass narrows no box; False when it
+    empties.  ``_revise`` and ``_disk`` report each box they narrow, as a
+    narrowed end only ever moves inward."""
+    try:
+        for _ in range(8):
+            moved = False
+            for g, lo, hi in targets:
+                memo: dict = {}
+                _image(g, box, memo)
+                moved |= _revise(g, memo, 0, lo, hi)
+            for iv in box.values():
+                moved |= _disk(iv)
+            if not moved:
+                return True
+    except _Empty:
+        return False
     return True
 
 
@@ -1124,12 +1181,15 @@ def certifies_no_model(members, objective: Formula | None = None, below: Fractio
     interval starts at ``below`` or above, is dropped; the rest are bisected
     at their widest coordinate, the least objective bound first (Moore,
     *Interval Analysis*, 1966).  True when every box is dropped among the
-    first ``_BOXES`` narrowed."""
-    targets = [(beta, Fraction(1), Fraction(1)) for beta in members]
+    first ``_BOXES`` narrowed.
+
+    Each bisection narrows two boxes, so with b boxes narrowed and h left
+    to bisect, the budget cannot drop them all once b + 2h > ``_BOXES``:
+    the search stops there, False, as it would after spending the budget."""
+    targets = [(beta, ONE, ONE) for beta in members]
     if below is not None:
-        targets.append((objective, Fraction(0), below))
+        targets.append((objective, ZERO, below))
     formulas = [g for g, _, _ in targets]
-    reads = sorted(set().union(*map(_reads, formulas)))
     boxes, order = 0, itertools.count()
     heap: list = []
 
@@ -1141,8 +1201,9 @@ def certifies_no_model(members, objective: Formula | None = None, below: Fractio
             if below is None or low < below:
                 heapq.heappush(heap, (low, next(order), box))
 
-    narrow({name: [Fraction(0), Fraction(1)] * 2 for name in set().union(*map(formula_atoms, formulas))})
-    while heap and boxes + 2 <= _BOXES:
+    narrow({name: [ZERO, ONE] * 2 for name in set().union(*map(formula_atoms, formulas))})
+    reads = sorted(set().union(*map(_reads, formulas))) if heap else ()
+    while heap and boxes + 2 * len(heap) <= _BOXES:
         box = heapq.heappop(heap)[2]
         width, name, k = max(((box[name][k + 1] - box[name][k], name, k) for name, k in reads), default=(0, "", 0))
         if not width:
@@ -1187,7 +1248,8 @@ def relevance_degree(
     # Atom-free formulas are always certified, so the descent has an atom to move.
     used, exhausted, strict_x = _descent(alpha, theory.members, search.names, opts, opts.budget - evals)
     evals += used
-    snapped = () if strict_x is None else itertools.product(*map(_snaps, strict_x[::2], strict_x[1::2]))
+    snapped = () if strict_x is None else itertools.product(
+        *(_snaps(u, w, opts.tol) for u, w in zip(strict_x[::2], strict_x[1::2])))
     for points in snapped:
         if exhausted := evals == opts.budget:
             break

@@ -18,6 +18,7 @@ model and models against the reference ``util.reference_hits``.
 
 import ast
 import collections
+import functools
 import itertools
 import math
 import random
@@ -367,12 +368,39 @@ def test_relevance_screens_only_the_arc_consistent_class_tuples(monkeypatch, mem
 
 def test_the_arcs_of_one_source_are_compiled_once(monkeypatch):
     # The chain's three arcs read the values of two atoms in one way: one
-    # source, besides the single-atom narrowing of t and the screen.
+    # source, besides the single-atom narrowing of t and the screen.  The
+    # compilations are counted in a fresh memo, which other tests' searches
+    # have not filled.
     sources = []
-    compile_source = semantics._compile
-    monkeypatch.setattr(semantics, "_compile", lambda source, reads: sources.append(source) or compile_source(source, reads))
+    functions = semantics._functions.__wrapped__
+    memo = functools.lru_cache(maxsize=semantics._COMPILED)(lambda source: sources.append(source) or functions(source))
+    monkeypatch.setattr(semantics, "_functions", memo)
     PoolSearch(parse("y"), map(parse, CHAIN)).least(DEFAULT_BUDGET)
     assert len(sources) == len(set(sources)) == 3
+    assert memo.cache_info().hits == 2
+
+
+def test_searches_share_compiled_functions_but_not_namespaces(monkeypatch):
+    # One source gives two searches the same functions in two namespaces:
+    # a function replaced in one, as util.counting does, stays out of the other.
+    first, second = (semantics._evaluators(parse("p -> q"), (), {"p": 0, "q": 2}, 8) for _ in range(2))
+    assert first is not second and first.evaluate is second.evaluate
+    first.evaluate = None
+    assert callable(second.evaluate)
+    with monkeypatch.context() as spied:
+        screened = counting(spied)
+        check_tautology(parse("p -> q"))
+    check_tautology(parse("p -> q"))
+    assert len(screened) == 1
+
+
+def test_the_compiled_functions_of_at_most_128_sources_are_kept():
+    # The least recently used source is dropped; a dropped one compiles again.
+    assert semantics._functions.cache_info().maxsize == semantics._COMPILED == 128
+    for k in range(semantics._COMPILED + 8):
+        semantics._compile(f"def f():\n    return {k}\n", ())
+    assert semantics._functions.cache_info().currsize == semantics._COMPILED
+    assert semantics._compile("def f():\n    return 7\n", ()).f() == 7
 
 
 def test_an_empty_domain_means_no_model_in_the_pool(monkeypatch):

@@ -18,8 +18,10 @@ from iqcl.semantics import (
     Theory,
     UnassignedAtomError,
     _STRICT_RESIDUAL,
+    _Empty,
     _contract,
     _descent,
+    _disk,
     _disk_interval,
     _evaluator_source,
     _evaluators,
@@ -63,6 +65,7 @@ from util import (
     random_formula,
     random_model,
     reference_check_tautology,
+    reference_disk,
     reference_pool,
     reference_reads,
 )
@@ -930,13 +933,23 @@ def test_relevance_snaps_irrational_optima_to_exact_models(grid):
         assert eval_prob(result.witness, parse(formula))[0] == result.value
 
 
+@pytest.mark.parametrize("grid", [Fraction(1, 32), Fraction(1, 64)])
+def test_relevance_snaps_to_a_convergent_within_the_descent_tolerance(grid):
+    # 3p >= 1 puts the infimum at p = 1/3, off the pool, whose least value
+    # is 3/8.  The descent stops at about u = 0.3333333364, within its tol
+    # of 1/3 but not within 1e-12, where the convergent is 36090453/108271358.
+    result = relevance_degree(Theory([parse("p + p + p")]), parse("p"), RelevanceOptions(grid=grid))
+    assert (result.value, result.status) == (Fraction(1, 3), "feasible")
+    assert result.witness.pair("p")[0] == Fraction(1, 3)
+
+
 def test_a_snapped_point_on_the_circle_is_its_atoms_only_candidate(monkeypatch):
     # (1, 1/2) is on the circle at θ = π, where tan(θ/2) is about 1.6e16;
     # the circle point there has u just below 1, so it is no model of p.
-    assert semantics._snaps(1.0, 0.5) == [(Fraction(1), Fraction(1, 2))]
-    assert semantics._snaps(0.1, 0.2) == [(Fraction(1, 10), Fraction(1, 5))]
+    assert semantics._snaps(1.0, 0.5, 1e-6) == [(Fraction(1), Fraction(1, 2))]
+    assert semantics._snaps(0.1, 0.2, 1e-6) == [(Fraction(1, 10), Fraction(1, 5))]
     # Off the circle, within 1e-9 of it, the circle points are tried too.
-    near = semantics._snaps((1 - math.cos(1.0)) / 2, (1 - math.sin(1.0)) / 2)
+    near = semantics._snaps((1 - math.cos(1.0)) / 2, (1 - math.sin(1.0)) / 2, 1e-6)
     assert len(near) > 1 and all(_in_disk(u, w, Fraction(0)) for u, w in near)
     # So the product of trials for four atoms at (1, 1/2) is one candidate.
     # The contraction certifies the pool's value 1 at once, so it is
@@ -1041,6 +1054,83 @@ def test_contraction_keeps_every_point_that_meets_its_targets():
             assert ul <= u <= uh and wl <= w <= wh, (point, targets, box)
 
 
+def _random_end(rng):
+    """A box end in [0, 1]: over 2**64 or 2**65 (the ends that ``_short`` and
+    ``_disk`` make, some next to 1/2), over a pool denominator, or 1/2."""
+    roll = rng.random()
+    if roll < 0.1:
+        return H
+    if roll < 0.4:
+        den = rng.choice((2**64, 2**65))
+        if rng.random() < 0.5:
+            return Fraction(den // 2 + rng.randint(-(2**62), 2**62), den)
+        return Fraction(rng.randint(0, den), den)
+    den = rng.choice((2, 4, 5, 8, 10, 13, 16, 25, 26, 50, 64, 65))
+    return Fraction(rng.randint(0, den), den)
+
+
+def _random_interval(rng):
+    """A point, an interval that holds 1/2, or one between two random ends."""
+    roll = rng.random()
+    if roll < 0.15:
+        return [_random_end(rng)] * 2
+    if roll < 0.35:
+        return [min(_random_end(rng), H), max(_random_end(rng), H)]
+    return sorted((_random_end(rng), _random_end(rng)))
+
+
+def test_disk_matches_the_fraction_reference():
+    # The integer _disk against util.reference_disk, the same narrowing in
+    # Fractions: the same ends, the same emptied boxes, and a report of
+    # movement exactly when an end moved.
+    rng = random.Random(281)
+    moved = emptied = 0
+    for _ in range(20_000):
+        box = _random_interval(rng) + _random_interval(rng)
+        expected, got = list(box), list(box)
+        kept = reference_disk(expected)
+        try:
+            report = _disk(got)
+        except _Empty:
+            report = None
+        assert (report is not None, got) == (kept, expected), box
+        if report is not None:
+            assert report == (got != box), box
+        moved += bool(report)
+        emptied += report is None
+    assert (moved, emptied) == (3258, 427)
+
+
+def test_contraction_stops_once_its_box_budget_cannot_empty_the_search(workloads, monkeypatch):
+    # A bisection narrows two boxes, so with b boxes narrowed and h left to
+    # bisect, the search can empty only while b + 2h <= _BOXES; past that it
+    # stops, and proves nothing.  The corpus rows whose optimum is
+    # irrational narrow 9 boxes, not the 15 of a full budget; the rest are
+    # certified in 1.
+    narrowed = []
+    contract = semantics._contract
+    monkeypatch.setattr(semantics, "_contract", lambda box, targets: narrowed.append(box) or contract(box, targets))
+    counts = {}
+    for seed in (1, 2, 3):
+        for lines, formula, expected in workloads.relevance_rows(random.Random(seed)):
+            members, alpha = [parse(line) for line in lines], parse(formula)
+            pairs = PoolSearch(alpha, members).least(100_000)[1]
+            narrowed.clear()
+            if pairs is None:
+                certified = certifies_no_model(members)
+            else:
+                certified = certifies_no_model(members, alpha, eval_prob(ReducedModel(pairs), alpha)[0])
+            rational = expected is None or Fraction(expected) == Fraction(expected).limit_denominator(1024)
+            assert certified == rational, (lines, formula)
+            counts[len(narrowed)] = counts.get(len(narrowed), 0) + 1
+    assert counts == {1: 36, 9: 6}
+    # !(!p . p) is 1 at every point, but its interval is [0, 1] until p is
+    # bisected: below 12287/16384 it is certified by the seventh
+    # bisection, the last that the budget allows, in 15 boxes.
+    narrowed.clear()
+    assert certifies_no_model([], parse("!(!p . p)"), Fraction(12287, 16384)) and len(narrowed) == 15
+
+
 def test_a_certificate_never_meets_a_model_below_it():
     # Random theories of 1-3 atoms.  Certified at the value of alpha at a
     # pool model, or at 1, no pool model lies below it, so no certificate
@@ -1058,7 +1148,7 @@ def test_a_certificate_never_meets_a_model_below_it():
         theory = Theory(members)
         _, _, strict_x = reference_descent(theory, alpha, names, options, options.budget)
         snapped = [] if strict_x is None else [
-            ReducedModel(dict(zip(names, points))) for points in itertools.product(*map(_snaps, strict_x[::2], strict_x[1::2]))
+            ReducedModel(dict(zip(names, points))) for points in itertools.product(*map(_snaps, strict_x[::2], strict_x[1::2], itertools.repeat(options.tol)))
         ]
         snapped = [model for model in snapped if is_model_of(model, theory)]
         if certifies_no_model(members):

@@ -261,3 +261,22 @@ def counting(monkeypatch):
 
     monkeypatch.setattr(semantics, "_evaluators", counted_evaluators)
     return screened
+
+
+def reference_disk(iv: list) -> bool:
+    """``semantics._disk`` in ``Fraction`` arithmetic: narrow an atom's box
+    [u lo, u hi, w lo, w hi] to the disk, |1 - 2u| at most the root of 1
+    less the least (1 - 2w)**2, rounded up to a multiple of 2**-64, and
+    likewise w by u; False when the box empties."""
+    half = Fraction(1, 2)
+    for k in (0, 2):
+        low, high = 1 - 2 * iv[3 - k], 1 - 2 * iv[2 - k]
+        if low > 0 or high < 0:  # else the partner may be 1/2, which leaves [0, 1]
+            x = 1 - min(low * low, high * high)
+            n = -((-x.numerator << 128) // x.denominator)  # x * 4**64, rounded up
+            r = math.isqrt(n)
+            reach = Fraction(r + (r * r < n), 1 << 64) / 2
+            iv[k], iv[k + 1] = max(iv[k], half - reach), min(iv[k + 1], half + reach)
+            if iv[k] > iv[k + 1]:
+                return False
+    return True
