@@ -377,7 +377,7 @@ def test_the_arcs_of_one_source_are_compiled_once(monkeypatch):
     monkeypatch.setattr(semantics, "_functions", memo)
     PoolSearch(parse("y"), map(parse, CHAIN)).least(DEFAULT_BUDGET)
     assert len(sources) == len(set(sources)) == 3
-    assert memo.cache_info().hits == 2
+    assert memo.cache_info().hits == 2  # the second and third arcs
 
 
 def test_searches_share_compiled_functions_but_not_namespaces(monkeypatch):
@@ -399,8 +399,10 @@ def test_the_compiled_functions_of_at_most_128_sources_are_kept():
     assert semantics._functions.cache_info().maxsize == semantics._COMPILED == 128
     for k in range(semantics._COMPILED + 8):
         semantics._compile(f"def f():\n    return {k}\n", ())
-    assert semantics._functions.cache_info().currsize == semantics._COMPILED
+    info = semantics._functions.cache_info()
+    assert info.currsize == semantics._COMPILED
     assert semantics._compile("def f():\n    return 7\n", ()).f() == 7
+    assert semantics._functions.cache_info().misses == info.misses + 1
 
 
 def test_an_empty_domain_means_no_model_in_the_pool(monkeypatch):
