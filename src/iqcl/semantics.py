@@ -282,14 +282,14 @@ _TEMPLATES = {
 # _evaluator_source: one line search of coordinate ci, and the seed
 # screen.  Each evaluation of the point x runs _POINT: it returns None for
 # a spent budget ``left``, then keeps the least objective among points of
-# residual at most _STRICT_RESIDUAL with a copy of the point, (sobj, sx).
+# residual at most _STRICT_RESIDUAL with a list copy of the point, (sobj, sx).
 # {at2} and {at3} are evaluations at that depth.
 _POINT = """\
 if used == left: return used, None, (sobj, sx)
 used += 1
 {coords}= x
 {body}
-if r <= {strict!r} and (sx is None or o < sobj): sobj, sx = o, x.copy()"""
+if r <= {strict!r} and (sx is None or o < sobj): sobj, sx = o, list(x)"""
 
 # A line search scores the point x[ci] = v lexicographically.  In phase A
 # the centring tie-break moves toward 1/2 where the residual is flat, so
@@ -891,12 +891,19 @@ def _descent(alpha: Formula, members, names, opts: RelevanceOptions, budget: int
     drawn from them by ``random.Random(0)``, then coordinate descent from
     the best, first of the residual 1 - min over members, then of alpha
     without leaving it.  A coordinate no formula reads is set to 1/2, in
-    every disk interval, without evaluation.  Returns (evaluations, whether the budget
-    ran out, the point of least objective among those of residual at most
-    ``_STRICT_RESIDUAL`` or None)."""
+    every disk interval, without evaluation.
+
+    A line search is a pure function of ``(*x, ci, phase_a, guard)``, and a
+    repeat offers the records only points they have already seen, so each
+    line search that finished within the budget is run once per call: a
+    repeat takes its final ``x[ci]`` and (r, o) from a memo and counts no
+    evaluations.  Starts merge into the same trajectories, so repeats are
+    common.  Returns (evaluations, whether the budget ran out, the point of
+    least objective among those of residual at most ``_STRICT_RESIDUAL``,
+    as a list, or None)."""
     pos = {name: 2 * k for k, name in enumerate(names)}
     search, tol = _evaluators(alpha, members, pos), opts.tol
-    evals, records = 0, (None, None)
+    evals, records, memo = 0, (None, None), {}
 
     def sweep(x: list[float], phase_a: bool, guard: float, last: tuple[float, float]):
         # A line search per coordinate read, within the disk its partner allows, from
@@ -906,11 +913,16 @@ def _descent(alpha: Formula, members, names, opts: RelevanceOptions, budget: int
             if ci not in search.reads:
                 x[ci] = 0.5
                 continue
+            key = (*x, ci, phase_a, guard)
+            if (hit := memo.get(key)) is not None:
+                x[ci], last = hit
+                continue
             lo, hi = _disk_interval(x[ci ^ 1])
             used, last, records = search.line_search(x, ci, lo, hi, phase_a, guard, budget - evals, tol, records)
             evals += used
             if last is None:
                 return None
+            memo[key] = x[ci], last
         return last
 
     def descend(x: list[float], r: float, o: float) -> bool:
@@ -938,7 +950,7 @@ def _descent(alpha: Formula, members, names, opts: RelevanceOptions, budget: int
 
     # A pool of budget + 1 points outlasts the budget, and so would any random seeds.
     pool = _float_pool(opts.grid, budget + 1)
-    seeds = [list(point) * len(names) for point in pool]
+    seeds = [point * len(names) for point in pool]
     if len(names) > 1 and len(pool) <= budget:
         rng = random.Random(0)
         seeds += [[c for _ in names for c in pool[rng.randrange(len(pool))]] for _ in range(128)]
@@ -947,8 +959,8 @@ def _descent(alpha: Formula, members, names, opts: RelevanceOptions, budget: int
     evals, last, records = search.screen(seeds, scored, budget, records)
     exhausted = last is None
     if not exhausted:
-        by_residual = sorted(scored)[:12]
-        by_objective = sorted((obj, residual, idx) for residual, obj, idx in scored if residual <= 0.5)[:12]
+        by_residual = heapq.nsmallest(12, scored)
+        by_objective = heapq.nsmallest(12, ((obj, residual, idx) for residual, obj, idx in scored if residual <= 0.5))
         starts = dict.fromkeys(idx for *_, idx in by_residual + by_objective)
         # all() stops at the first descent that spends the budget.
         exhausted = not all(descend(list(seeds[idx]), *scored[idx][:2]) for idx in starts)

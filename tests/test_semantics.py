@@ -602,7 +602,7 @@ def test_float_evaluators_are_the_line_search_and_the_screen():
 def test_generated_source_holds_no_formula_text():
     # Atom names that are Python names must not reach the source that is
     # exec'd: only the three fixed functions, coordinates, temporaries,
-    # fixed locals and builtins, the list methods copy and append, and
+    # fixed locals and builtins, the list method append, and
     # number literals (None for a missing objective, True and False for
     # the budget flag).
     functions = {"evaluate", "line_search", "screen"}
@@ -611,7 +611,7 @@ def test_generated_source_holds_no_formula_text():
         "ci", "lo", "hi", "phase_a", "guard", "left", "tol", "records", "seeds", "scored",
         "used", "stage", "width", "step", "candidates", "k", "v", "best_v",
         "sobj", "sx", "s0", "s1", "s2", "b0", "b1", "b2",
-        "min", "max", "abs", "round",
+        "min", "max", "abs", "round", "list",
     }
     rng = random.Random(214)
     names = ("exec", "open", "os")
@@ -631,20 +631,23 @@ def test_generated_source_holds_no_formula_text():
                 elif isinstance(node, ast.Constant):
                     assert node.value is None or type(node.value) in (bool, int, float), (node.value, source)
                 elif isinstance(node, ast.Attribute):
-                    assert node.attr in ("__getitem__", "copy", "append"), source
+                    assert node.attr in ("__getitem__", "append"), source
 
 
 class _BudgetExhausted(Exception):
     pass
 
 
-def reference_descent(theory, alpha, names, opts, budget):
+def reference_descent(theory, alpha, names, opts, budget, memo=True):
     """The float search of ``_descent`` as Python closures over
     ``reference_float_evaluator``, returning what it returns.
 
     One Python call per evaluation, per score and per line search, as the
     search was written before its loops moved into the generated
-    functions; ``_descent`` must agree with it in every bit.
+    functions; ``_descent`` must agree with it in every bit.  With
+    ``memo``, a line search that finished before, from the same x, at the
+    same coordinate, phase and guard, sets x[ci] to its final value
+    without evaluating; without it, every line search runs.
     """
     pos = {name: 2 * k for k, name in enumerate(names)}
     values = reference_float_evaluator(alpha, theory.members, pos)
@@ -652,6 +655,7 @@ def reference_descent(theory, alpha, names, opts, budget):
 
     evals = 0
     best_strict = None  # (objective, x)
+    finished = {}  # (*x, ci, phase_a, guard) -> the line search's final x[ci]
 
     def evaluate(x):
         nonlocal evals, best_strict
@@ -666,6 +670,10 @@ def reference_descent(theory, alpha, names, opts, budget):
     def line_search(x, ci, phase_a, guard):
         if ci not in reads:
             x[ci] = 0.5  # every point of the line has x's value, and 1/2 gives the partner full room
+            return
+        key = (*x, ci, phase_a, guard)
+        if memo and key in finished:
+            x[ci] = finished[key]
             return
         partner = x[ci + 1] if ci % 2 == 0 else x[ci - 1]
         lo, hi = _disk_interval(partner)
@@ -695,6 +703,7 @@ def reference_descent(theory, alpha, names, opts, budget):
             width = hi - lo
         x[ci] = best_v
         score(best_v)
+        finished[key] = best_v
 
     def residual_of(x):
         return values(x)[0]
@@ -757,7 +766,9 @@ def reference_descent(theory, alpha, names, opts, budget):
 def _assert_matches_reference(theory, alpha, options):
     """``relevance_degree``'s answer, after checking that it is exact and
     that its descent, on the budget the pool screen leaves, agrees in
-    every bit with ``reference_descent``."""
+    every bit with ``reference_descent``.  At the default budget, the
+    reference without its memo of line searches must finish too, at the
+    same strict point, with no fewer evaluations."""
     result = relevance_degree(theory, alpha, options)
     assert type(result.value) is Fraction and result.evaluations <= options.budget
     if result.witness is not None:
@@ -769,6 +780,10 @@ def _assert_matches_reference(theory, alpha, options):
         left = options.budget - PoolSearch(alpha, theory.members).least(options.budget)[0]
         descent = _descent(alpha, theory.members, names, options, left)
         assert repr(descent) == repr(reference_descent(theory, alpha, names, options, left)), (theory, alpha, options)
+        if options.budget == RelevanceOptions().budget:
+            evals, exhausted, strict_x = reference_descent(theory, alpha, names, options, left, memo=False)
+            assert (exhausted, repr(strict_x)) == (False, repr(descent[2])) and descent[1] is False, (theory, alpha)
+            assert descent[0] <= evals, (theory, alpha, options)
     return result
 
 
@@ -802,6 +817,15 @@ def test_relevance_loose_records_match_closure_reference():
     for grid in (Fraction(1, 8), Fraction(1, 32)):
         result = _assert_matches_reference(theory, parse("p"), RelevanceOptions(grid=grid))
         assert (result.value, result.status) == (Fraction(1, 2), "feasible")
+
+
+def test_relevance_guards_that_differ_by_start_match_closure_reference():
+    # At tol 1e-2 phase A stops above _STRICT_RESIDUAL from some starts, so
+    # phase B runs under three guards, and line searches from the same point
+    # under different guards are different searches.
+    options = RelevanceOptions(grid=Fraction(1, 16), tol=1e-2)
+    result = _assert_matches_reference(Theory([parse("q")]), parse("q -> r"), options)
+    assert (result.value, result.status) == (Fraction(0), "feasible")
 
 
 def test_relevance_budget_limited_matches_closure_reference():
@@ -859,6 +883,52 @@ def test_relevance_rejects_options_that_cannot_work(options):
 
 def test_relevance_accepts_grid_one():
     assert relevance_degree(Theory([parse("p")]), parse("?p"), RelevanceOptions(grid=Fraction(1))).status == "feasible"
+
+
+def test_a_descent_runs_each_line_search_once(monkeypatch, workloads):
+    # A line search is a pure function of (*x, ci, phase_a, guard), so within
+    # one _descent call no two line searches share that input: a repeat is
+    # taken from the memo of those that finished.
+    searches = []
+    evaluators = semantics._evaluators
+
+    def spied(objective, members, pos, den=None, least=False):
+        generated = evaluators(objective, members, pos, den, least)
+        if den is None:
+            keys, line_search = [], generated.line_search
+            searches.append(keys)
+
+            def recorded(x, ci, lo, hi, phase_a, guard, *rest):
+                keys.append((*x, ci, phase_a, guard))
+                return line_search(x, ci, lo, hi, phase_a, guard, *rest)
+
+            generated.line_search = recorded
+        return generated
+
+    monkeypatch.setattr(semantics, "_evaluators", spied)
+    rows = [
+        (Theory([parse(line) for line in theory]), parse(formula), grid)
+        for seed in range(1, 11)
+        for theory, formula, _ in workloads.relevance_rows(random.Random(seed))
+        for grid in (Fraction(1, 32), Fraction(1, 64))
+    ]
+    rng = random.Random(218)
+    theories = []
+    for _ in range(600):
+        names = ("p", "q", "r")[: rng.randint(1, 3)]
+        members = [random_formula(rng, names, depth=rng.randint(0, 3)) for _ in range(rng.randint(1, 3))]
+        theories.append((Theory(members), random_formula(rng, names, depth=rng.randint(1, 4)), Fraction(1, 16)))
+    descents = []
+    for cases in (rows, theories):
+        descents.append(0)
+        for theory, alpha, grid in cases:
+            searches.clear()
+            relevance_degree(theory, alpha, RelevanceOptions(grid=grid))
+            for keys in searches:
+                assert len(set(keys)) == len(keys), (theory, alpha, grid)
+                descents[-1] += bool(keys)
+    # ?q + r descends at every seed and grid, ?p under h -> p at most.
+    assert descents[0] >= 34 and descents[1] >= 10, descents
 
 
 def test_relevance_builds_at_most_budget_plus_one_seed_points(monkeypatch):
@@ -959,7 +1029,7 @@ def test_a_snapped_point_on_the_circle_is_its_atoms_only_candidate(monkeypatch):
     check = semantics.is_model_of
     monkeypatch.setattr(semantics, "is_model_of", lambda model, theory: tried.append(model) or check(model, theory))
     result = relevance_degree(Theory.from_text("p\nq\nr\ns"), parse("?p + ?q + ?r + ?s"))
-    assert (result.value, result.status, result.evaluations) == (1, "feasible", 17494)
+    assert (result.value, result.status, result.evaluations) == (1, "feasible", 17412)
     assert len(tried) == 1 and tried[0] == result.witness
 
 
