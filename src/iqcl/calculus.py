@@ -25,6 +25,7 @@ assembles fully checkable proofs.
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -58,6 +59,7 @@ from .syntax import (
     parse,
     parse_span,
     print_formula,
+    shared_node,
 )
 
 AXIOM_IDS = (
@@ -293,12 +295,60 @@ def format_justification(j: Justification) -> str:
     return f"mp {j.minor} {j.major}"
 
 
+# The longest plain text that ``format_proof`` writes: a proof that short
+# reads in under a millisecond in either form, and is easier to follow
+# with each formula written out.
+_PLAIN_PROOF_CHARS = 8192
+
+
 def format_proof(proof: Proof) -> str:
-    lines, memo = [], {}  # one memo for the proof: see syntax.print_formula
+    """The text of ``proof``, which ``parse_proof`` reads back to equal steps.
+
+    A proof whose plain text, one ``n: formula [justification]`` line a
+    step, is at most ``_PLAIN_PROOF_CHARS`` long is written plain.  A
+    longer one is written in the definitions form (``_definitions_form``),
+    which holds each distinct subterm once.
+    """
+    lines, memo, length = [], {}, 0  # one memo for the proof: see syntax.print_formula
     for n, step in enumerate(proof.steps, start=1):
         lines.append(
             f"{n}: {print_formula(step.formula, memo)} [{format_justification(step.justification)}]"
         )
+        length += len(lines[-1]) + 1
+        if length > _PLAIN_PROOF_CHARS:
+            return _definitions_form(proof)
+    return "\n".join(lines) + "\n"
+
+
+def _definitions_form(proof: Proof) -> str:
+    """``proof`` with each distinct compound subterm written once.
+
+    Its line is ``$k = X op Y``, ``$k = !X`` or ``$k = ?X``, whose
+    operands are ``$j`` defined above, atoms or constants.  The ``$k``
+    are numbered 1, 2, ... in order, each written just before the first
+    step that needs it.  A step line ``n: $k [justification]`` names its
+    formula, or writes an atom or a constant inline.
+    """
+    lines: list[str] = []
+    names: dict[Formula, str] = {}  # each subterm written so far: its $k or leaf text
+
+    def name(f: Formula) -> str:
+        found = names.get(f)
+        if found is None:
+            if isinstance(f, Bin):
+                body = f"{name(f.left)} {f.op} {name(f.right)}"
+            elif isinstance(f, (Neg, Sqrt)):
+                body = ("!" if isinstance(f, Neg) else "?") + name(f.arg)
+            else:
+                found = names[f] = print_formula(f)
+                return found
+            found = names[f] = f"${next(numbers)}"
+            lines.append(f"{found} = {body}")
+        return found
+
+    numbers = itertools.count(1)
+    for n, step in enumerate(proof.steps, start=1):
+        lines.append(f"{n}: {name(step.formula)} [{format_justification(step.justification)}]")
     return "\n".join(lines) + "\n"
 
 
@@ -336,47 +386,129 @@ def _is_number(token: str) -> bool:
     return digits.isascii() and digits.isdigit()
 
 
+# A definition line, ``$k = X op Y``, ``$k = !X`` or ``$k = ?X``, each
+# operand a ``$j``, an atom or a constant.
+_OPERAND = r"(\$[0-9]+|[A-Za-z][A-Za-z0-9_]*|[0-9]+(?:/[0-9]+)?)"
+_DEFINITION_RE = re.compile(
+    rf"\s*\$([0-9]+)\s*=\s*(?:([!?])\s*{_OPERAND}|{_OPERAND}\s*(->|[.*+&|])\s*{_OPERAND})\s*"
+)
+# A step line that names its formula, as ``format_proof`` writes it with an
+# ``mp`` or ``axiom`` justification; any other line takes ``_step_fields``.
+_REFERENCE_STEP_RE = re.compile(r"([0-9]+): (\$[0-9]+) \[(?:mp ([0-9]+) ([0-9]+)|axiom ([^\s\[\]]+))\]")
+_CONNECTIVES = dict(zip(BINARY_OPS, BINARY_OPS))
+# The most nodes a definition may expand to: the built proofs' largest
+# formula has 475, and a plain-text line of this many is about 200 KB.
+# Without a bound, 64 lines of ``$k = $j -> $j`` would define 2**64 nodes,
+# which a tree walk such as ``eval_prob`` could not finish.
+_MAX_DEFINED_NODES = 1 << 16
+
+
+def _justification(text: str, lineno: int, axioms: dict[str, AxiomRef]) -> Justification:
+    """The justification written ``text``; ``axioms`` holds one AxiomRef per schema."""
+    tokens = text.split()
+    if not tokens:
+        raise ProofError(None, f"line {lineno}: empty justification")
+    tag = tokens[0]
+    if tag == "axiom" and len(tokens) == 2:
+        return axioms.get(tokens[1]) or axioms.setdefault(tokens[1], AxiomRef(tokens[1]))
+    if tag == "hyp" and len(tokens) in (1, 2) and all(map(_is_number, tokens[1:])):
+        return MemberRef(int(tokens[1]) if len(tokens) == 2 else None)
+    if tag == "mp" and len(tokens) == 3 and all(map(_is_number, tokens[1:])):
+        return MpRef(int(tokens[1]), int(tokens[2]))
+    raise ProofError(None, f"line {lineno}: bad justification {text!r}")
+
+
 def parse_proof(text: str) -> Proof:
     """The proof in ``text``: one ``n: formula [justification]`` step a line.
 
-    ``#`` starts a comment and blank lines are ignored.  One
-    ``syntax.SpanReader`` reads the formulas of the file span by span, so a
-    subterm whose text recurs is read once; a line it leaves goes to
-    ``syntax.parse_span`` whole.  Either way each formula, its shared nodes
-    and any ``ParseError``, with its line and column, are those that
-    ``parse_span`` gives with one node table for the file.
+    ``#`` starts a comment and blank lines are ignored.  A line that
+    starts with ``$`` defines a node (see ``_definitions_form``), and a step
+    whose formula is one ``$k`` has that node; a file may mix such steps
+    with plain ones.  One ``syntax.SpanReader`` reads the plain formulas of
+    the file span by span, so a subterm whose text recurs is read once; a
+    line it leaves goes to ``syntax.parse_span`` whole.  Either way each
+    formula, its shared nodes and any ``ParseError``, with its line and
+    column, are those that ``parse_span`` gives with one node table for
+    the file.  Definitions build their nodes through the same table, so
+    a subterm is one object however it is written.
     """
     steps: list[ProofStep] = []
     reader = SpanReader()  # one node table and one span table for the file
+    memo = reader.memo
+    count = 0  # of definitions read
+    # Each operand read so far, "$k" or a leaf's text: its node, nesting
+    # depth and number of nodes.
+    operands: dict[str, tuple[Formula, int, int]] = {}
     # One AxiomRef per schema named: a 1 097-step proof holds 67 KiB less.
     axioms: dict[str, AxiomRef] = {}
+
+    def reference(token: str, lineno: int) -> tuple[Formula, int, int]:
+        """The definition that ``token``, a ``$k`` not in ``operands``, refers to."""
+        k = int(token[1:])
+        if not 0 < k <= count:
+            raise ProofError(None, f"line {lineno}: {token} is not defined above")
+        return operands[f"${k}"]  # written with leading zeros
+
+    def operand(m: re.Match, group: int, lineno: int) -> tuple[Formula, int, int]:
+        """The operand in ``group`` of ``m``, on line ``lineno``, that is not in ``operands``."""
+        token = m[group]
+        if token[0] == "$":
+            return reference(token, lineno)
+        found = operands[token] = parse_span(m.string, *m.span(group), lineno, memo), 0, 1
+        return found
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
-        if not line.strip():
+        head = line.lstrip()
+        if not head:
             continue
-        fields = _step_fields(line)
-        if fields is None:
+        if head[0] == "$":
+            m = _DEFINITION_RE.fullmatch(line)
+            if m is None:
+                raise ProofError(
+                    None, f"line {lineno}: not a definition $k = X op Y, !X or ?X with each"
+                    f" operand a $j, an atom or a constant: {raw!r}"
+                )
+            count += 1
+            k, unary, arg, left, op, right = m.groups()
+            if int(k) != count:
+                raise ProofError(None, f"line {lineno}: ${k} defined, expected ${count}")
+            if unary:
+                arg, depth, size = operands.get(arg) or operand(m, 3, lineno)
+                node = shared_node(memo, unary, arg)
+            else:
+                left, depth, size = operands.get(left) or operand(m, 4, lineno)
+                right, right_depth, right_size = operands.get(right) or operand(m, 6, lineno)
+                node = shared_node(memo, _CONNECTIVES[op], left, right)
+                depth, size = max(depth, right_depth), size + right_size
+            if depth >= reader.budget:
+                raise ProofError(None, f"line {lineno}: ${count} is nested too deeply")
+            if size >= _MAX_DEFINED_NODES:
+                raise ProofError(None, f"line {lineno}: ${count} has more than {_MAX_DEFINED_NODES} nodes")
+            operands[f"${count}"] = node, depth + 1, size + 1
+            continue
+        fast = _REFERENCE_STEP_RE.fullmatch(line)
+        if fast is not None:
+            number, span, minor, major, schema = fast.groups()
+        elif (fields := _step_fields(line)) is not None:
+            number, start, end, just_text = fields
+            span = line[start:end]
+        else:
             raise ProofError(None, f"line {lineno}: not a proof step: {raw!r}")
-        number, start, end, just_text = fields
         if int(number) != len(steps) + 1:
             raise ProofError(
                 None, f"line {lineno}: step number {number}, expected {len(steps) + 1}"
             )
-        formula = reader.read(raw, start, end) or parse_span(raw, start, end, lineno, reader.memo)
-        tokens = just_text.split()
-        if not tokens:
-            raise ProofError(None, f"line {lineno}: empty justification")
-        tag = tokens[0]
-        if tag == "axiom" and len(tokens) == 2:
-            justification: Justification | None = axioms.get(tokens[1])
-            if justification is None:
-                justification = axioms[tokens[1]] = AxiomRef(tokens[1])
-        elif tag == "hyp" and len(tokens) in (1, 2) and all(map(_is_number, tokens[1:])):
-            justification = MemberRef(int(tokens[1]) if len(tokens) == 2 else None)
-        elif tag == "mp" and len(tokens) == 3 and all(map(_is_number, tokens[1:])):
-            justification = MpRef(int(tokens[1]), int(tokens[2]))
+        if span[0] == "$" and span[1:].isdigit() and span.isascii():
+            formula = (operands.get(span) or reference(span, lineno))[0]
+        else:  # never a line that fast matched
+            formula = reader.read(raw, start, end) or parse_span(raw, start, end, lineno, memo)
+        if fast is None:
+            justification = _justification(just_text, lineno, axioms)
+        elif schema is None:
+            justification = MpRef(int(minor), int(major))
         else:
-            raise ProofError(None, f"line {lineno}: bad justification {just_text!r}")
+            justification = axioms.get(schema) or axioms.setdefault(schema, AxiomRef(schema))
         steps.append(ProofStep(formula, justification))
     if not steps:
         raise ProofError(None, "empty proof")

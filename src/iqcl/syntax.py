@@ -24,12 +24,14 @@ call of ``parse`` or ``parse_theory_text`` (and of
 many lines they occur on.  The table that does this lives only for the
 call.
 
-A proof file repeats each subterm's text on many lines, so
-``calculus.parse_proof`` reads it span by span with a ``SpanReader``: a
-span whose exact text it has read before costs one lookup, ``->`` and
-enclosing parentheses are split off by position, and only what remains
-goes to the token parser.  ``parse`` and theory files use the token
-parser alone.
+A proof file in the plain form repeats each subterm's text on many
+lines, so ``calculus.parse_proof`` reads its formulas span by span with a
+``SpanReader``: a span whose exact text it has read before costs one
+lookup, ``->`` and enclosing parentheses are split off by position, and
+only what remains goes to the token parser.  A proof file in the
+definitions form writes each subterm once, and ``parse_proof`` builds its
+nodes through the same node table with ``shared_node``.  ``parse`` and
+theory files use the token parser alone.
 """
 
 from __future__ import annotations
@@ -229,10 +231,6 @@ class _Parser:
         matches = _TOKEN_RE.finditer(self.text, self.start, self.end)
         self.fail(message, next(islice(matches, index, None)).start())
 
-    def bin(self, op: str, left: Formula, right: Formula) -> Formula:
-        key = (op, id(left), id(right))
-        return self.memo.get(key) or self.memo.setdefault(key, Bin(op, left, right))
-
     def expr(self, min_level: int) -> Formula:
         """One operand, then every connective that binds at ``min_level`` or tighter."""
         tokens, memo = self.tokens, self.memo
@@ -249,9 +247,7 @@ class _Parser:
                 self.fail_at_token("expected ')'", self.pos)
             self.pos += 1
         elif tok in _UNARY:
-            arg = self.expr(_UNARY_LEVEL)
-            key = (tok, id(arg))
-            left = memo.get(key) or memo.setdefault(key, _UNARY[tok](arg))
+            left = shared_node(memo, tok, self.expr(_UNARY_LEVEL))
         elif tok[:1].isdigit():
             num, _, den = tok.partition("/")
             try:
@@ -270,9 +266,25 @@ class _Parser:
             self.pos += 1
             right = self.expr(level if op == IMPLIES else level + 1)
             if level:
-                left = self.bin(op, left, right)
+                left = shared_node(memo, op, left, right)
             else:
-                left = self.bin(ODOT, self.bin(IMPLIES, left, right), self.bin(IMPLIES, right, left))
+                left = shared_node(
+                    memo, ODOT, shared_node(memo, IMPLIES, left, right), shared_node(memo, IMPLIES, right, left)
+                )
+
+
+def shared_node(memo: dict, op: str, left: Formula, right: Formula | None = None) -> Formula:
+    """The node of connective ``op`` over its operands, from the node table ``memo``.
+
+    ``op`` is ``!``, ``?`` (with no ``right``) or a binary connective.  A
+    node already in ``memo`` is returned as it is; a new one is made and
+    stored, so that equal nodes built through one table are one object.
+    """
+    if right is None:
+        key = (op, id(left))
+        return memo.get(key) or memo.setdefault(key, _UNARY[op](left))
+    key = (op, id(left), id(right))
+    return memo.get(key) or memo.setdefault(key, Bin(op, left, right))
 
 
 def parse_span(text: str, start: int, end: int, line: int, memo: dict) -> Formula:
@@ -325,7 +337,7 @@ def _closing_parens(text: str, start: int, end: int) -> dict[int, int]:
 
 
 class SpanReader:
-    """Reads the formula spans of many lines, each distinct subterm text once.
+    """Reads the formula spans of many plain-text lines, each distinct subterm text once.
 
     Beside the node table of ``parse_span``, shared by every line, it keeps
     a span table: the exact text of each span read so far, with its node
@@ -408,8 +420,7 @@ class SpanReader:
             if left is None:
                 depth += 1
             else:
-                shared = (IMPLIES, id(left), id(node))
-                node = memo.get(shared) or memo.setdefault(shared, Bin(IMPLIES, left, node))
+                node = shared_node(memo, IMPLIES, left, node)
                 depth = max(left_depth, depth + 1)
             spans[key] = node, depth
         return node, depth

@@ -14,9 +14,9 @@ from pathlib import Path
 import pytest
 
 from iqcl import syntax
-from iqcl.calculus import _step_fields, format_proof, parse_proof
+from iqcl.calculus import _step_fields, parse_proof
 from iqcl.syntax import _LEVEL, _TOKEN_RE, IMPLIES, ODOT, Bin, Neg, SpanReader, Sqrt, print_formula
-from util import built_proofs, random_formula
+from util import built_proofs, plain_proof_text, random_formula
 
 FIXTURES = Path(__file__).parent / "fixtures"
 ALIAS = {"bot": "0", "top": "1", "half": "1/2"}
@@ -219,7 +219,7 @@ def test_fixture_proofs_match_the_reference(path):
 
 def test_built_proofs_match_the_reference(workloads):
     for _, built in built_proofs(workloads):
-        assert assert_matches_reference(format_proof(built))[1] == built
+        assert assert_matches_reference(plain_proof_text(built))[1] == built
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -294,7 +294,7 @@ def test_deep_line_costs_at_most_20_times_the_token_parser():
 def test_token_parser_reads_under_1_percent_of_a_built_proof(workloads, token_parser_chars):
     # A work count, not a time: it repeats exactly, so a lost fast path fails here.
     _, built = list(built_proofs(workloads))[-1]
-    text = format_proof(built)
+    text = plain_proof_text(built)
     formula_chars = sum(len(STEP_RE.match(line)[2]) for line in text.splitlines())
     assert parse_proof(text) == built
     assert sum(token_parser_chars) <= formula_chars / 100
