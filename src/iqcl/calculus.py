@@ -295,60 +295,58 @@ def format_justification(j: Justification) -> str:
     return f"mp {j.minor} {j.major}"
 
 
-# The longest plain text that ``format_proof`` writes: a proof that short
-# reads in under a millisecond in either form, and is easier to follow
-# with each formula written out.
-_PLAIN_PROOF_CHARS = 8192
-
-
 def format_proof(proof: Proof) -> str:
-    """The text of ``proof``, which ``parse_proof`` reads back to equal steps.
-
-    A proof whose plain text, one ``n: formula [justification]`` line a
-    step, is at most ``_PLAIN_PROOF_CHARS`` long is written plain.  A
-    longer one is written in the definitions form (``_definitions_form``),
-    which holds each distinct subterm once.
-    """
-    lines, memo, length = [], {}, 0  # one memo for the proof: see syntax.print_formula
+    """``proof`` in the plain form: one ``n: formula [justification]`` line a step."""
+    lines, memo = [], {}  # one memo for the proof: see syntax.print_formula
     for n, step in enumerate(proof.steps, start=1):
         lines.append(
             f"{n}: {print_formula(step.formula, memo)} [{format_justification(step.justification)}]"
         )
-        length += len(lines[-1]) + 1
-        if length > _PLAIN_PROOF_CHARS:
-            return _definitions_form(proof)
     return "\n".join(lines) + "\n"
 
 
-def _definitions_form(proof: Proof) -> str:
-    """``proof`` with each distinct compound subterm written once.
+def format_proof_definitions(proof: Proof) -> str:
+    """``proof`` in the definitions form, each distinct compound subterm written once.
 
     Its line is ``$k = X op Y``, ``$k = !X`` or ``$k = ?X``, whose
     operands are ``$j`` defined above, atoms or constants.  The ``$k``
     are numbered 1, 2, ... in order, each written just before the first
     step that needs it.  A step line ``n: $k [justification]`` names its
-    formula, or writes an atom or a constant inline.
+    formula, or writes an atom or a constant inline.  A formula of more
+    than ``_MAX_DEFINED_NODES`` nodes, which ``parse_proof`` refuses as
+    a definition, is written out in full on its step line.  So
+    ``parse_proof`` reads the text back to equal steps whenever it reads
+    ``format_proof``'s.
     """
     lines: list[str] = []
-    names: dict[Formula, str] = {}  # each subterm written so far: its $k or leaf text
+    # Each subterm met so far: its $k or leaf text, or None if it is too
+    # large to define, and its number of nodes.
+    names: dict[Formula, tuple[str | None, int]] = {}
+    memo: dict = {}  # for the formulas written out: see syntax.print_formula
 
-    def name(f: Formula) -> str:
+    def name(f: Formula) -> tuple[str | None, int]:
         found = names.get(f)
         if found is None:
             if isinstance(f, Bin):
-                body = f"{name(f.left)} {f.op} {name(f.right)}"
+                (left, a), (right, b) = name(f.left), name(f.right)
+                body, size = left and right and f"{left} {f.op} {right}", a + b + 1
             elif isinstance(f, (Neg, Sqrt)):
-                body = ("!" if isinstance(f, Neg) else "?") + name(f.arg)
+                arg, size = name(f.arg)
+                body, size = arg and ("!" if isinstance(f, Neg) else "?") + arg, size + 1
             else:
-                found = names[f] = print_formula(f)
+                found = names[f] = print_formula(f), 1
                 return found
-            found = names[f] = f"${next(numbers)}"
-            lines.append(f"{found} = {body}")
+            if body is None or size > _MAX_DEFINED_NODES:
+                found = names[f] = None, size
+            else:
+                found = names[f] = f"${next(numbers)}", size
+                lines.append(f"{found[0]} = {body}")
         return found
 
     numbers = itertools.count(1)
     for n, step in enumerate(proof.steps, start=1):
-        lines.append(f"{n}: {name(step.formula)} [{format_justification(step.justification)}]")
+        text = name(step.formula)[0] or print_formula(step.formula, memo)
+        lines.append(f"{n}: {text} [{format_justification(step.justification)}]")
     return "\n".join(lines) + "\n"
 
 
@@ -392,9 +390,11 @@ _OPERAND = r"(\$[0-9]+|[A-Za-z][A-Za-z0-9_]*|[0-9]+(?:/[0-9]+)?)"
 _DEFINITION_RE = re.compile(
     rf"\s*\$([0-9]+)\s*=\s*(?:([!?])\s*{_OPERAND}|{_OPERAND}\s*(->|[.*+&|])\s*{_OPERAND})\s*"
 )
-# A step line that names its formula, as ``format_proof`` writes it with an
-# ``mp`` or ``axiom`` justification; any other line takes ``_step_fields``.
-_REFERENCE_STEP_RE = re.compile(r"([0-9]+): (\$[0-9]+) \[(?:mp ([0-9]+) ([0-9]+)|axiom ([^\s\[\]]+))\]")
+# A step line as the writers space it, its justification one that
+# ``_justification`` reads the same; any other line takes ``_step_fields``.
+_FAST_STEP_RE = re.compile(
+    r"([0-9]+): ([^\s\[\]](?:[^\[\]]*[^\s\[\]])?) \[(?:mp ([0-9]+) ([0-9]+)|axiom ([^\s\[\]]+)|hyp(?: ([0-9]+))?)\]"
+)
 _CONNECTIVES = dict(zip(BINARY_OPS, BINARY_OPS))
 # The most nodes a definition may expand to: the built proofs' largest
 # formula has 475, and a plain-text line of this many is about 200 KB.
@@ -422,7 +422,7 @@ def parse_proof(text: str) -> Proof:
     """The proof in ``text``: one ``n: formula [justification]`` step a line.
 
     ``#`` starts a comment and blank lines are ignored.  A line that
-    starts with ``$`` defines a node (see ``_definitions_form``), and a step
+    starts with ``$`` defines a node (see ``format_proof_definitions``), and a step
     whose formula is one ``$k`` has that node; a file may mix such steps
     with plain ones.  One ``syntax.SpanReader`` reads the plain formulas of
     the file span by span, so a subterm whose text recurs is read once; a
@@ -469,10 +469,9 @@ def parse_proof(text: str) -> Proof:
                     None, f"line {lineno}: not a definition $k = X op Y, !X or ?X with each"
                     f" operand a $j, an atom or a constant: {raw!r}"
                 )
-            count += 1
             k, unary, arg, left, op, right = m.groups()
-            if int(k) != count:
-                raise ProofError(None, f"line {lineno}: ${k} defined, expected ${count}")
+            if int(k) != count + 1:
+                raise ProofError(None, f"line {lineno}: ${k} defined, expected ${count + 1}")
             if unary:
                 arg, depth, size = operands.get(arg) or operand(m, 3, lineno)
                 node = shared_node(memo, unary, arg)
@@ -481,15 +480,17 @@ def parse_proof(text: str) -> Proof:
                 right, right_depth, right_size = operands.get(right) or operand(m, 6, lineno)
                 node = shared_node(memo, _CONNECTIVES[op], left, right)
                 depth, size = max(depth, right_depth), size + right_size
+            count += 1  # only now, so that an operand cannot name the line's own $k
             if depth >= reader.budget:
                 raise ProofError(None, f"line {lineno}: ${count} is nested too deeply")
             if size >= _MAX_DEFINED_NODES:
                 raise ProofError(None, f"line {lineno}: ${count} has more than {_MAX_DEFINED_NODES} nodes")
             operands[f"${count}"] = node, depth + 1, size + 1
             continue
-        fast = _REFERENCE_STEP_RE.fullmatch(line)
+        fast = _FAST_STEP_RE.fullmatch(line)
         if fast is not None:
-            number, span, minor, major, schema = fast.groups()
+            number, span, minor, major, schema, member = fast.groups()
+            start, end = fast.span(2)
         elif (fields := _step_fields(line)) is not None:
             number, start, end, just_text = fields
             span = line[start:end]
@@ -501,14 +502,16 @@ def parse_proof(text: str) -> Proof:
             )
         if span[0] == "$" and span[1:].isdigit() and span.isascii():
             formula = (operands.get(span) or reference(span, lineno))[0]
-        else:  # never a line that fast matched
+        else:
             formula = reader.read(raw, start, end) or parse_span(raw, start, end, lineno, memo)
         if fast is None:
             justification = _justification(just_text, lineno, axioms)
-        elif schema is None:
+        elif minor is not None:
             justification = MpRef(int(minor), int(major))
-        else:
+        elif schema is not None:
             justification = axioms.get(schema) or axioms.setdefault(schema, AxiomRef(schema))
+        else:
+            justification = MemberRef(member and int(member))
         steps.append(ProofStep(formula, justification))
     if not steps:
         raise ProofError(None, "empty proof")

@@ -321,19 +321,24 @@ class _NotFast(Exception):
     """A line the span reader leaves to ``parse_span`` whole."""
 
 
-def _closing_parens(text: str, start: int, end: int) -> dict[int, int]:
-    """The offset of each '(' of ``text[start:end]`` mapped to its ')', in one pass."""
-    closing, opened = {}, []
-    for m in _PAREN_RE.finditer(text, start, end):
-        if m.group() == "(":
-            opened.append(m.start())
-        elif opened:
-            closing[opened.pop()] = m.start()
-        else:
-            raise _NotFast
-    if opened:
-        raise _NotFast
-    return closing
+# The deepest nesting of a group that a span reader matches with one
+# regex call; it scans a deeper one paren by paren.
+_GROUP_DEPTH = 16
+
+
+def _group_pattern(depth: int) -> str:
+    """A regex for a parenthesised group nested at most ``depth`` deep.
+
+    Its repeats are possessive, so a failed match, such as at a deeper
+    group, takes one pass.
+    """
+    pattern = r"\([^()]*+\)"
+    for _ in range(depth - 1):
+        pattern = rf"\((?:[^()]++|{pattern})*+\)"
+    return pattern
+
+
+_GROUP_RE = re.compile(_group_pattern(_GROUP_DEPTH))
 
 
 class SpanReader:
@@ -351,6 +356,10 @@ class SpanReader:
       loosest connective but ``<->``, and associates to the right;
     - anything else goes to ``parse_span``.
 
+    Parentheses are matched only where a rule asks for the ')' of a
+    '(': the one that opens a span, and each that ``->`` search jumps
+    over.  The groups inside a known operand are never matched.
+
     A line holding ``<->``, with unbalanced parentheses or an empty span,
     or with a span that ``parse_span`` rejects, is left to ``parse_span``
     whole: ``read`` returns None.  So is a line for which ``parse_span``
@@ -363,7 +372,9 @@ class SpanReader:
     def __init__(self):
         self.memo: dict = {}
         self.spans: dict[str, tuple[Formula, int]] = {}
-        self.text, self.closing = "", {}  # the line being read
+        # The line being read, the end of its formula, and the ')' of each
+        # '(' that ``_close`` has matched so far.
+        self.text, self.end, self.closing = "", 0, {}
         depth, frame = 0, sys._getframe()
         while frame is not None:
             depth, frame = depth + 1, frame.f_back
@@ -376,9 +387,8 @@ class SpanReader:
         found = self.spans.get(key)
         if found is None and key and "<->" not in key:
             a = end - len(lstripped)
-            self.text = text
+            self.text, self.end, self.closing = text, a + len(key), {}
             try:
-                self.closing = _closing_parens(text, a, a + len(key))
                 found = self._read(a, a + len(key), key)
             except (ParseError, RecursionError, _NotFast):
                 return None
@@ -393,10 +403,10 @@ class SpanReader:
         Stripped pairs and right operands are followed in a loop, so only
         left operands recurse.
         """
-        text, closing, spans, memo = self.text, self.closing, self.spans, self.memo
+        text, spans, memo = self.text, self.spans, self.memo
         pending = []  # (key, left node or None for a stripped pair, its depth bound)
         while (found := spans.get(key)) is None:
-            if text[a] == "(" and closing[a] == b - 1:
+            if text[a] == "(" and self._close(a) == b - 1:
                 pending.append((key, None, 0))
                 lstripped = text[a + 1 : b - 1].lstrip()
                 key = lstripped.rstrip()
@@ -425,14 +435,38 @@ class SpanReader:
             spans[key] = node, depth
         return node, depth
 
+    def _close(self, p: int) -> int:
+        """The offset of the ')' that closes the '(' at ``p`` in the line's formula.
+
+        A group nested at most ``_GROUP_DEPTH`` deep is matched by one
+        regex call.  A deeper one is scanned, which matches every '(' up
+        to that ')'.
+        """
+        closing = self.closing
+        found = closing.get(p)
+        if found is not None:
+            return found
+        if (m := _GROUP_RE.match(self.text, p, self.end)) is not None:
+            found = closing[p] = m.end() - 1
+            return found
+        opened = []
+        for m in _PAREN_RE.finditer(self.text, p, self.end):
+            if m.group() == "(":
+                opened.append(m.start())
+            else:
+                found = closing[opened.pop()] = m.start()
+                if not opened:
+                    return found
+        raise _NotFast
+
     def _arrow(self, a: int, b: int) -> int:
         """The offset of the first '->' outside parentheses in ``self.text[a:b]``, or -1."""
-        text, closing = self.text, self.closing
+        text = self.text
         while (k := text.find(IMPLIES, a, b)) >= 0:
             p = text.find("(", a, k)
             if p < 0:
                 break
-            a = closing[p] + 1
+            a = self._close(p) + 1
         return k
 
 

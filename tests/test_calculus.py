@@ -50,7 +50,7 @@ from iqcl.syntax import (
     parse,
     print_formula,
 )
-from util import built_proofs, node_ids, plain_proof_text, random_formula
+from util import built_proofs, node_ids, random_formula
 
 
 def subst(f: Formula, mapping):
@@ -677,7 +677,7 @@ def test_lemma_memo_changes_no_step():
         check_proof(Theory(), builders[0].proof())
 
 
-# sha256 of the plain text of the built proof for hypothesis uses 1-6, as
+# sha256 of format_proof of the built proof for hypothesis uses 1-6, as
 # each lemma call built in full gives it
 _BUILT_DIGESTS = {
     1: "45a3a81a9be93e2a51dff0f0f263bb1bddcd897c8cba863fc53547a796eb2ed8",
@@ -693,10 +693,10 @@ _BUILT_DIGESTS = {
 def test_built_proofs_are_those_of_the_memo_free_builder(workloads, monkeypatch, uses):
     alpha, beta = Atom("p"), Atom("q")
     theory, proof = workloads._input_proof(alpha, beta, uses)
-    text = plain_proof_text(deduction_transform(theory, alpha, proof)[1])
+    text = format_proof(deduction_transform(theory, alpha, proof)[1])
     assert hashlib.sha256(text.encode()).hexdigest() == _BUILT_DIGESTS[uses]
     monkeypatch.setattr(calculus, "ProofBuilder", ReferenceBuilder)
-    assert plain_proof_text(deduction_transform(theory, alpha, proof)[1]) == text
+    assert format_proof(deduction_transform(theory, alpha, proof)[1]) == text
 
 
 def test_four_use_build_adds_each_lemma_once(workloads, monkeypatch):

@@ -1,8 +1,8 @@
-"""The definitions form of a proof file: ``format_proof`` writes it for a long proof,
+"""The definitions form of a proof file: ``format_proof_definitions`` writes it,
 and ``parse_proof`` reads it.
 
 The reference is the plain form, each step's formula written out in full
-(``util.plain_proof_text``), which ``parse_proof`` reads as before.
+(``format_proof``), which ``parse_proof`` reads as before.
 """
 
 import random
@@ -12,19 +12,23 @@ from pathlib import Path
 import pytest
 
 from iqcl.calculus import (
-    _PLAIN_PROOF_CHARS,
+    _MAX_DEFINED_NODES,
+    MemberRef,
+    MpRef,
+    Proof,
     ProofError,
-    _definitions_form,
+    ProofStep,
     check_proof,
     deduction_transform,
     format_proof,
+    format_proof_definitions,
     parse_proof,
 )
 from iqcl.cli import main
 from iqcl.semantics import Theory
-from iqcl.syntax import Atom, Bin, Neg, Sqrt, parse, print_formula
+from iqcl.syntax import IMPLIES, Atom, Bin, Neg, Sqrt, parse, print_formula
 from test_calculus import random_small_proof
-from util import node_ids, plain_proof_text, random_formula
+from util import node_ids, random_formula
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -81,8 +85,7 @@ def random_proofs():
 
 
 def assert_both_forms_agree(workloads, directory, theory, proof):
-    text, plain = _definitions_form(proof), plain_proof_text(proof)
-    assert format_proof(proof) == (plain if len(plain) <= _PLAIN_PROOF_CHARS else text)
+    text, plain = format_proof_definitions(proof), format_proof(proof)
     parsed = parse_proof(text)
     assert parsed == proof
     assert_one_object_per_subterm(parsed)
@@ -100,8 +103,8 @@ def assert_both_forms_agree(workloads, directory, theory, proof):
 def test_built_proofs_round_trip_in_both_forms(workloads, tmp_path, uses):
     theory, proof = built(workloads, uses)
     assert_both_forms_agree(workloads, tmp_path, theory, proof)
-    text = format_proof(proof)
-    assert text.startswith("1: " if uses == 1 else "$1 = ")
+    text = format_proof_definitions(proof)
+    assert text.startswith("$1 = ") and len(text) < len(format_proof(proof)) / 2
     assert verdict(theory, proof, proof.conclusion) == "ok"
     assert verdict(theory, parse_proof(corrupt(workloads, tmp_path, text)), proof.conclusion) != "ok"
 
@@ -115,7 +118,7 @@ def test_a_mixed_file_shares_every_subterm(workloads):
     _, proof = built(workloads, 2)
     rng = random.Random(5)
     lines = []
-    for line in _definitions_form(proof).splitlines():
+    for line in format_proof_definitions(proof).splitlines():
         if not line.startswith("$") and rng.random() < 0.5:  # the step's formula written out
             n = int(line.split(":")[0])
             line = f"{n}: {print_formula(proof.steps[n - 1].formula)} [{line.rpartition('[')[2]}"
@@ -126,9 +129,10 @@ def test_a_mixed_file_shares_every_subterm(workloads):
     # Spacing is free, a number may have leading zeros, and a subterm
     # defined twice, or also written out, is one object.
     text = "$1=p->q\n  $2 = !$01 # a comment\n$3 = p -> q\n1: $3 [hyp]\n2: !(p -> q) [hyp]\n3: $002 [hyp]\n"
+    text += "4:  $2 [mp 1 2]\n 5:$1[axiom W1]\n"
     steps = [step.formula for step in parse_proof(text).steps]
-    assert steps == [parse("p -> q"), parse("!(p -> q)"), parse("!(p -> q)")]
-    assert steps[0] is steps[1].arg and steps[1] is steps[2]
+    assert steps == [parse("p -> q"), parse("!(p -> q)"), parse("!(p -> q)"), parse("!(p -> q)"), parse("p -> q")]
+    assert steps[0] is steps[1].arg is steps[4] and steps[1] is steps[2] is steps[3]
 
 
 def test_a_chain_within_the_depth_bound_is_read():
@@ -142,8 +146,29 @@ def test_fixture_proofs_read_as_before(path):
     text = path.read_text()
     proof = parse_proof(text)
     steps = [line for line in text.splitlines() if not line.startswith("#")]
-    assert plain_proof_text(proof) == format_proof(proof) == "\n".join(steps) + "\n"
-    assert parse_proof(_definitions_form(proof)) == proof
+    assert format_proof(proof) == "\n".join(steps) + "\n"
+    assert parse_proof(format_proof_definitions(proof)) == proof
+
+
+def doubling(k: int):
+    """``p`` under ``k`` levels of ``X -> X``: 2**(k + 1) - 1 nodes, k + 1 distinct ones."""
+    f = Atom("p")
+    for _ in range(k):
+        f = Bin(IMPLIES, f, f)
+    return f
+
+
+def test_a_formula_past_the_node_bound_is_written_out():
+    assert 2**16 - 1 <= _MAX_DEFINED_NODES < 2**17 - 1
+    at, past = doubling(15), doubling(16)
+    proof = Proof((ProofStep(at, MemberRef()), ProofStep(past, MemberRef()), ProofStep(at, MpRef(1, 2))))
+    text = format_proof_definitions(proof)
+    lines = text.splitlines()
+    assert lines[-3:] == ["1: $15 [hyp]", f"2: {print_formula(past)} [hyp]", "3: $15 [mp 1 2]"]
+    assert lines[:-3] == ["$1 = p -> p"] + [f"${k} = ${k - 1} -> ${k - 1}" for k in range(2, 16)]
+    parsed = parse_proof(text)
+    assert parsed == proof
+    assert_one_object_per_subterm(parsed)
 
 
 def chain(lines: int, body) -> str:
@@ -159,6 +184,8 @@ REJECTED = {
     "unknown connective": ("$1 = p -> p\n$2 = $1 ~ q\n1: $2 [hyp]\n", 2, "not a definition"),
     "equivalence": ("$1 = p <-> q\n1: $1 [hyp]\n", 1, "not a definition"),
     "compound operand": ("$1 = p -> q\n$2 = q -> r\n$3 = (p -> q) -> r\n1: $3 [hyp]\n", 3, "not a definition"),
+    "self reference": ("$1 = !$1\n1: $1 [hyp]\n", 1, "$1 is not defined above"),
+    "own number": ("$1 = p -> p\n$2 = $1 -> $2\n1: $2 [hyp]\n", 2, "$2 is not defined above"),
     "undefined step": ("$1 = p -> p\n1: $1 [hyp]\n2: $2 [mp 1 1]\n", 3, "$2 is not defined above"),
     "step out of sequence": ("$1 = p -> p\n1: $1 [hyp]\n3: $1 [mp 1 1]\n", 3, "step number 3, expected 2"),
     "doubling chain": (chain(64, lambda j: f"${j} -> ${j}") + "1: $64 [hyp]\n", 16, "more than 65536 nodes"),

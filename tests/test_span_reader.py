@@ -14,9 +14,9 @@ from pathlib import Path
 import pytest
 
 from iqcl import syntax
-from iqcl.calculus import _step_fields, parse_proof
+from iqcl.calculus import _step_fields, format_proof, parse_proof
 from iqcl.syntax import _LEVEL, _TOKEN_RE, IMPLIES, ODOT, Bin, Neg, SpanReader, Sqrt, print_formula
-from util import built_proofs, plain_proof_text, random_formula
+from util import built_proofs, random_formula
 
 FIXTURES = Path(__file__).parent / "fixtures"
 ALIAS = {"bot": "0", "top": "1", "half": "1/2"}
@@ -219,7 +219,7 @@ def test_fixture_proofs_match_the_reference(path):
 
 def test_built_proofs_match_the_reference(workloads):
     for _, built in built_proofs(workloads):
-        assert assert_matches_reference(plain_proof_text(built))[1] == built
+        assert assert_matches_reference(format_proof(built))[1] == built
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -273,6 +273,25 @@ def test_a_known_span_lets_no_line_past_the_token_parser():
     assert results[0] == "ok" and results[-1] == "ParseError"
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_groups_about_as_deep_as_one_regex_match_reads_match_the_reference(seed):
+    # _close matches a group nested up to _GROUP_DEPTH deep with one regex
+    # call and scans a deeper one.  Lines mix both; some have a stray
+    # parenthesis in the formula, and some a ')' in a comment after it.
+    rng = random.Random(5000 + seed)
+    depths = range(syntax._GROUP_DEPTH - 3, syntax._GROUP_DEPTH + 4)
+    for _ in range(25):
+        lines = []
+        for n in range(1, 8):
+            left, right = (nest(rng.choice(depths), rng.choice(("p", "p -> q", "!(q & r1)"))) for _ in "lr")
+            formula = f"({left} -> {right}) -> {left}"
+            if rng.random() < 0.3:
+                i = rng.randrange(len(formula))
+                formula = formula[:i] + rng.choice("()") + formula[i:]
+            lines.append(f"{n}: {formula} [hyp]" + rng.choice(("", " # )", " # ))))")))
+        assert_matches_reference("\n".join(lines) + "\n")
+
+
 def test_deep_line_costs_at_most_20_times_the_token_parser():
     # A reader that counts parentheses again for each candidate '->' is
     # cubic in the depth: hundreds of times slower here.
@@ -294,7 +313,7 @@ def test_deep_line_costs_at_most_20_times_the_token_parser():
 def test_token_parser_reads_under_1_percent_of_a_built_proof(workloads, token_parser_chars):
     # A work count, not a time: it repeats exactly, so a lost fast path fails here.
     _, built = list(built_proofs(workloads))[-1]
-    text = plain_proof_text(built)
+    text = format_proof(built)
     formula_chars = sum(len(STEP_RE.match(line)[2]) for line in text.splitlines())
     assert parse_proof(text) == built
     assert sum(token_parser_chars) <= formula_chars / 100

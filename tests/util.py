@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from iqcl import semantics
 from iqcl.algebra import SConstant
-from iqcl.calculus import Proof, deduction_transform, format_justification
+from iqcl.calculus import deduction_transform
 from iqcl.semantics import ReducedModel, SearchResult, eval_prob, random_rational_model
 from iqcl.syntax import (
     BINARY_OPS,
@@ -19,7 +19,6 @@ from iqcl.syntax import (
     Neg,
     Sqrt,
     atoms,
-    print_formula,
 )
 
 _CONST_POOL = (
@@ -97,16 +96,6 @@ def node_ids(*roots) -> set[int]:
         elif isinstance(f, Bin):
             stack += (f.left, f.right)
     return set(seen)
-
-
-def plain_proof_text(proof: Proof) -> str:
-    """``proof`` in the plain form, each step's formula written out in full."""
-    lines, memo = [], {}  # one memo for the proof: see syntax.print_formula
-    for n, step in enumerate(proof.steps, start=1):
-        lines.append(
-            f"{n}: {print_formula(step.formula, memo)} [{format_justification(step.justification)}]"
-        )
-    return "\n".join(lines) + "\n"
 
 
 def built_proofs(workloads):
