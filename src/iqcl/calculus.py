@@ -58,6 +58,7 @@ from .syntax import (
     atoms as formula_atoms,
     parse,
     parse_span,
+    plain_frames,
     print_formula,
     shared_node,
 )
@@ -436,8 +437,8 @@ def parse_proof(text: str) -> Proof:
     reader = SpanReader()  # one node table and one span table for the file
     memo = reader.memo
     count = 0  # of definitions read
-    # Each operand read so far, "$k" or a leaf's text: its node, nesting
-    # depth and number of nodes.
+    # Each operand read so far, "$k" or a leaf's text: its node, its
+    # ``plain_frames`` and its number of nodes.
     operands: dict[str, tuple[Formula, int, int]] = {}
     # One AxiomRef per schema named: a 1 097-step proof holds 67 KiB less.
     axioms: dict[str, AxiomRef] = {}
@@ -473,19 +474,20 @@ def parse_proof(text: str) -> Proof:
             if int(k) != count + 1:
                 raise ProofError(None, f"line {lineno}: ${k} defined, expected ${count + 1}")
             if unary:
-                arg, depth, size = operands.get(arg) or operand(m, 3, lineno)
+                arg, frames, size = operands.get(arg) or operand(m, 3, lineno)
                 node = shared_node(memo, unary, arg)
+                frames = plain_frames(node, frames)
             else:
-                left, depth, size = operands.get(left) or operand(m, 4, lineno)
-                right, right_depth, right_size = operands.get(right) or operand(m, 6, lineno)
+                left, left_frames, size = operands.get(left) or operand(m, 4, lineno)
+                right, frames, right_size = operands.get(right) or operand(m, 6, lineno)
                 node = shared_node(memo, _CONNECTIVES[op], left, right)
-                depth, size = max(depth, right_depth), size + right_size
+                frames, size = plain_frames(node, left_frames, frames), size + right_size
             count += 1  # only now, so that an operand cannot name the line's own $k
-            if depth >= reader.budget:
+            if frames >= reader.budget:
                 raise ProofError(None, f"line {lineno}: ${count} is nested too deeply")
             if size >= _MAX_DEFINED_NODES:
                 raise ProofError(None, f"line {lineno}: ${count} has more than {_MAX_DEFINED_NODES} nodes")
-            operands[f"${count}"] = node, depth + 1, size + 1
+            operands[f"${count}"] = node, frames, size + 1
             continue
         fast = _FAST_STEP_RE.fullmatch(line)
         if fast is not None:

@@ -125,7 +125,9 @@ def _cmd_taut(args) -> int:
 def _cmd_relevance(args) -> int:
     theory = semantics.Theory.from_text(_read(args.theory))
     f = parse(args.formula)
-    options = semantics.RelevanceOptions(grid=args.grid, tol=args.tol, budget=args.budget)
+    if not Fraction(1, 2**52) <= args.grid <= 1:  # --grid steers nothing now; checked for the scripts passing it
+        raise ValueError(f"grid must be in [2**-52, 1], got {semantics._six_digits(args.grid)}")
+    options = semantics.RelevanceOptions(tol=args.tol, budget=args.budget)
     result = semantics.relevance_degree(theory, f, options)
     fields = [("value", result.value), ("status", result.status), ("evaluations", result.evaluations)]
     _emit(fields + _model_fields(result.witness), args.format)

@@ -14,32 +14,23 @@ every coordinate the formulas read get the same verdict, so one sweep of
 the product screens each distinct tuple of those coordinates, a class
 tuple, once, save those that arc consistency over the two-atom members
 rules out; the budget caps the class tuples decided.  Every answer is
-read off the passing class tuples, without listing their candidates.
+read off the passing class tuples, without listing their candidates.  The
+screen is a function generated per call from the connectives' templates,
+in exact integers over a common denominator, compiled once per source.
 
 The relevance degree of a theory T over a formula f is the infimum of
 f's value over models giving every member of T value 1.  The search
-reports the least value it finds at an exact model, taken first from the
-pool search's least objective over its class tuples.  Interval
-contraction on the formula trees (HC4, with bisection) then tries to
-prove that no model lies below that value, or that there is no model at
-all; a status comes from such a proof or from the budget, never from a
-float.  Without a pool model the search ends there.  A pool model proved
-least is the infimum; otherwise the end point of a float multi-start
-coordinate descent, snapped to exact disk points, may improve its value.
-The same contraction lets the consistency probe certify a theory
-inconsistent.
-Every search reports one ``SearchResult``: an exact witness or none, the
-objective's value there, a status and an evaluation count.
-
-Both searches evaluate through functions generated per call from one
-template table of the connectives, and compiled once per distinct
-source: in exact integers over a common
-denominator for the pool search; in floats for the descent, computing
-the constraint residual and f's value together, bit-identical to the
-pair recursion in floats.  In floats the seed screen and each line
-search run every evaluation, with the budget and the records of the
-best point; the descent and its choice of starts stay in Python.
-``eval_prob`` is the exact reference and ``eval_bloch`` the oracle.
+starts from the pool search's least objective at an exact model.
+Interval contraction on the formula trees (HC4, with bisection) tries to
+prove that no model lies below a value, or that there is no model; then
+it bisects the value: at a midpoint t, either every box empties, and t
+is a certified lower end, or exact points of the boxes left may hold a
+model below t, the new value.  A status comes from a proof or from the
+budget, never from a float.  The same contraction lets the consistency
+probe certify a theory inconsistent.  Every search reports one
+``SearchResult``: an exact witness or none, the objective's value there,
+a status and an evaluation count.  ``eval_prob`` is the exact reference
+and ``eval_bloch`` the oracle.
 """
 
 from __future__ import annotations
@@ -84,6 +75,7 @@ from .syntax import (
     Neg,
     Sqrt,
     atoms as formula_atoms,
+    complexity,
     is_atom_name,
     parse_theory_text,
 )
@@ -278,108 +270,21 @@ _TEMPLATES = {
 }
 
 
-# The relevance search's two inner loops, written around the float body of
-# _evaluator_source: one line search of coordinate ci, and the seed
-# screen.  Each evaluation of the point x runs _POINT: it returns None for
-# a spent budget ``left``, then keeps the least objective among points of
-# residual at most _STRICT_RESIDUAL with a list copy of the point, (sobj, sx).
-# {at2} and {at3} are evaluations at that depth.
-_POINT = """\
-if used == left: return used, None, (sobj, sx)
-used += 1
-{coords}= x
-{body}
-if r <= {strict!r} and (sx is None or o < sobj): sobj, sx = o, list(x)"""
-
-# A line search scores the point x[ci] = v lexicographically.  In phase A
-# the centring tie-break moves toward 1/2 where the residual is flat, so
-# the disk leaves the partner coordinate full room; in phase B a point
-# above the guard residual loses to every point within it.
-_SCORE = """\
-if phase_a: s0, s1, s2 = r, o, abs(v - 0.5)
-elif r <= guard: s0, s1, s2 = 0.0, o, abs(v - 0.5)
-else: s0, s1, s2 = 1.0, r, 0.0"""
-
-# The line search runs in stages: the first point, the clamped x[ci]; each
-# round, nine evenly spaced points of [lo, hi] and best_v rounded to 1/64,
-# then [lo, hi] narrowed to best_v +- step; the last point, best_v again,
-# whose (r, o) it returns.  A point replaces best_v only when it scores less.
-_LINE_SEARCH = """\
-def line_search(x, ci, lo, hi, phase_a, guard, left, tol, records):
-    sobj, sx = records
-    used = stage = 0
-    width = hi - lo
-    candidates = [min(max(x[ci], lo), hi)]
-    while True:
-        for v in candidates:
-            {at3}
-            if used == 1 or s0 < b0 or s0 == b0 and (s1 < b1 or s1 == b1 and s2 < b2):
-                b0, b1, b2, best_v = s0, s1, s2, v
-        if stage == 2:
-            return used, (r, o), (sobj, sx)
-        if stage == 1:
-            lo = max(lo, best_v - step)
-            hi = min(hi, best_v + step)
-            width = hi - lo
-        if width > tol / 4.0:
-            stage, step = 1, width / 8.0
-            candidates = [lo + k * step for k in range(9)]
-            candidates.append(min(max(round(best_v * 64.0) / 64.0, lo), hi))
-        else:
-            stage, candidates = 2, [best_v]
-"""
-
-_SCREEN = """\
-def screen(seeds, scored, left, records):
-    sobj, sx = records
-    used = 0
-    for x in seeds:
-        {at2}
-        scored.append((r, o, used - 1))
-    return used, (r, o), (sobj, sx)
-"""
-
-
-def _at(lines, depth: int) -> str:
-    """Statements joined for a template slot ``depth`` levels deep."""
-    return ("\n" + "    " * depth).join(lines)
-
-
 def _evaluator_source(
-    objective: Formula | None, members, pos: dict[str, int], den: int | None = None, least: bool = False
+    objective: Formula | None, members, pos: dict[str, int], den: int, least: bool = False
 ) -> tuple[str, tuple[int, ...]]:
-    """The source of the functions ``_evaluators`` compiles, and the
+    """The source of the function ``_evaluators`` compiles, and the
     coordinates that the formulas read, in order.
 
     Atom k sits at ``pos[name] = 2k``; its u and w are the coordinates
     ``x{2k}`` and ``x{2k + 1}``.  Only the component each node needs is
     computed: the root of a negation is the negated root, the value of a
     square root is its argument's root, and a binary node's root is 1/2.
-    The source holds coordinates, temporaries, number literals and the
-    fixed templates above, never text from a formula.
-
-    Without ``den``: floats, in a body that leaves the residual in ``r``
-    and the objective's value in ``o``.  The residual is max(0.0, 1.0 -
-    value of each member), folded in member order; the value of a missing
-    objective is None.  The body does the float operations of the pair
-    recursion in the same order, so its results are bit-identical to it.
-    It is written into two functions over flat float vectors:
-
-    - ``line_search(x, ci, lo, hi, phase_a, guard, left, tol, records)``
-      narrows coordinate ci within [lo, hi], leaving the best point in
-      ``x[ci]``;
-    - ``screen(seeds, scored, left, records)`` appends (r, o, index)
-      to ``scored`` for each seed in order.
-
-    Both evaluate at most ``left`` points, keep the records ``(sobj, sx)``
-    of ``_POINT``, and return (evaluations, last, records): ``last``
-    is the (r, o) of the last point evaluated, which for ``line_search`` is
-    the final x, or None once ``left`` is spent.
-
-    With ``den``: exact integers.  A value is ``num / den**e``, with e
-    tracked here per node: ``.`` adds exponents, and the other
-    connectives first bring both operands to the larger one.  Atom-free
-    subterms are folded here to one literal at their exponent.
+    The source holds coordinates, temporaries, integer literals and the
+    fixed templates above, never text from a formula.  A value is
+    ``num / den**e``, with e tracked here per node: ``.`` adds exponents,
+    and the other connectives first bring both operands to the larger
+    one.  Atom-free subterms are folded to one literal at their exponent.
     ``evaluate(m, pool, picks)`` screens m candidates, candidate i
     putting atom k at pool index ``picks[k][i]``, whose u and w
     numerators over den are ``pool[0]`` and ``pool[1]`` at that index.
@@ -388,15 +293,12 @@ def _evaluator_source(
     it yields, of those i, each whose objective is below every one before
     it, so the last one yielded is the first of least objective.
     """
-    lines: list[str] = ["r = 0.0"] if den is None else []
+    lines: list[str] = []
     reads: set[int] = set()
 
-    def literal(value, e: int = 1) -> str:
-        return repr(float(value)) if den is None else str(int(value * den**e))
-
     def operand(a, e: int) -> str:
-        # In integer mode an atom-free operand is its exact value until written.
-        return literal(a, e) if isinstance(a, Fraction) else a
+        # An atom-free operand is its exact value until written.
+        return str(int(a * den**e)) if isinstance(a, Fraction) else a
 
     def assign(template: str, **operands) -> str:
         t = f"t{len(lines)}"
@@ -409,43 +311,33 @@ def _evaluator_source(
             reads.add(pos[g.name] + root)
             return f"x{pos[g.name] + root}", 1
         if isinstance(g, Const) or (root and isinstance(g, Bin)):
-            value = Fraction(1, 2) if root else g.value.value
-            return (literal(value) if den is None else value), 1
+            return (Fraction(1, 2) if root else g.value.value), 1
         if isinstance(g, Sqrt) and not root:
             return emit(g.arg, True)
         if isinstance(g, (Neg, Sqrt)):
             a, e = emit(g.arg, root and isinstance(g, Neg))
             if isinstance(a, Fraction):
                 return 1 - a, e
-            return assign("{t} = {one} - {a}", one=literal(1, e), a=a), e
+            return assign("{t} = {one} - {a}", one=den**e, a=a), e
         (a, ea), (b, eb) = emit(g.left, False), emit(g.right, False)
         e = ea + eb if g.op == PRODUCT else max(ea, eb)
         if isinstance(a, Fraction) and isinstance(b, Fraction):
             return _PAIR_OPS[g.op](a, b), e
-        if den is not None and g.op != PRODUCT:
+        if g.op != PRODUCT:
             if isinstance(a, str) and ea < e:
                 a = assign("{t} = {a} * {scale}", a=a, scale=den ** (e - ea))
             if isinstance(b, str) and eb < e:
                 b = assign("{t} = {a} * {scale}", a=b, scale=den ** (e - eb))
             ea = eb = e
         return assign(
-            _TEMPLATES[g.op], a=operand(a, ea), b=operand(b, eb), one=literal(1, e), zero=literal(0, e)
+            _TEMPLATES[g.op], a=operand(a, ea), b=operand(b, eb), one=den**e, zero=0
         ), e
 
     for beta in members:
         value, e = emit(beta, False)
-        if den is None:
-            lines.append(f"d = 1.0 - {value}; r = d if d > r else r")
-        else:
-            lines.append(f"if {operand(value, e)} != {den**e}: continue")
+        lines.append(f"if {operand(value, e)} != {den**e}: continue")
     value, e = ("None", 0) if objective is None else emit(objective, False)
     read = tuple(sorted(reads))
-    if den is None:
-        lines.append(f"o = {value}")
-        coords = "".join(f"x{i}, " for i in range(2 * len(pos)))
-        point = _POINT.format(coords=coords, body="\n".join(lines), strict=_STRICT_RESIDUAL).split("\n")
-        scored = ["x[ci] = v", *point, *_SCORE.split("\n")]
-        return _LINE_SEARCH.format(at3=_at(scored, 3)) + _SCREEN.format(at2=_at(point, 2)), read
     if objective is None:
         lines.append("yield i")
     elif least:
@@ -460,27 +352,19 @@ def _evaluator_source(
 
 
 def _evaluators(
-    objective: Formula | None, members, pos: dict[str, int], den: int | None = None, least: bool = False
+    objective: Formula | None, members, pos: dict[str, int], den: int, least: bool = False
 ) -> types.SimpleNamespace:
-    """The functions generated for one search; see ``_evaluator_source``.
-
-    In floats (no ``den``) for the relevance search: ``line_search``
-    and ``screen``.  In exact integers over ``den`` for
-    the pool search: ``evaluate``.  ``reads`` holds the coordinates they
-    read, in order.
-    """
+    """``_evaluator_source``'s ``evaluate``, and in ``reads`` the coordinates it reads."""
     return _compile(*_evaluator_source(objective, members, pos, den, least))
 
 
 def _compile(source: str, reads: tuple[int, ...]) -> types.SimpleNamespace:
     """The functions that ``source`` defines, and ``reads``, in a new namespace.
 
-    A search's source depends only on its formulas' shapes, so searches
-    repeat sources: each source is compiled once, and its functions kept
-    in an LRU memo of ``_COMPILED`` sources.  The functions keep no state
-    between calls, so searches can share them; the namespace is each
-    call's own, so that a caller may replace a function in it (as the tests
-    do, to count the class tuples screened) without touching another search."""
+    A search's source depends only on its formulas' shapes, so each source
+    is compiled once, its functions kept in an LRU memo of ``_COMPILED``
+    sources and shared; the namespace is each call's own, so that a caller
+    may replace a function in it (as the tests do) without touching another."""
     return types.SimpleNamespace(**_functions(source), reads=reads)
 
 
@@ -524,8 +408,9 @@ class SearchResult:
     ``evaluations`` counts, for ``first_hit``, the candidates in sweep order
     up to its hit, else those of the class tuples decided; for
     ``relevance_degree``, at most its budget, the class tuples decided
-    (screened, or ruled out by arc consistency), float points and snaps tried.
-    The boxes of ``certifies_no_model`` are not evaluations."""
+    (screened, or ruled out by arc consistency), then the value bisection's
+    boxes and candidate tuples, but not the boxes of its first contraction
+    or of ``certifies_no_model``."""
 
     value: Fraction
     status: str
@@ -821,183 +706,7 @@ def consequence(alpha: Formula, beta: Formula, budget: int = 100_000) -> SearchR
 
 
 # ---------------------------------------------------------------------------
-# Relevance degree
-
-
-@dataclass
-class RelevanceOptions:
-    grid: Fraction = Fraction(1, 32)
-    tol: float = 1e-6
-    budget: int = 100_000
-
-    def validate(self) -> None:
-        """Raise ``ValueError`` unless budget >= 1, 2**-52 <= grid <= 1 (a
-        finer grid's points are not distinct floats) and tol is finite and positive.
-        A rejected grid is shown to 6 significant digits, as its exact
-        fraction can run to any length."""
-        if self.budget < 1:
-            raise ValueError(f"budget must be at least 1, got {self.budget}")
-        if not Fraction(1, 2**52) <= self.grid <= 1:
-            raise ValueError(f"grid must be in [2**-52, 1], got {_six_digits(self.grid)}")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be finite and positive, got {self.tol}")
-
-
-# Only a point of residual at most this is snapped to exact models.
-_STRICT_RESIDUAL = 1e-13
-
-
-@functools.lru_cache(maxsize=4)
-def _float_pool(grid: Fraction, size: int | None = None) -> tuple[tuple[float, float], ...]:
-    """The distinct seed points, or the first ``size`` of them: five fixed
-    points, the grid of pitch ``grid`` in the disk row by row, reading
-    only each row's disk interval, then 64 boundary points."""
-
-    def points():
-        yield from ((1.0, 0.5), (0.0, 0.5), (0.5, 0.5), (0.5, 0.0), (0.5, 1.0))
-        steps = max(2, round(1 / float(grid)))
-        g = 1.0 / steps
-        for i in range(steps + 1):
-            u = i * g
-            # The interval of w that the test below admits, a point wider each way.
-            half = math.sqrt(1.0 + 1e-12 - (1 - 2 * u) ** 2) / 2.0
-            first, last = math.floor((0.5 - half) / g) - 1, math.ceil((0.5 + half) / g) + 1
-            for j in range(max(0, first), min(steps, last) + 1):
-                w = j * g
-                if (1 - 2 * u) ** 2 + (1 - 2 * w) ** 2 <= 1.0 + 1e-12:
-                    yield u, w
-        for k in range(64):
-            theta = 2.0 * math.pi * k / 64.0
-            yield (1.0 - math.cos(theta)) / 2.0, (1.0 - math.sin(theta)) / 2.0
-
-    pool: dict = {}
-    for point in points():
-        pool[point] = None
-        if len(pool) == size:
-            break
-    return tuple(pool)
-
-
-def _disk_interval(partner: float) -> tuple[float, float]:
-    c = math.sqrt(max(0.0, 1.0 - (1.0 - 2.0 * partner) ** 2))
-    return ((1.0 - c) / 2.0, (1.0 + c) / 2.0)
-
-
-def _descent(alpha: Formula, members, names, opts: RelevanceOptions, budget: int):
-    """The float search within ``budget`` evaluations, in the functions
-    ``_evaluators`` generates, run only to improve on a pool model that
-    the contraction did not prove least: seeds from a per-atom grid (pitch
-    ``opts.grid``) and boundary samples, with two or more atoms also 128
-    drawn from them by ``random.Random(0)``, then coordinate descent from
-    the best, first of the residual 1 - min over members, then of alpha
-    without leaving it.  A coordinate no formula reads is set to 1/2, in
-    every disk interval, without evaluation.
-
-    A line search is a pure function of ``(*x, ci, phase_a, guard)``, and a
-    repeat offers the records only points they have already seen, so each
-    line search that finished within the budget is run once per call: a
-    repeat takes its final ``x[ci]`` and (r, o) from a memo and counts no
-    evaluations.  Starts merge into the same trajectories, so repeats are
-    common.  Returns (evaluations, whether the budget ran out, the point of
-    least objective among those of residual at most ``_STRICT_RESIDUAL``,
-    as a list, or None)."""
-    pos = {name: 2 * k for k, name in enumerate(names)}
-    search, tol = _evaluators(alpha, members, pos), opts.tol
-    evals, records, memo = 0, (None, None), {}
-
-    def sweep(x: list[float], phase_a: bool, guard: float, last: tuple[float, float]):
-        # A line search per coordinate read, within the disk its partner allows, from
-        # x at (r, o) ``last``; (r, o) at the final x, or None once the budget is spent.
-        nonlocal evals, records
-        for ci in range(len(x)):
-            if ci not in search.reads:
-                x[ci] = 0.5
-                continue
-            key = (*x, ci, phase_a, guard)
-            if (hit := memo.get(key)) is not None:
-                x[ci], last = hit
-                continue
-            lo, hi = _disk_interval(x[ci ^ 1])
-            used, last, records = search.line_search(x, ci, lo, hi, phase_a, guard, budget - evals, tol, records)
-            evals += used
-            if last is None:
-                return None
-            memo[key] = x[ci], last
-        return last
-
-    def descend(x: list[float], r: float, o: float) -> bool:
-        # From x, whose (r, o) the screen measured; False once the budget is spent.
-        # Phase A: drive the constraint residual to (float) zero.
-        for _ in range(12):
-            if r <= 1e-15:
-                break
-            if (last := sweep(x, True, 0.0, (r, o))) is None:
-                return False
-            before, (r, o) = r, last
-            if before - r <= 1e-16:
-                break
-        guard = max(_STRICT_RESIDUAL, r)
-        if guard >= tol:
-            return True
-        # Phase B: improve the objective without leaving feasibility.
-        for _ in range(12):
-            if (last := sweep(x, False, guard, (r, o))) is None:
-                return False
-            before, (r, o) = o, last
-            if before - o <= tol / 10.0:
-                break
-        return True
-
-    # A pool of budget + 1 points outlasts the budget, and so would any random seeds.
-    pool = _float_pool(opts.grid, budget + 1)
-    seeds = [point * len(names) for point in pool]
-    if len(names) > 1 and len(pool) <= budget:
-        rng = random.Random(0)
-        seeds += [[c for _ in names for c in pool[rng.randrange(len(pool))]] for _ in range(128)]
-
-    scored: list[tuple[float, float, int]] = []
-    evals, last, records = search.screen(seeds, scored, budget, records)
-    exhausted = last is None
-    if not exhausted:
-        by_residual = heapq.nsmallest(12, scored)
-        by_objective = heapq.nsmallest(12, ((obj, residual, idx) for residual, obj, idx in scored if residual <= 0.5))
-        starts = dict.fromkeys(idx for *_, idx in by_residual + by_objective)
-        # all() stops at the first descent that spends the budget.
-        exhausted = not all(descend(list(seeds[idx]), *scored[idx][:2]) for idx in starts)
-    return evals, exhausted, records[1]
-
-
-def _convergents(x: float, count: int, within: float = 1e-12) -> list[Fraction]:
-    """The first ``count`` continued-fraction convergents of x within
-    ``within`` of it; the last convergent is x itself."""
-    n, d = x.as_integer_ratio()
-    h0, h1, k0, k1 = 0, 1, 1, 0
-    near: list[Fraction] = []
-    while d and len(near) < count:
-        a, (n, d) = n // d, (d, n % d)
-        h0, h1, k0, k1 = h1, a * h1 + h0, k1, a * k1 + k0
-        if abs(h1 / k1 - x) <= within:
-            near.append(Fraction(h1, k1))
-    return near
-
-
-def _snaps(u: float, w: float, tol: float) -> list[tuple[Fraction, Fraction]]:
-    """Exact disk points near (u, w): its coordinates' first convergents
-    within 1e-12; within 1e-9 of the circle, unless that point lies on it,
-    the circle points at tan(θ/2)'s first two; and, as the descent stops
-    within ``tol`` of an optimum, its coordinates' first convergents within
-    ``tol``, such as 1/3 for a u of 0.3333333364."""
-    cu, cw = _convergents(u, 1)[0], _convergents(w, 1)[0]
-    points = [(cu, cw)]
-    r3, r2 = 1.0 - 2.0 * u, 1.0 - 2.0 * w
-    if abs(math.hypot(r3, r2) - 1.0) <= 1e-9 and (1 - 2 * cu) ** 2 + (1 - 2 * cw) ** 2 != 1:
-        points += map(_circle_point, _convergents(math.tan(math.atan2(r2, r3) / 2.0), 2))
-    points.append((_convergents(u, 1, tol)[0], _convergents(w, 1, tol)[0]))
-    return [point for point in dict.fromkeys(points) if _in_disk(*point, Fraction(0))]
-
-
-# ---------------------------------------------------------------------------
-# Interval contraction
+# Interval contraction and the relevance degree
 
 # The most boxes that one contraction search narrows before it gives up.
 _BOXES = 16
@@ -1180,24 +889,15 @@ def _contract(box, targets) -> bool:
     return True
 
 
-def certifies_no_model(members, objective: Formula | None = None, below: Fraction | None = None) -> bool:
-    """True when interval contraction proves that no model of ``members``
-    gives ``objective`` a value below ``below``; with ``below`` None, that
-    the members have no model at all.  False proves nothing.
-
-    Each atom gets a box, an interval for u and one for w, narrowed by
-    ``_contract``: forward interval evaluation, backward from each member's
-    target 1 (and the objective's [0, below]), HC4-style (Benhamou et al.,
-    "Revising hull and box consistency", ICLP 1999), and by the disk with
-    its square root rounded outward.  A box that empties, or whose objective
-    interval starts at ``below`` or above, is dropped; the rest are bisected
-    at their widest coordinate, the least objective bound first (Moore,
-    *Interval Analysis*, 1966).  True when every box is dropped among the
-    first ``_BOXES`` narrowed.
-
-    Each bisection narrows two boxes, so with b boxes narrowed and h left
-    to bisect, the budget cannot drop them all once b + 2h > ``_BOXES``:
-    the search stops there, False, as it would after spending the budget."""
+def _open_boxes(members, objective: Formula | None = None, below: Fraction | None = None, limit: int = _BOXES):
+    """The boxes that hold every model of ``members`` with ``objective``
+    below ``below`` (every model, with ``below`` None), as a heap of (the
+    objective's lower bound over the box, a tie-break, the box), and the
+    count narrowed.  ``_contract`` narrows a box to the members at 1, the
+    objective in [0, below] and the disk (HC4; Benhamou et al., ICLP 1999).
+    A box emptied or bounded below by ``below`` is dropped; the rest are
+    bisected at their widest coordinate, least bound first (Moore, 1966),
+    while b boxes narrowed and h open leave b + 2h <= ``limit``."""
     targets = [(beta, ONE, ONE) for beta in members]
     if below is not None:
         targets.append((objective, ZERO, below))
@@ -1209,68 +909,199 @@ def certifies_no_model(members, objective: Formula | None = None, below: Fractio
         nonlocal boxes
         boxes += 1
         if _contract(box, targets):
-            low = 0 if below is None else _image(objective, box, {})[0]
+            low = ZERO if below is None else _image(objective, box, {})[0]
             if below is None or low < below:
                 heapq.heappush(heap, (low, next(order), box))
 
     narrow({name: [ZERO, ONE] * 2 for name in set().union(*map(formula_atoms, formulas))})
     reads = sorted(set().union(*map(_reads, formulas))) if heap else ()
-    while heap and boxes + 2 * len(heap) <= _BOXES:
-        box = heapq.heappop(heap)[2]
+    while heap and boxes + 2 * len(heap) <= limit:
+        box = heap[0][2]
         width, name, k = max(((box[name][k + 1] - box[name][k], name, k) for name, k in reads), default=(0, "", 0))
         if not width:
-            return False
+            break
+        heapq.heappop(heap)
         middle = (box[name][k] + box[name][k + 1]) / 2
         for end in (k + 1, k):
             half = {atom: list(iv) for atom, iv in box.items()}
             half[name][end] = middle
             narrow(half)
-    return not heap
+    return heap, boxes
+
+
+def certifies_no_model(members, objective: Formula | None = None, below: Fraction | None = None) -> bool:
+    """True when ``_open_boxes`` leaves no box: no model of ``members`` gives ``objective`` a
+    value below ``below`` (with ``below`` None, there is no model).  False proves nothing."""
+    return not _open_boxes(members, objective, below)[0]
+
+
+@dataclass
+class RelevanceOptions:
+    tol: float = 1e-6
+    budget: int = 100_000
+
+    def validate(self) -> None:
+        """Raise ``ValueError`` unless budget >= 1 and tol is finite and positive."""
+        if self.budget < 1:
+            raise ValueError(f"budget must be at least 1, got {self.budget}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
+
+
+# The most candidate tuples that one step of the value bisection tries, and the
+# most boxes that it narrows in all times the formulas' connectives, two at least.
+_CANDIDATES, _WORK = 128, 96
+
+
+def _simplest(lo: Fraction, hi: Fraction) -> Fraction:
+    """The fraction of least denominator in [lo, hi], 0 <= lo <= hi (the Stern-Brocot tree)."""
+    whole = math.floor(lo)
+    if whole == lo or whole < math.floor(hi):
+        return Fraction(whole + (whole != lo))
+    return whole + 1 / _simplest(1 / (hi - whole), 1 / (lo - whole))
+
+
+def _edge(c: Fraction, upper: bool) -> Fraction:
+    """c's partner on the disk's edge, above or below 1/2, its root rounded
+    down to a multiple of 2**-64, so that the pair lies exactly in the disk."""
+    r = math.isqrt((4 * c.numerator * (c.denominator - c.numerator) << 128) // c.denominator**2)  # root * 2**64
+    return Fraction(2**64 + r if upper else 2**64 - r, 2**65)
+
+
+def _points(iv: list, reads: set[int]) -> list[tuple[Fraction, Fraction]]:
+    """An atom's candidate disk points in its box, for the components
+    ``reads`` (0 for u, 2 for w) that a formula reads, the others at 1/2:
+    each read one's simplest fraction, ends and midpoint, or its quarter
+    points with both read.  Then they are the simplest fractions' point if
+    in the disk, and each value with its disk-edge partners on the sides of
+    1/2 that the other interval reaches."""
+    parts = 2 * len(reads)
+    values = [list(dict.fromkeys((_simplest(iv[k], iv[k + 1]), iv[k], iv[k + 1],
+                                  *(iv[k] + (iv[k + 1] - iv[k]) * j / parts for j in range(1, parts)))))
+              if k in reads else [HALF] for k in (0, 2)]
+    if len(reads) < 2:
+        return [(u, w) for u in values[0] for w in values[1]]
+    points = [(values[0][0], values[1][0])] if _in_disk(values[0][0], values[1][0], ZERO) else []
+    for k, coords in ((0, values[0]), (2, values[1])):
+        for upper in [side for side, reached in ((False, iv[2 - k] < HALF), (True, iv[3 - k] > HALF)) if reached]:
+            points += [(c, _edge(c, upper)) if k == 0 else (_edge(c, upper), c) for c in coords]
+    return list(dict.fromkeys(points))
+
+
+def _levels(formulas, names) -> list[list[Formula]]:
+    """For each k, the largest subterms of ``formulas`` that points for
+    atoms 0 to k of ``names`` decide and for atoms 0 to k - 1 do not."""
+    levels: list[dict] = [{} for _ in names]
+    stack = [(g, len(names)) for g in formulas]
+    while stack:
+        g, above = stack.pop()
+        k = max(map(names.index, formula_atoms(g)), default=0)
+        if k < above:
+            levels[k][g] = None
+        children = (g.arg,) if isinstance(g, (Neg, Sqrt)) else (g.left, g.right) if isinstance(g, Bin) else ()
+        stack += [(child, k) for child in children]
+    return [list(level) for level in levels]
+
+
+def _below(members, objective: Formula, heap, below: Fraction, cap: int):
+    """The least value below ``below`` of the objective at a candidate model
+    in the open boxes of ``heap`` (least bound first, while that is below
+    it), with the model's pairs, or None; and the tuples tried, at most
+    ``cap``.  A box's tuples, the product of its atoms' ``_points`` cut by
+    dropping the last point of the longest list, go atom by atom, fewest
+    points first: the subterms atoms 0 to k decide (``_levels``) are
+    evaluated once, members among them must be 1, and the objective's
+    interval over the other atoms' points must start below the least value
+    found.  A tuple ruled out counts as tried."""
+    reads = set().union(*map(_reads, (objective, *members)))
+    best, tried, checked = None, 0, set(members)
+
+    def descend(k: int, memo: dict) -> None:
+        nonlocal best, below
+        hull = point[names[k]]
+        for u, w in lists[k]:
+            point[names[k]] = [u, u, w, w]
+            known = dict(memo)
+            for g in levels[k]:
+                _image(g, point, known)
+            if not all(known[beta][0] == 1 for beta in levels[k] if beta in checked):
+                continue
+            if k + 1 < len(names):
+                if _image(objective, point, dict(known))[0] < below:
+                    descend(k + 1, known)
+            elif known[objective][0] < below:
+                below = known[objective][0]
+                best = below, {name: (iv[0], iv[2]) for name, iv in point.items()}
+        point[names[k]] = hull
+
+    for low, _, box in sorted(heap, key=lambda entry: entry[:2]):
+        if low >= below:
+            break
+        points = {name: _points(iv, {k for atom, k in reads if atom == name}) for name, iv in sorted(box.items())}
+        names = sorted(points, key=lambda name: len(points[name]))
+        lists = [points[name] for name in names]
+        while math.prod(map(len, lists)) > cap - tried:
+            longest = max(lists, key=len)
+            if len(longest) == 1:
+                return best, tried
+            longest.pop()
+        tried += math.prod(map(len, lists))
+        levels = _levels((*members, objective), names)
+        point = {name: [min(u for u, _ in ps), max(u for u, _ in ps), min(w for _, w in ps), max(w for _, w in ps)]
+                 for name, ps in points.items()}
+        descend(0, {})
+    return best, tried
+
+
+def _bracket(members, objective: Formula, witness: ReducedModel, opts: RelevanceOptions, evaluations: int):
+    """Bisect the least value of ``objective`` over the models of
+    ``members`` from a model ``witness``, on the budget left after
+    ``evaluations``; return (a certified lower end, the least value found,
+    its model, the evaluations in all).  The lower end starts at the
+    least bound of ``_open_boxes`` below the value.  Each step contracts at
+    the midpoint t of the value and a floor, at first the lower end: if
+    every box empties, t is the lower end and the floor; else the lower end
+    rises to the least open bound, the least candidate (``_below``) becomes
+    the value, and t an uncertified floor unless the value is below t; it
+    stops within ``opts.tol``, without one, or out of boxes (``_WORK``) or budget."""
+    value = eval_prob(witness, objective)[0]
+    heap, _ = _open_boxes(members, objective, value)
+    lower = floor = heap[0][0] if heap else value
+    boxes_left = _WORK // max(2, sum(map(complexity, (objective, *members))))
+    while value - floor > opts.tol and evaluations < opts.budget and boxes_left:
+        t = (floor + value) / 2
+        heap, boxes = _open_boxes(members, objective, t, min(_BOXES, boxes_left, opts.budget - evaluations))
+        evaluations, boxes_left = evaluations + boxes, boxes_left - boxes
+        if not heap:
+            lower = floor = t
+            continue
+        lower, floor = max(lower, heap[0][0]), max(floor, heap[0][0])
+        found, tried = _below(members, objective, heap, value, min(_CANDIDATES, opts.budget - evaluations))
+        evaluations += tried
+        if found is None:
+            break
+        floor = t if found[0] >= t else floor
+        value, witness = found[0], ReducedModel(found[1])
+    return lower, value, witness, evaluations
 
 
 def relevance_degree(
     theory: Theory, alpha: Formula, options: RelevanceOptions | None = None
 ) -> SearchResult:
-    """The least value of alpha at the exact models of the theory found within
-    ``options.budget`` evaluations, the pool's on ties, and a status that a
-    certificate or the budget decides.
-
-    ``PoolSearch(alpha, theory.members).least`` runs first, one evaluation
-    per class tuple decided, and ``certifies_no_model`` then tries to prove
-    its answer, whatever part of the budget the pool spent.  With no pool
-    model the value is 1, without a witness, at the pool's count: status
-    ``infeasible`` when the contraction proves there is no model, else
-    ``tolerance-limited``.  A pool model proved least is the infimum, status
-    ``feasible`` at the pool's count.  Otherwise ``_descent`` looks for a
-    lower exact value on the budget left: its strict point gives each atom
-    the exact disk points of ``_snaps``, each tuple of their product tried
-    with ``is_model_of`` at tolerance 0 as one evaluation.  The status is
-    then ``feasible``, or ``tolerance-limited`` when the budget ran out.
-    Raises ``ValueError`` for options that ``validate`` rejects."""
+    """The least value of alpha at the exact models of the theory found within ``options.budget``
+    evaluations: ``PoolSearch.least``'s, then ``_bracket``'s.  With no pool model it is 1,
+    ``infeasible`` when ``certifies_no_model`` proves there is none, else ``tolerance-limited``;
+    with one, ``feasible``, or ``tolerance-limited`` when the budget ran out before the bracket
+    was within tol.  Raises ``ValueError`` for options that ``validate`` rejects."""
     opts = options or RelevanceOptions()
     opts.validate()
-    search = PoolSearch(alpha, theory.members)
-    evals, pairs = search.least(opts.budget)
+    evals, pairs = PoolSearch(alpha, theory.members).least(opts.budget)
     if pairs is None:
         status = "infeasible" if certifies_no_model(theory.members) else "tolerance-limited"
         return SearchResult(Fraction(1), status, None, evals)
-    found = [ReducedModel(pairs)]
-    if certifies_no_model(theory.members, alpha, value := eval_prob(found[0], alpha)[0]):
-        return SearchResult(value, "feasible", found[0], evals)
-    # Atom-free formulas are always certified, so the descent has an atom to move.
-    used, exhausted, strict_x = _descent(alpha, theory.members, search.names, opts, opts.budget - evals)
-    evals += used
-    snapped = () if strict_x is None else itertools.product(
-        *(_snaps(u, w, opts.tol) for u, w in zip(strict_x[::2], strict_x[1::2])))
-    for points in snapped:
-        if exhausted := evals == opts.budget:
-            break
-        evals += 1
-        model = ReducedModel(dict(zip(search.names, points)))
-        if is_model_of(model, theory):
-            found.append(model)
-    value, witness = min(((eval_prob(model, alpha)[0], model) for model in found), key=lambda vm: vm[0])
-    return SearchResult(value, "tolerance-limited" if exhausted else "feasible", witness, evals)
+    lower, value, witness, evals = _bracket(theory.members, alpha, ReducedModel(pairs), opts, evals)
+    status = "tolerance-limited" if evals == opts.budget and value - lower > opts.tol else "feasible"
+    return SearchResult(value, status, witness, evals)
 
 
 # ---------------------------------------------------------------------------

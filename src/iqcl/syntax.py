@@ -188,6 +188,21 @@ _UNARY = {"!": Neg, "?": Sqrt}
 _BINARY = {op: (level, op) for op, level in _LEVEL.items()}
 _NOT_BINARY = (-1, None)
 
+
+def plain_frames(node: Formula, *operand_frames: int) -> int:
+    """A bound on the frames that printing ``node`` or parsing its text
+    spends below its own, from each operand's: one more, and for the parser
+    one more for parentheses around a binary operand of ``!`` or ``?`` or
+    a binary node's right operand, which it reads in a new frame."""
+    if isinstance(node, (Neg, Sqrt)):
+        return 1 + operand_frames[0] + isinstance(node.arg, Bin)
+    if not isinstance(node, Bin):
+        return 0
+    bare = _LEVEL[node.op] + (node.op != IMPLIES)  # the least level of a right operand without parentheses
+    parens = (_LEVEL[node.right.op] if isinstance(node.right, Bin) else _UNARY_LEVEL) < bare
+    return 1 + max(operand_frames[0], operand_frames[1] + parens)
+
+
 # One match per token, and an empty one at the end of the input.  findall
 # skips whatever no token matches, so ``_Parser`` checks by length that it
 # skipped only whitespace.

@@ -217,17 +217,17 @@ def test_criterion_09_model_valuation_bijection():
 def test_criterion_10_completeness_spot_instances():
     ok = True
     r = relevance_degree(Theory([parse("p")]), parse("?p"))
-    ok &= r.status == "feasible" and abs(float(r.value) - 0.5) <= 1e-6
-    for s_text, s_value in (("1/4", 0.25), ("3/8", 0.375), ("7/8", 0.875)):
+    ok &= r.status == "feasible" and r.value == Fraction(1, 2)
+    for s_text in ("1/4", "3/8", "7/8"):
         theory = Theory([parse(f"{s_text} -> p")])
         result = relevance_degree(theory, parse("p"))
-        ok &= abs(float(result.value) - s_value) <= 1e-3
+        ok &= result.value == Fraction(s_text)
         certificate = Proof(
             (ProofStep(parse(f"{s_text} -> p"), MemberRef()),)
         )
         degree = proof_degree(theory, parse("p"), [certificate])
         ok &= degree.lower_bound == Fraction(s_text)
-        ok &= abs(float(degree.lower_bound) - float(degree.numeric.value)) <= 1e-3
+        ok &= degree.lower_bound == degree.numeric.value
         ok &= degree.defects == []
     report(10, "relevance values and matching certified bounds", ok)
 

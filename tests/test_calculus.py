@@ -512,7 +512,7 @@ def test_proof_degree_defect_flag():
     T = Theory([parse("7/8 -> p"), parse("3/4 -> p")])
     cert = Proof((ProofStep(parse("7/8 -> p"), MemberRef()),))
     report = proof_degree(
-        T, parse("p"), [cert], RelevanceOptions(budget=3, grid=Fraction(1, 2))
+        T, parse("p"), [cert], RelevanceOptions(budget=3)
     )
     if float(report.numeric.value) < 7 / 8 - 1e-6:
         assert report.defects

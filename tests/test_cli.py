@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import random
 import re
@@ -630,6 +631,10 @@ def test_relevance_sweep_runs():
     tables = [table.splitlines()[1:] for table in result.stdout.split("\n\n")]
     assert [len(rows) for rows in tables] == [3, 4], result.stdout
     assert all(row.split()[-1] == "feasible" for rows in tables for row in rows), result.stdout
+    # Each value against its closed form, to the 9 decimals printed: s over
+    # {s -> p}, and for ?p the disk's least w at the least u allowed.
+    closed = [[0, 0.5, 1], [0, 0, (1 - math.sqrt(7) / 4) / 2, 0.5]]
+    assert [[row.split()[-2] for row in rows] for rows in tables] == [[f"{v:.9f}" for v in vs] for vs in closed], result.stdout
 
 
 def test_readme_library_use_runs():
@@ -656,11 +661,12 @@ def test_benchmark_selftest_passes(tmp_path):
     assert (tmp_path / ".perfbench-out" / "wrong-seed1-trace0.json").is_file()
 
 
-@pytest.mark.parametrize("workload", ["taut-session", "relevance-closed-form", "oracle-sim"])
+@pytest.mark.parametrize("workload", ["taut-session", "relevance-closed-form", "proof-roundtrip", "oracle-sim"])
 def test_benchmark_traced_run_passes(tmp_path, workload):
     # The traced run reads a span of each simulator and qmix function that
     # sim calls; one missing span fails it, as does a relevance answer that
-    # a change to the search gets wrong.  ``correct`` forgives a failure on
+    # a change to the search gets wrong, or a proof text that the run cannot
+    # read back.  ``correct`` forgives a failure on
     # a row of KNOWN_WRONG_RELEVANCE, so every operation must pass as well.
     # It runs from a directory that holds only a link to src/, so its
     # records stay out of the checkout.

@@ -158,6 +158,34 @@ def doubling(k: int):
     return f
 
 
+@pytest.mark.parametrize("op, side", [(op, side) for op in ("->", "|", "&", "+", ".", "*") for side in ("left", "right")] + [("!", "right")])
+def test_a_definitions_file_nests_no_deeper_than_its_plain_text_reads(tmp_path, capsys, op, side):
+    # Chains of each connective, nested on each side, and of !, around the
+    # depth at which writing or reading plain text runs out of frames: each
+    # is refused as a format error naming its line, or its plain text is
+    # written and reads back.  A right-nested p + (p + (...)) costs the
+    # parser two frames a level, so it is refused at about half the depth
+    # of a left-nested one; a ! chain costs one.
+    body = (lambda j: f"!${j}") if op == "!" else (lambda j: f"${j} {op} p") if side == "left" else (lambda j: f"p {op} ${j}")
+    read = refused = 0
+    for lines in (200, 440, 480, 520, 600, 900, 1000):
+        text = chain(lines, body) + f"1: ${lines} [hyp]\n"
+        try:
+            proof = parse_proof(text)
+        except ProofError as exc:
+            refused += 1
+            assert exc.step is None and "nested too deeply" in exc.reason and exc.reason.startswith("line "), exc.reason
+            (tmp_path / "t.thy").write_text("p\n")
+            (tmp_path / "deep.proof").write_text(text)
+            assert main(["proof", "check", str(tmp_path / "t.thy"), str(tmp_path / "deep.proof"), "p"]) == 2
+            assert capsys.readouterr().err.startswith("proof format error: proof: line ")
+            continue
+        read += 1
+        plain = format_proof(proof)
+        assert format_proof(parse_proof(plain)) == plain, (op, side, lines)
+    assert read >= (5 if op == "!" or side == "left" else 2) and refused >= 1, (read, refused)
+
+
 def test_a_formula_past_the_node_bound_is_written_out():
     assert 2**16 - 1 <= _MAX_DEFINED_NODES < 2**17 - 1
     at, past = doubling(15), doubling(16)

@@ -36,7 +36,7 @@ def _searches(theory: Theory, alpha, beta, budget: int):
     yield "check_tautology", Theory(), alpha, check_tautology(alpha, budget)
     yield "consequence", Theory(), Bin(IMPLIES, alpha, beta), consequence(alpha, beta, budget)
     yield "consistency_probe", theory, None, consistency_probe(theory, budget)
-    options = RelevanceOptions(grid=Fraction(1, 16), budget=budget)
+    options = RelevanceOptions(budget=budget)
     yield "relevance_degree", theory, alpha, relevance_degree(theory, alpha, options)
 
 

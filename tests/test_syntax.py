@@ -25,8 +25,10 @@ from iqcl.syntax import (
     is_pmv_fragment,
     parse,
     parse_theory_text,
+    plain_frames,
     print_formula,
 )
+from iqcl import syntax
 from util import formulas, node_ids, random_formula
 
 
@@ -331,3 +333,45 @@ def test_unpickled_formula_hashes_like_a_parsed_one(tmp_path):
         result = subprocess.run([sys.executable, "-c", load, str(path), text], env=env,
                                 capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
+
+
+def _deepest(monkeypatch, module, name, run):
+    """The most nested calls of ``module.name`` below the first, while ``run()`` runs."""
+    depth, deepest, inner = [0], [0], getattr(module, name)
+
+    def counted(*args):
+        depth[0] += 1
+        deepest[0] = max(deepest[0], depth[0])
+        try:
+            return inner(*args)
+        finally:
+            depth[0] -= 1
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, name, counted)
+        run()
+    return deepest[0] - 1
+
+
+def test_plain_frames_bounds_the_printer_and_the_parser(monkeypatch):
+    # plain_frames, built up from the operands as a definitions file does,
+    # is at least the recursion that print_formula and the parser spend,
+    # measured on random formulas, and equal to one of them on each chain
+    # of one connective.  It may count more where the two differ by shape,
+    # as on !(!(...) -> p) -> p, which each spends two frames a level on.
+    def frames(f):
+        if isinstance(f, (Neg, Sqrt)):
+            return plain_frames(f, frames(f.arg))
+        return plain_frames(f, frames(f.left), frames(f.right)) if isinstance(f, Bin) else 0
+
+    rng = random.Random(231)
+    cases = [random_formula(rng, ("p", "q"), depth=rng.randint(0, 7)) for _ in range(1500)]
+    chains = [parse("p" + " + p" * 30), parse("p + (" * 30 + "p" + ")" * 30), parse("!" * 30 + "p"),
+              parse("(" * 30 + "p" + " -> p)" * 30)]
+    for f in cases + chains + [parse("!(" * 30 + "p" + " -> p)" * 30)]:
+        text = print_formula(f)
+        printed = _deepest(monkeypatch, syntax, "_render", lambda: print_formula(f))
+        parsed = _deepest(monkeypatch, syntax._Parser, "expr", lambda: parse(text))
+        assert frames(f) >= max(printed, parsed), (text, frames(f), printed, parsed)
+        if f in chains:
+            assert frames(f) == max(printed, parsed), (text, frames(f), printed, parsed)
