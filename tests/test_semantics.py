@@ -61,6 +61,7 @@ from util import (
     random_model,
     reference_check_tautology,
     reference_disk,
+    reference_hits,
     reference_pool,
 )
 
@@ -561,8 +562,9 @@ def _relevance_at_grid(lines, formula, grid, directory):
     fields = dict(line.split("=", 1) for line in out.getvalue().splitlines())
     assert (Fraction(fields.pop("value")), fields.pop("status"), int(fields.pop("evaluations"))) == (
         result.value, result.status, result.evaluations)
+    witness = {} if result.witness is None else result.witness.assignment
     assert {key: Fraction(x) for key, x in fields.items()} == {
-        f"model.{name}.{key}": x for name, pair in result.witness.assignment.items() for key, x in zip("uw", pair)}
+        f"model.{name}.{key}": x for name, pair in witness.items() for key, x in zip("uw", pair)}
     return result
 
 
@@ -831,6 +833,35 @@ def _bracket_of(theory, alpha, options=RelevanceOptions()):
     """``_bracket``'s answer from the pool's least model, as ``relevance_degree`` runs it."""
     evaluations, pairs = PoolSearch(alpha, theory.members).least(options.budget)
     return semantics._bracket(theory.members, alpha, ReducedModel(pairs), options, evaluations)
+
+
+@pytest.mark.parametrize("grid", [Fraction(1, 32), Fraction(1, 64)])
+def test_relevance_matches_closure_reference(workloads, grid, tmp_path):
+    # The benchmark's rows, through the CLI at each grid it passes, against
+    # the pool search candidate by candidate (util.reference_hits, each
+    # candidate decided by eval_prob's exact recursion): no pool model lies
+    # below the value or the certified lower end, the witness is an exact
+    # model in the disk, and the value is within tol of the closed form.
+    rows = workloads.relevance_rows(random.Random(5))
+    assert len(rows) == 14
+    options = RelevanceOptions()
+    for lines, formula, expected in rows:
+        theory, alpha = Theory([parse(line) for line in lines]), parse(formula)
+        result = _relevance_at_grid(lines, formula, grid, tmp_path)
+        assert type(result.value) is Fraction and result.evaluations <= options.budget
+        pool = reference_pool(theory.members)
+        names = sorted(atoms(alpha) | theory.atoms())
+        least = min((eval_prob(ReducedModel({name: pool[j] for name, j in zip(names, picks)}), alpha)[0]
+                     for _, picks in reference_hits(alpha, theory.members, options.budget)), default=Fraction(1))
+        assert result.value <= least, (lines, formula, result.value, least)
+        if expected is None:
+            assert (result.value, result.status, result.witness) == (Fraction(1), "infeasible", None), (lines, formula)
+            continue
+        assert result.status == "feasible" and abs(result.value - Fraction(expected)) <= options.tol, (lines, formula)
+        assert is_model_of(result.witness, theory, Fraction(0)) and eval_prob(result.witness, alpha)[0] == result.value
+        assert all(_in_disk(u, w, Fraction(0)) for u, w in result.witness.assignment.values()), (lines, formula)
+        lower = _bracket_of(theory, alpha, options)[0]
+        assert lower <= min(result.value, least), (lines, formula, lower)
 
 
 def test_rational_benchmark_rows_are_certified_without_the_descent(workloads, monkeypatch):
